@@ -4,19 +4,22 @@
 // under the reference engine (full O(N) rescans per event) and the
 // incremental engine (lazy settlement, O(1) coverage counters, dirty-marked
 // drain refreshes, grid-scoped reclustering) at n in {500, 2000, 10000,
-// 100000} and writes a machine-readable JSON report:
+// 100000}, plus one row at the paper's own configuration (Table II: n=500,
+// teleport motion every 3 h, so every target move is a global recluster)
+// over a shortened horizon, and writes a machine-readable JSON report:
 //
 //   bench_world_hotpath [--quick] [--out FILE] [--sizes N,N,...]
 //                       [--ref-queue IMPL] [--inc-queue IMPL] [--no-ref]
 //                       [--threads N] [--threads-sweep T,T,...]
 //
-//   --quick      only n in {500, 2000} (the ctest smoke target)
+//   --quick      only n in {500, 2000} plus the paper row (the ctest smoke
+//                target)
 //   --out        output path (default BENCH_world.json in the cwd)
 //   --sizes      comma-separated n list overriding the default ladder
 //   --ref-queue  event queue for the reference engine (default heap)
 //   --inc-queue  event queue for the incremental engine (default calendar)
 //   --no-ref     probe mode: skip the reference run (and with it the
-//                cross-check and speedup); rows carry only the inc columns
+//                cross-check and speedup) and the JSON report
 //   --threads N  shard-executor threads for every run (default 1 = serial)
 //   --threads-sweep T,T,...
 //                after the main rows, re-run the incremental engine at each
@@ -75,6 +78,19 @@ SimConfig bench_config(std::size_t n) {
   cfg.radio.listen_duty_cycle = 0.3;
   cfg.rv.speed = MeterPerSecond{5.0};
   cfg.rv.charge_power = watts(10.0);
+  return cfg;
+}
+
+// The paper row: Table II defaults (configs/paper_table2.cfg) with the
+// horizon cut from 120 to 20 days. Teleport motion re-runs Algorithm 1 over
+// the whole network on every target move, the path the random-waypoint rows
+// never take.
+constexpr double kPaperDays = 20.0;
+
+SimConfig paper_config() {
+  SimConfig cfg = SimConfig::paper_defaults();
+  cfg.sim_duration = days(kPaperDays);
+  cfg.seed = 0xbe7c7ab2ULL;
   return cfg;
 }
 
@@ -171,34 +187,48 @@ bool run_thread_sweep(std::size_t n, const std::vector<std::size_t>& counts,
   return true;
 }
 
-bool run_size(std::size_t n, std::vector<Row>& rows) {
-  const SimConfig cfg = bench_config(n);
-  const int reps = n >= 100000 ? 1 : 2;
+// Times both engines on `cfg` and cross-checks them bit-for-bit before any
+// timing is reported. Fills `row` (n taken from cfg).
+bool run_row(const std::string& label, const SimConfig& cfg, Row& row) {
+  const int reps = cfg.num_sensors >= 100000 ? 1 : 2;
   const RunOutcome inc = run_best(cfg, WorldEngine::kIncremental, reps);
   const double inc_eps = static_cast<double>(inc.events) / inc.wall_s;
+  row = {cfg.num_sensors, inc.events, 0.0, inc.wall_s};
   if (g_no_ref) {
-    rows.push_back({n, inc.events, 0.0, inc.wall_s});
-    std::cerr << "  n=" << n << ": " << inc.events << " events, inc("
-              << g_inc_queue << ") " << static_cast<std::uint64_t>(inc_eps)
-              << " events/s\n";
+    std::cerr << "  " << label << ": " << inc.events << " events, inc(" << g_inc_queue
+              << ") " << static_cast<std::uint64_t>(inc_eps) << " events/s\n";
     return true;
   }
   const RunOutcome ref = run_best(cfg, WorldEngine::kReference, reps);
 
   if (inc.report_json != ref.report_json || inc.events != ref.events ||
       inc.battery_levels != ref.battery_levels) {
-    std::cerr << "bench_world_hotpath: engine divergence at n=" << n
-              << " (events " << inc.events << " vs " << ref.events << ")\n";
+    std::cerr << "bench_world_hotpath: engine divergence at " << label << " (events "
+              << inc.events << " vs " << ref.events << ")\n";
     return false;
   }
 
-  rows.push_back({n, inc.events, ref.wall_s, inc.wall_s});
+  row.ref_wall_s = ref.wall_s;
   const double ref_eps = static_cast<double>(ref.events) / ref.wall_s;
-  std::cerr << "  n=" << n << ": " << inc.events << " events, "
+  std::cerr << "  " << label << ": " << inc.events << " events, "
             << static_cast<std::uint64_t>(ref_eps) << " -> "
             << static_cast<std::uint64_t>(inc_eps) << " events/s ("
             << ref.wall_s / inc.wall_s << "x)\n";
   return true;
+}
+
+void write_row(JsonWriter& w, const Row& r) {
+  const double ref_eps = static_cast<double>(r.events) / r.ref_wall_s;
+  const double inc_eps = static_cast<double>(r.events) / r.inc_wall_s;
+  w.field("n", static_cast<std::uint64_t>(r.n))
+      .field("events", r.events)
+      .field("ref_queue", g_ref_queue)
+      .field("inc_queue", g_inc_queue)
+      .field("ref_wall_s", r.ref_wall_s)
+      .field("inc_wall_s", r.inc_wall_s)
+      .field("ref_events_per_sec", ref_eps)
+      .field("inc_events_per_sec", inc_eps)
+      .field("speedup", r.ref_wall_s / r.inc_wall_s);
 }
 
 }  // namespace
@@ -259,8 +289,13 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const std::size_t n : sizes) {
     std::cerr << "n=" << n << '\n';
-    if (!run_size(n, rows)) return 1;
+    Row row;
+    if (!run_row("n=" + std::to_string(n), bench_config(n), row)) return 1;
+    rows.push_back(row);
   }
+  std::cerr << "paper teleport\n";
+  Row paper;
+  if (!run_row("paper n=500", paper_config(), paper)) return 1;
 
   std::vector<ScalingRow> scaling;
   if (!thread_sweep.empty()) {
@@ -282,21 +317,16 @@ int main(int argc, char** argv) {
       .key("results")
       .begin_array();
   for (const Row& r : rows) {
-    const double ref_eps = static_cast<double>(r.events) / r.ref_wall_s;
-    const double inc_eps = static_cast<double>(r.events) / r.inc_wall_s;
-    w.begin_object()
-        .field("n", static_cast<std::uint64_t>(r.n))
-        .field("events", r.events)
-        .field("ref_queue", g_ref_queue)
-        .field("inc_queue", g_inc_queue)
-        .field("ref_wall_s", r.ref_wall_s)
-        .field("inc_wall_s", r.inc_wall_s)
-        .field("ref_events_per_sec", ref_eps)
-        .field("inc_events_per_sec", inc_eps)
-        .field("speedup", r.ref_wall_s / r.inc_wall_s)
-        .end_object();
+    w.begin_object();
+    write_row(w, r);
+    w.end_object();
   }
   w.end_array();
+  // Kept out of "results" so the random-waypoint ladder's speedup gate
+  // (largest n) never reads it.
+  w.key("paper_teleport").begin_object().field("days", kPaperDays);
+  write_row(w, paper);
+  w.end_object();
   if (!scaling.empty()) {
     // Speedups are relative to the sweep's FIRST thread count (run it with
     // a leading 1 to get classic parallel efficiency).

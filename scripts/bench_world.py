@@ -10,6 +10,11 @@ script renders the events/sec table and can gate on a minimum speedup:
     scripts/bench_world.py                  # full sizes (500, 2000, 10000)
     scripts/bench_world.py --quick          # n in {500, 2000} only
     scripts/bench_world.py --min-speedup 3  # fail unless >= 3x at largest n
+    scripts/bench_world.py --before OLD.json
+                                            # record OLD.json (the same bench
+                                            # run against the parent commit)
+                                            # under "before" and print the
+                                            # before -> after table
     scripts/bench_world.py --queue-bench    # also run bench_event_queue and
                                             # append its heap-vs-calendar table
     scripts/bench_world.py --threads-sweep 1,2,8
@@ -62,6 +67,9 @@ def run(argv: list[str] | None = None) -> int:
                     help="with --threads-sweep: fail unless the largest n "
                          "reaches MIN x at the highest thread count vs the "
                          "first; skipped on machines with < 2 CPU cores")
+    ap.add_argument("--before", default=None, metavar="FILE",
+                    help="a BENCH_world.json from the parent commit; stored "
+                         "under \"before\" and compared row by row")
     ap.add_argument("--queue-bench", action="store_true",
                     help="also run the bench_event_queue microbench")
     ap.add_argument("--queue-bin",
@@ -96,10 +104,30 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
     rows = report["results"]
+    paper = report.get("paper_teleport")
     print(f"\n{'n':>6} {'events':>9} {'ref ev/s':>12} {'inc ev/s':>12} {'speedup':>9}")
-    for r in rows:
-        print(f"{r['n']:>6} {r['events']:>9} {r['ref_events_per_sec']:12.0f} "
+    for r in rows + ([paper] if paper else []):
+        label = "paper" if r is paper else str(r["n"])
+        print(f"{label:>6} {r['events']:>9} {r['ref_events_per_sec']:12.0f} "
               f"{r['inc_events_per_sec']:12.0f} {r['speedup']:8.2f}x")
+
+    if args.before:
+        with open(args.before, encoding="utf-8") as fh:
+            before = json.load(fh)
+        report["before"] = before
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+        pairs = [(str(r["n"]), b, r) for r in rows for b in before["results"]
+                 if b["n"] == r["n"] and b["events"] == r["events"]]
+        if paper and before.get("paper_teleport", {}).get("events") == paper["events"]:
+            pairs.append(("paper", before["paper_teleport"], paper))
+        print(f"\n{'n':>6} {'before inc ev/s':>16} {'after inc ev/s':>15} "
+              f"{'before ref ev/s':>16} {'after ref ev/s':>15}")
+        for label, b, r in pairs:
+            print(f"{label:>6} {b['inc_events_per_sec']:16.0f} "
+                  f"{r['inc_events_per_sec']:15.0f} "
+                  f"{b['ref_events_per_sec']:16.0f} {r['ref_events_per_sec']:15.0f}")
 
     if args.queue_bench:
         qcmd = [args.queue_bin, "--out", args.queue_out]

@@ -13,12 +13,11 @@ bool is_eligible(const std::vector<bool>& eligible, SensorId s) {
   return eligible.empty() || eligible[s];
 }
 
-// Phase 1 of Algorithm 1: candidate sets P(t) per target, loads per sensor,
-// and the candidate pool A.
+// Phase 1 of Algorithm 1 by distance scan: candidate sets P(t) per target
+// and loads per sensor.
 struct Candidates {
   std::vector<std::vector<SensorId>> per_target;  // P
   std::vector<std::size_t> loads;
-  std::vector<SensorId> pool;  // A
 };
 
 Candidates build_candidates(const std::vector<Vec2>& sensor_pos,
@@ -40,9 +39,6 @@ Candidates build_candidates(const std::vector<Vec2>& sensor_pos,
         ++c.loads[s];
       }
     }
-  }
-  for (SensorId s = 0; s < sensor_pos.size(); ++s) {
-    if (c.loads[s] > 0) c.pool.push_back(s);
   }
   return c;
 }
@@ -68,44 +64,77 @@ ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                const std::vector<Vec2>& target_pos,
                                double sensing_range,
                                const std::vector<bool>& eligible) {
-  Candidates cand = build_candidates(sensor_pos, target_pos, sensing_range, eligible);
-
+  const Candidates cand =
+      build_candidates(sensor_pos, target_pos, sensing_range, eligible);
   ClusterSet out;
-  out.members.resize(target_pos.size());
-  out.assignment.assign(sensor_pos.size(), kInvalidId);
-  out.loads = cand.loads;
+  AdmissionScratch scratch;
+  balanced_clustering(cand.per_target, sensor_pos.size(), out, scratch);
+  return out;
+}
 
-  // A sorted ascending by load; ties broken by id for determinism.
-  std::stable_sort(cand.pool.begin(), cand.pool.end(), [&](SensorId a, SensorId b) {
-    return cand.loads[a] < cand.loads[b];
-  });
-
-  // Membership lookup: covered[t] answers "is s in P(t)" in O(1).
-  std::vector<std::vector<bool>> covered(target_pos.size(),
-                                         std::vector<bool>(sensor_pos.size(), false));
-  for (TargetId t = 0; t < target_pos.size(); ++t) {
-    for (SensorId s : cand.per_target[t]) covered[t][s] = true;
-  }
-
-  // Phase 2: each sensor joins the smallest cluster (U ascending, ties by
-  // target id via stable sort) that can use it.
-  std::vector<std::size_t> sizes(target_pos.size(), 0);  // U
-  std::vector<TargetId> order(target_pos.size());
-  for (TargetId t = 0; t < target_pos.size(); ++t) order[t] = t;
-
-  for (SensorId s : cand.pool) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](TargetId a, TargetId b) { return sizes[a] < sizes[b]; });
-    for (TargetId t : order) {
-      if (covered[t][s]) {
-        out.members[t].push_back(s);
-        out.assignment[s] = t;
-        ++sizes[t];
-        break;
-      }
+void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
+                         std::size_t num_sensors, ClusterSet& out,
+                         AdmissionScratch& scratch) {
+  const std::size_t num_targets = candidates.size();
+  out.members.resize(num_targets);
+  for (auto& m : out.members) m.clear();
+  out.assignment.assign(num_sensors, kInvalidId);
+  out.loads.assign(num_sensors, 0);
+  for (const auto& list : candidates) {
+    for (const SensorId s : list) {
+      WRSN_DEBUG_ASSERT(s < num_sensors, "candidate sensor id out of range");
+      ++out.loads[s];
     }
   }
-  return out;
+
+  // Sensor -> candidate targets as CSR. Filling in ascending target order
+  // keeps each sensor's slice ascending; `first[s]` serves as the fill
+  // cursor and is shifted back to the slice start afterwards.
+  auto& first = scratch.first;
+  first.assign(num_sensors + 1, 0);
+  for (SensorId s = 0; s < num_sensors; ++s) first[s + 1] = first[s] + out.loads[s];
+  scratch.targets.resize(first[num_sensors]);
+  for (TargetId t = 0; t < num_targets; ++t) {
+    for (const SensorId s : candidates[t]) scratch.targets[first[s]++] = t;
+  }
+  for (std::size_t s = num_sensors; s > 0; --s) first[s] = first[s - 1];
+  first[0] = 0;
+
+  // A ascending by load, ties by id. The (load, id) keys are distinct, so
+  // the unstable sort is deterministic and needs no temporary buffer.
+  auto& pool = scratch.pool;
+  pool.clear();
+  for (SensorId s = 0; s < num_sensors; ++s) {
+    if (out.loads[s] > 0) pool.push_back(s);
+  }
+  std::sort(pool.begin(), pool.end(), [&](SensorId a, SensorId b) {
+    return out.loads[a] != out.loads[b] ? out.loads[a] < out.loads[b] : a < b;
+  });
+
+  // Re-sorting all clusters stably by size before every admission leaves
+  // equal-size clusters in the order they last grew, most recent first
+  // (a cluster that grows moves ahead of every cluster already at its new
+  // size), and clusters that never grew in id order. The key (size, stamp)
+  // encodes exactly that order: stamps start at the target id, and every
+  // growth takes a fresh, lower stamp. Only clusters that never grew can
+  // sit at size 0, so the two stamp ranges never compete.
+  auto& stamp = scratch.stamp;
+  stamp.resize(num_targets);
+  for (TargetId t = 0; t < num_targets; ++t) stamp[t] = static_cast<std::ptrdiff_t>(t);
+  std::ptrdiff_t next_stamp = -1;
+
+  for (const SensorId s : pool) {
+    TargetId best = scratch.targets[first[s]];
+    for (std::size_t k = first[s] + 1; k < first[s + 1]; ++k) {
+      const TargetId t = scratch.targets[k];
+      const std::size_t size = out.members[t].size();
+      const std::size_t best_size = out.members[best].size();
+      if (size < best_size || (size == best_size && stamp[t] < stamp[best])) best = t;
+    }
+    out.members[best].push_back(s);
+    out.assignment[s] = best;
+    stamp[best] = next_stamp--;
+  }
 }
 
 RebalanceResult rebalance_dirty(ClusterSet& clusters, SensorPosFn sensor_pos,

@@ -30,13 +30,43 @@ struct ClusterSet {
   [[nodiscard]] std::size_t imbalance() const;
 };
 
+// Admission rule shared by both entry points below. The pool A (sensors
+// with at least one candidate) is admitted in ascending load order, ties by
+// sensor id. Each sensor joins its candidate cluster with the fewest
+// members. A size tie goes to the cluster that most recently gained a
+// member; clusters that never grew break ties by target id. (This is the
+// order the paper's "sort U ascending" step produces when U is re-sorted
+// stably before every admission.)
+
 // `eligible[s]` (when non-empty) masks which sensors may be clustered — the
-// simulator passes the alive mask. Runs in O(M*N + |A|*M log M), matching
-// the paper's analysis.
+// simulator passes the alive mask. Scan-based entry point: finds the
+// candidate sets by an O(M*N) distance scan, then runs the admission core.
+// The reference engine and the tests use it as the oracle for grid-fed
+// candidate sets.
 [[nodiscard]] ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                              const std::vector<Vec2>& target_pos,
                                              double sensing_range,
                                              const std::vector<bool>& eligible = {});
+
+// Reusable working storage for the admission core: a caller that reclusters
+// repeatedly allocates nothing O(N) per call once the buffers have grown.
+struct AdmissionScratch {
+  std::vector<std::size_t> first;     // per sensor + 1: CSR offsets into targets
+  std::vector<TargetId> targets;      // sensor -> candidate targets, ascending
+  std::vector<SensorId> pool;         // A, in admission order
+  std::vector<std::ptrdiff_t> stamp;  // per target: tie key, lower wins
+};
+
+// Admission core with caller-supplied candidate sets: `candidates[t]` lists
+// the eligible sensors within sensing range of target t, ascending by id,
+// and must contain exactly the sensors the O(M*N) scan would find. Writes
+// the clustering of `num_sensors` sensors into `out`, reusing its storage.
+// Runs in O(N + M + C + |A| log |A|) for C = total candidate pairs: each
+// admission takes a minimum over the sensor's own candidates instead of
+// re-sorting all M clusters.
+void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
+                         std::size_t num_sensors, ClusterSet& out,
+                         AdmissionScratch& scratch);
 
 // Outcome of a scoped (dirty-region) rebalance: which clusters changed and
 // which sensors switched clusters, so the caller can splice rotors, monitor

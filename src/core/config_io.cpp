@@ -50,10 +50,14 @@ double parse_double(const std::string& key, const std::string& value) {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  const double d = parse_double(key, value);
-  WRSN_REQUIRE(d >= 0.0 && d == static_cast<double>(static_cast<std::uint64_t>(d)),
-               "config key '" + key + "' requires a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+  const std::string v = trim(value);
+  const std::optional<std::uint64_t> out = parse_decimal_u64(v);
+  if (!out) {
+    throw InvalidArgument("config key '" + key +
+                          "' requires a non-negative integer below 2^64, got '" +
+                          v + "'");
+  }
+  return *out;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
@@ -421,6 +425,16 @@ const KeyHandler& find_handler(const std::string& key) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_decimal_u64(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || std::to_string(value) != text) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 std::vector<std::string> config_keys() {
   std::vector<std::string> keys;

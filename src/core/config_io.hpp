@@ -4,12 +4,22 @@
 // by experiment scripts. Unknown keys are an error — silent typos in
 // experiment configs are how wrong papers get written.
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
 
 namespace wrsn {
+
+// Exact parse of a plain decimal integer in [0, 2^64): accepts exactly the
+// strings std::to_string prints for a uint64_t (digits only, no sign, no
+// leading zeros, no fraction or exponent) and returns nullopt for anything
+// else, overflow included — never a rounded or wrapped value. Integer
+// config keys and the tools' count flags parse through it.
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
 
 // All recognized keys, in serialization order.
 [[nodiscard]] std::vector<std::string> config_keys();

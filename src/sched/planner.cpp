@@ -170,6 +170,7 @@ std::vector<std::vector<std::size_t>> partition_items(
 
 std::vector<std::size_t> match_groups_to_rvs(const std::vector<Vec2>& group_centroids,
                                              const std::vector<Vec2>& rv_positions) {
+  WRSN_OBS_SCOPE("sched/match_groups");
   WRSN_REQUIRE(group_centroids.size() <= rv_positions.size(),
                "more groups than RVs");
   const std::size_t g = group_centroids.size();

@@ -702,61 +702,78 @@ std::vector<Vec2> World::current_target_positions() const {
 }
 
 void World::recluster() {
-  // Tear down the previous activation state.
-  traffic_.clear_sources();
-  for (Sensor& s : net_.sensors()) s.monitoring = false;
+  {
+    // Timed apart from the dispatch below, whose planners have their own
+    // scopes; the routing rebuild and traffic reroute count as recluster.
+    WRSN_OBS_SCOPE("activity/recluster");
+    // Tear down the previous activation state.
+    traffic_.clear_sources();
+    for (Sensor& s : net_.sensors()) s.monitoring = false;
 
-  std::vector<bool> alive(net_.num_sensors());
-  for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
-  const std::vector<Vec2> target_pos = current_target_positions();
-
-  // Sensor positions are static for the whole run, so the SoA block doubles
-  // as the clustering input without a per-recluster copy.
-  clusters_ = balanced_clustering(soa_.pos, target_pos,
-                                  config_.sensing_range.value(), alive);
-  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
-    net_.sensor(s).assigned_target = clusters_.assignment[s];
-  }
-
-  rotors_.assign(net_.num_targets(), ClusterRotor{});
-  active_monitor_.assign(net_.num_targets(), kInvalidId);
-  coverable_.assign(net_.num_targets(), false);
-
-  net_.rebuild_routing();
-
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
-  // The coverable queries are pure grid/scan lookups, so they shard into
-  // disjoint byte slots (vector<bool> packs bits, hence the scratch); the
-  // rotor/activation/traffic mutations below stay serial.
-  coverable_scratch_.assign(net_.num_targets(), 0);
-  exec_.for_shards(net_.num_targets(), [this](std::size_t begin, std::size_t end) {
-    for (TargetId t = begin; t < end; ++t) {
-      coverable_scratch_[t] = (engine_ == WorldEngine::kReference
-                                   ? net_.any_covering_scan(net_.target(t).pos)
-                                   : net_.any_covering(net_.target(t).pos))
-                                  ? 1
-                                  : 0;
-    }
-  });
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    coverable_[t] = coverable_scratch_[t] != 0;
-    rotors_[t] = ClusterRotor(clusters_.members[t]);
-    if (config_.activation == ActivationPolicy::kRoundRobin) {
-      const SensorId first =
-          rotors_[t].select_first([&](SensorId s) { return operational(s); });
-      if (first != kInvalidId) {
-        net_.sensor(first).monitoring = true;
-        active_monitor_[t] = first;
-        traffic_.add_source(net_.routing(), first, rate_pps);
-      }
+    // Clusters plus each target's coverable bit (any sensor, alive or not,
+    // in range). coverable_scratch_ holds bytes, not vector<bool> bits, so
+    // the reference engine's scans can shard into disjoint slots.
+    coverable_scratch_.assign(net_.num_targets(), 0);
+    if (engine_ == WorldEngine::kReference) {
+      std::vector<bool> alive(net_.num_sensors());
+      for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
+      // Sensor positions are static for the whole run, so the SoA block
+      // doubles as the clustering input without a per-recluster copy.
+      clusters_ = balanced_clustering(soa_.pos, current_target_positions(),
+                                      config_.sensing_range.value(), alive);
+      exec_.for_shards(net_.num_targets(), [this](std::size_t begin, std::size_t end) {
+        for (TargetId t = begin; t < end; ++t) {
+          coverable_scratch_[t] = net_.any_covering_scan(net_.target(t).pos) ? 1 : 0;
+        }
+      });
     } else {
-      apply_full_time_activation(t);
+      // Same candidate sets from one sensing-grid query per target: the
+      // covering sensors, alive ones only, ascending. The buffers persist
+      // across reclusters, so teleport motion allocates nothing O(N) here.
+      recluster_cand_.resize(net_.num_targets());
+      for (TargetId t = 0; t < net_.num_targets(); ++t) {
+        std::vector<SensorId>& list = recluster_cand_[t];
+        list.clear();
+        net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
+          coverable_scratch_[t] = 1;
+          if (soa_.alive(s)) list.push_back(s);
+        });
+        std::sort(list.begin(), list.end());
+      }
+      balanced_clustering(recluster_cand_, net_.num_sensors(), clusters_,
+                          admission_scratch_);
     }
-  }
+    for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+      net_.sensor(s).assigned_target = clusters_.assignment[s];
+    }
 
-  rebuild_counters();
-  refresh_drains();  // full scan in both engines; clears pending marks
-  for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
+    rotors_.assign(net_.num_targets(), ClusterRotor{});
+    active_monitor_.assign(net_.num_targets(), kInvalidId);
+    coverable_.assign(net_.num_targets(), false);
+
+    net_.rebuild_routing();
+
+    const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
+    for (TargetId t = 0; t < net_.num_targets(); ++t) {
+      coverable_[t] = coverable_scratch_[t] != 0;
+      rotors_[t] = ClusterRotor(clusters_.members[t]);
+      if (config_.activation == ActivationPolicy::kRoundRobin) {
+        const SensorId first =
+            rotors_[t].select_first([&](SensorId s) { return operational(s); });
+        if (first != kInvalidId) {
+          net_.sensor(first).monitoring = true;
+          active_monitor_[t] = first;
+          traffic_.add_source(net_.routing(), first, rate_pps);
+        }
+      } else {
+        apply_full_time_activation(t);
+      }
+    }
+
+    rebuild_counters();
+    refresh_drains();  // full scan in both engines; clears pending marks
+    for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
+  }
   dispatch();
 }
 

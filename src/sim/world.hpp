@@ -404,6 +404,10 @@ class World {
   // rebalance_dirty's candidate-set input.
   TargetIndex target_index_;
   std::vector<std::vector<TargetId>> cand_scratch_;
+  // Global-recluster scratch (incremental engine): per-target candidate
+  // lists from the sensing grid and the admission core's working storage.
+  std::vector<std::vector<SensorId>> recluster_cand_;
+  AdmissionScratch admission_scratch_;
 
   // Derived-state counters (kIncremental snapshots; validated against the
   // kReference rescans by the equivalence suite).

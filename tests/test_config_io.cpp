@@ -6,6 +6,8 @@
 #include "core/config_io.hpp"
 #include "core/error.hpp"
 #include "net/routing.hpp"
+#include "sim/snapshot.hpp"
+#include "sim/world.hpp"
 
 namespace wrsn {
 namespace {
@@ -214,6 +216,79 @@ TEST(ConfigIo, EverySetterIsObservableThroughItsGetter) {
 TEST(ConfigIo, RoundTripPreservesValidation) {
   const SimConfig cfg = config_from_text(config_to_text(SimConfig{}));
   EXPECT_NO_THROW(cfg.validate());
+}
+
+// Integer keys parse exactly: every uint64_t survives, including values a
+// double cannot hold (2^53 + 1), and anything that is not the canonical
+// decimal spelling of a uint64_t is rejected rather than rounded, wrapped
+// or truncated.
+TEST(ConfigIo, IntegerKeysParseExactly) {
+  struct Case {
+    const char* text;
+    bool ok;
+    std::uint64_t value;
+  };
+  // Accepted: zero, surrounding whitespace (trimmed), 2^53, 2^53 + 1 and
+  // 2^64 - 1. Rejected, among others: 2^64 and beyond, signs, junk,
+  // fractions, exponents, hex and leading zeros.
+  const Case cases[] = {
+      {"0", true, 0},
+      {"12345", true, 12345},
+      {"  42  ", true, 42},
+      {"9007199254740992", true, 9007199254740992ULL},
+      {"9007199254740993", true, 9007199254740993ULL},
+      {"18446744073709551615", true, 18446744073709551615ULL},
+      {"18446744073709551616", false, 0},
+      {"99999999999999999999999", false, 0},
+      {"-1", false, 0},
+      {"-0", false, 0},
+      {"+5", false, 0},
+      {"1x", false, 0},
+      {"1.5", false, 0},
+      {"500.0", false, 0},
+      {"1e3", false, 0},
+      {"0x10", false, 0},
+      {"007", false, 0},
+      {"", false, 0},
+      {"many", false, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    SimConfig cfg;
+    if (c.ok) {
+      config_set(cfg, "seed", c.text);
+      EXPECT_EQ(cfg.seed, c.value);
+      EXPECT_EQ(config_get(cfg, "seed"), std::to_string(c.value));
+    } else {
+      try {
+        config_set(cfg, "seed", c.text);
+        ADD_FAILURE() << "accepted";
+      } catch (const InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("config key 'seed'"), std::string::npos) << what;
+        EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+      }
+      EXPECT_EQ(cfg.seed, SimConfig{}.seed);
+    }
+  }
+}
+
+// A seed above 2^53 survives the snapshot's embedded config text: the
+// restored world re-serializes byte-identical and keeps the exact seed.
+TEST(ConfigIo, SeedAboveTwoTo53SurvivesSnapshotRoundTrip) {
+  SimConfig cfg;
+  cfg.num_sensors = 60;
+  cfg.num_targets = 4;
+  cfg.sim_duration = hours(6.0);
+  cfg.seed = (std::uint64_t{1} << 53) + 1;
+  World w(cfg);
+  w.run_until(hours(2.0));
+  const std::string bytes = serialize_snapshot(w.checkpoint());
+  const WorldSnapshot snap = deserialize_snapshot(bytes);
+  EXPECT_EQ(config_from_text(snap.config_text).seed, cfg.seed);
+  const World restored(snap);
+  EXPECT_EQ(restored.config().seed, cfg.seed);
+  EXPECT_EQ(serialize_snapshot(restored.checkpoint()), bytes);
 }
 
 }  // namespace

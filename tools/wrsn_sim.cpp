@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/atomic_file.hpp"
 #include "core/config_io.hpp"
 #include "core/error.hpp"
@@ -275,7 +276,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--faults") {
       apply_fault_arg(cfg, need_value(i));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::size_t>(std::stoul(need_value(i)));
+      seeds = parse_count(a, need_value(i));
       WRSN_REQUIRE(seeds > 0, "--seeds must be positive");
     } else if (a == "--csv") {
       csv_path = need_value(i);
@@ -288,7 +289,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_path = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_count(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--series") {
       series_path = need_value(i);

@@ -71,6 +71,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/atomic_file.hpp"
 #include "core/binio.hpp"
 #include "core/config_io.hpp"
@@ -267,7 +268,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--faults") {
       apply_fault_arg(base, need_value(i));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::size_t>(std::stoul(need_value(i)));
+      seeds = parse_count(a, need_value(i));
     } else if (a == "--csv") {
       csv_path = need_value(i);
     } else if (a == "--telemetry") {
@@ -277,7 +278,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_prefix = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_count(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--journal") {
       journal_dir = need_value(i);
@@ -287,15 +288,15 @@ int main(int argc, char** argv) try {
     } else if (a == "--watchdog-s") {
       sup_options.watchdog_s = std::stod(need_value(i));
     } else if (a == "--retries") {
-      sup_options.max_retries = static_cast<std::size_t>(std::stoul(need_value(i)));
+      sup_options.max_retries = parse_count(a, need_value(i));
     } else if (a == "--retry-backoff-ms") {
       sup_options.backoff_ms = std::stod(need_value(i));
     } else if (a == "--inject-fail") {
       const std::vector<std::string> pr = split(need_value(i), ',');
       WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
       inject_fail = true;
-      inject_point = static_cast<std::size_t>(std::stoul(pr[0]));
-      inject_replica = static_cast<std::size_t>(std::stoul(pr[1]));
+      inject_point = parse_count(a, pr[0]);
+      inject_replica = parse_count(a, pr[1]);
     } else {
       std::cerr << "unknown option '" << a << "' (try --help)\n";
       return 2;

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/config_io.hpp"
 #include "core/error.hpp"
 #include "net/routing.hpp"
@@ -103,7 +104,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_path = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_count(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--checkpoint") {
       checkpoint_prefix = need_value(i);
