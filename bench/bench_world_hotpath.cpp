@@ -10,7 +10,6 @@
 //
 //   bench_world_hotpath [--quick] [--out FILE] [--sizes N,N,...]
 //                       [--ref-queue IMPL] [--inc-queue IMPL] [--no-ref]
-//                       [--threads N] [--threads-sweep T,T,...]
 //
 //   --quick      only n in {500, 2000} plus the paper row (the ctest smoke
 //                target)
@@ -20,14 +19,6 @@
 //   --inc-queue  event queue for the incremental engine (default calendar)
 //   --no-ref     probe mode: skip the reference run (and with it the
 //                cross-check and speedup) and the JSON report
-//   --threads N  shard-executor threads for every run (default 1 = serial)
-//   --threads-sweep T,T,...
-//                after the main rows, re-run the incremental engine at each
-//                thread count and emit a "thread_scaling" array (wall time,
-//                events/sec, speedup vs the sweep's first entry). Runs at
-//                every benched size; each run is cross-checked bit-for-bit
-//                against the first thread count, so the sweep doubles as a
-//                determinism proof at scale.
 //
 // The two runs must agree bit-for-bit: the metrics report JSON and the final
 // per-sensor battery vector are cross-checked before any timing is reported,
@@ -109,13 +100,11 @@ struct RunOutcome {
 std::string g_ref_queue = "heap";
 std::string g_inc_queue = "calendar";
 bool g_no_ref = false;
-std::size_t g_threads = 1;
 
 RunOutcome run_once(const SimConfig& cfg_in, WorldEngine engine) {
   SimConfig cfg = cfg_in;
   cfg.event_queue =
       engine == WorldEngine::kReference ? g_ref_queue : g_inc_queue;
-  cfg.threads = g_threads;
   World w(cfg, engine);  // construction (clustering, seeding) is not timed
   const auto t0 = Clock::now();
   w.run_until(cfg.sim_duration);
@@ -146,46 +135,6 @@ struct Row {
   double ref_wall_s = 0.0;
   double inc_wall_s = 0.0;
 };
-
-// One incremental-engine run of the thread sweep.
-struct ScalingRow {
-  std::size_t n = 0;
-  std::size_t threads = 0;
-  std::uint64_t events = 0;
-  double inc_wall_s = 0.0;
-};
-
-// Re-runs the incremental engine at each thread count, cross-checking every
-// run bit-for-bit against the first entry's outcome (report JSON, event
-// count, final battery vector) — the determinism claim, enforced at bench
-// scale.
-bool run_thread_sweep(std::size_t n, const std::vector<std::size_t>& counts,
-                      std::vector<ScalingRow>& rows) {
-  const SimConfig cfg = bench_config(n);
-  const int reps = n >= 100000 ? 1 : 2;
-  const std::size_t saved_threads = g_threads;
-  RunOutcome baseline;
-  for (std::size_t k = 0; k < counts.size(); ++k) {
-    g_threads = counts[k];
-    RunOutcome out = run_best(cfg, WorldEngine::kIncremental, reps);
-    const double eps = static_cast<double>(out.events) / out.wall_s;
-    std::cerr << "  n=" << n << " threads=" << counts[k] << ": "
-              << static_cast<std::uint64_t>(eps) << " events/s\n";
-    if (k == 0) {
-      baseline = out;
-    } else if (out.report_json != baseline.report_json ||
-               out.events != baseline.events ||
-               out.battery_levels != baseline.battery_levels) {
-      std::cerr << "bench_world_hotpath: thread-count divergence at n=" << n
-                << " threads=" << counts[k] << " vs " << counts[0] << '\n';
-      g_threads = saved_threads;
-      return false;
-    }
-    rows.push_back({n, counts[k], out.events, out.wall_s});
-  }
-  g_threads = saved_threads;
-  return true;
-}
 
 // Times both engines on `cfg` and cross-checks them bit-for-bit before any
 // timing is reported. Fills `row` (n taken from cfg).
@@ -237,7 +186,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path = "BENCH_world.json";
   std::vector<std::size_t> size_override;
-  std::vector<std::size_t> thread_sweep;
   const auto queue_ok = [](const std::string& q) {
     return q == "heap" || q == "calendar";
   };
@@ -260,21 +208,10 @@ int main(int argc, char** argv) {
       g_inc_queue = argv[++i];
     } else if (a == "--no-ref") {
       g_no_ref = true;
-    } else if (a == "--threads" && i + 1 < argc) {
-      g_threads = std::stoull(argv[++i]);
-      if (g_threads == 0) g_threads = 1;
-    } else if (a == "--threads-sweep" && i + 1 < argc) {
-      std::string list = argv[++i];
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        thread_sweep.push_back(
-            std::max<std::size_t>(std::stoull(list.substr(pos, comma - pos)), 1));
-        pos = comma + 1;
-      }
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: bench_world_hotpath [--quick] [--out FILE] "
                    "[--sizes N,N,...] [--ref-queue IMPL] [--inc-queue IMPL] "
-                   "[--no-ref] [--threads N] [--threads-sweep T,T,...]\n";
+                   "[--no-ref]\n";
       return 0;
     } else {
       std::cerr << "unknown option '" << a << "' (try --help)\n";
@@ -297,21 +234,12 @@ int main(int argc, char** argv) {
   Row paper;
   if (!run_row("paper n=500", paper_config(), paper)) return 1;
 
-  std::vector<ScalingRow> scaling;
-  if (!thread_sweep.empty()) {
-    for (const std::size_t n : sizes) {
-      std::cerr << "thread sweep, n=" << n << '\n';
-      if (!run_thread_sweep(n, thread_sweep, scaling)) return 1;
-    }
-  }
-
   if (g_no_ref) return 0;  // probe mode: stderr only, no JSON report
 
   JsonWriter w;
   w.begin_object()
       .field("schema", "wrsn.bench_world.v1")
       .field("quick", quick)
-      .field("threads", static_cast<std::uint64_t>(g_threads))
       .field("cores",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .key("results")
@@ -327,30 +255,6 @@ int main(int argc, char** argv) {
   w.key("paper_teleport").begin_object().field("days", kPaperDays);
   write_row(w, paper);
   w.end_object();
-  if (!scaling.empty()) {
-    // Speedups are relative to the sweep's FIRST thread count (run it with
-    // a leading 1 to get classic parallel efficiency).
-    w.key("thread_scaling").begin_array();
-    for (const ScalingRow& r : scaling) {
-      double base_wall = r.inc_wall_s;
-      for (const ScalingRow& b : scaling) {
-        if (b.n == r.n && b.threads == thread_sweep.front()) {
-          base_wall = b.inc_wall_s;
-          break;
-        }
-      }
-      w.begin_object()
-          .field("n", static_cast<std::uint64_t>(r.n))
-          .field("threads", static_cast<std::uint64_t>(r.threads))
-          .field("events", r.events)
-          .field("inc_wall_s", r.inc_wall_s)
-          .field("inc_events_per_sec",
-                 static_cast<double>(r.events) / r.inc_wall_s)
-          .field("speedup_vs_base", base_wall / r.inc_wall_s)
-          .end_object();
-    }
-    w.end_array();
-  }
   w.end_object();
 
   std::ofstream out(out_path);

@@ -17,19 +17,6 @@ script renders the events/sec table and can gate on a minimum speedup:
                                             # before -> after table
     scripts/bench_world.py --queue-bench    # also run bench_event_queue and
                                             # append its heap-vs-calendar table
-    scripts/bench_world.py --threads-sweep 1,2,8
-                                            # re-run the incremental engine at
-                                            # each thread count (bit-identical
-                                            # cross-check) and print/record the
-                                            # scaling table
-    scripts/bench_world.py --threads-sweep 1,2,8 --min-parallel-speedup 2
-                                            # additionally require the largest
-                                            # n to reach 2x at the highest
-                                            # thread count; auto-skipped (with
-                                            # a message) when the machine has
-                                            # fewer than 2 CPU cores, where no
-                                            # parallel speedup is physically
-                                            # possible
 
 Only the standard library is used.
 """
@@ -37,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -57,16 +43,6 @@ def run(argv: list[str] | None = None) -> int:
                          "(overrides --quick for the world bench)")
     ap.add_argument("--min-speedup", type=float, default=None, metavar="MIN",
                     help="fail unless the largest measured n reaches MIN x")
-    ap.add_argument("--threads", type=int, default=None, metavar="N",
-                    help="shard-executor threads for the main ref-vs-inc rows")
-    ap.add_argument("--threads-sweep", default=None, metavar="T,T,...",
-                    help="also run the incremental engine at each thread count "
-                         "and record a thread_scaling section")
-    ap.add_argument("--min-parallel-speedup", type=float, default=None,
-                    metavar="MIN",
-                    help="with --threads-sweep: fail unless the largest n "
-                         "reaches MIN x at the highest thread count vs the "
-                         "first; skipped on machines with < 2 CPU cores")
     ap.add_argument("--before", default=None, metavar="FILE",
                     help="a BENCH_world.json from the parent commit; stored "
                          "under \"before\" and compared row by row")
@@ -84,10 +60,6 @@ def run(argv: list[str] | None = None) -> int:
         cmd.extend(["--sizes", args.sizes])
     elif args.quick:
         cmd.append("--quick")
-    if args.threads is not None:
-        cmd.extend(["--threads", str(args.threads)])
-    if args.threads_sweep:
-        cmd.extend(["--threads-sweep", args.threads_sweep])
     try:
         subprocess.run(cmd, check=True)
     except FileNotFoundError:
@@ -153,26 +125,6 @@ def run(argv: list[str] | None = None) -> int:
                   f"{r['heap_ns_per_op']:12.1f} {r['calendar_ns_per_op']:15.1f} "
                   f"{r['speedup']:8.2f}x")
 
-    scaling = report.get("thread_scaling", [])
-    cores = os.cpu_count() or 1
-    if scaling and cores < 2:
-        # One core timeshares the workers: the numbers are still valid
-        # determinism evidence but meaningless as scaling data. Mark every
-        # row so downstream consumers of the report don't chart them.
-        for r in scaling:
-            r["skipped"] = True
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
-        print(f"thread_scaling marked skipped: {cores} CPU core(s)")
-    if scaling:
-        print(f"\n{'n':>6} {'threads':>8} {'inc ev/s':>12} {'vs base':>9}")
-        for r in scaling:
-            print(f"{r['n']:>6} {r['threads']:>8} "
-                  f"{r['inc_events_per_sec']:12.0f} "
-                  f"{r['speedup_vs_base']:8.2f}x"
-                  + ("  (skipped)" if r.get("skipped") else ""))
-
     if args.min_speedup is not None:
         largest = max(rows, key=lambda r: r["n"])
         if largest["speedup"] < args.min_speedup:
@@ -181,25 +133,6 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         print("speedup check passed")
 
-    if args.min_parallel_speedup is not None:
-        if not scaling:
-            print("CHECK FAILED: --min-parallel-speedup needs --threads-sweep",
-                  file=sys.stderr)
-            return 2
-        if cores < 2:
-            # One core timeshares the workers: the sweep still proves
-            # determinism, but no wall-clock speedup is physically possible.
-            print(f"parallel speedup check skipped: {cores} CPU core(s)")
-            return 0
-        top_n = max(r["n"] for r in scaling)
-        top = max((r for r in scaling if r["n"] == top_n),
-                  key=lambda r: r["threads"])
-        if top["speedup_vs_base"] < args.min_parallel_speedup:
-            print(f"CHECK FAILED: {top['speedup_vs_base']:.2f}x at "
-                  f"n={top['n']} threads={top['threads']} < required "
-                  f"{args.min_parallel_speedup:.2f}x", file=sys.stderr)
-            return 1
-        print("parallel speedup check passed")
     return 0
 
 

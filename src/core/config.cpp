@@ -78,7 +78,6 @@ void SimConfig::validate() const {
   WRSN_REQUIRE(event_queue == "auto" || event_queue == "calendar" ||
                    event_queue == "heap",
                "event_queue must be one of: auto, calendar, heap");
-  WRSN_REQUIRE(parallel_threshold > 0, "parallel threshold must be positive");
   WRSN_REQUIRE(num_sensors > 0, "need at least one sensor");
   WRSN_REQUIRE(num_rvs > 0, "need at least one RV");
   WRSN_REQUIRE(field_side.value() > 0.0, "field side must be positive");

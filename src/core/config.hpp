@@ -219,15 +219,10 @@ struct SimConfig {
   // order — the heap is the O(log n) reference, the calendar queue the O(1)
   // amortized default (see sim/events.hpp).
   std::string event_queue = "auto";
-  // Intra-simulation thread budget (core/parallel.hpp). 0 = "auto": the
-  // WRSN_THREADS env var if set (its value 0 meaning hardware concurrency),
-  // else 1. Any value yields byte-identical output; >1 shards the bulk
-  // per-sensor phases and planner kernels across a ThreadPool.
+  // Worker threads that run independent replicas (wrsn_sim --seeds,
+  // wrsn_sweep); 0 means hardware concurrency. A World never reads it: each
+  // replica runs on one thread, so reports do not depend on it.
   std::size_t threads = 0;
-  // Minimum item count before a bulk phase dispatches shards to the pool;
-  // below it the single-thread fast path runs so task overhead cannot
-  // regress small simulations (n=500 stays serial by default).
-  std::size_t parallel_threshold = 4096;
   ActivationPolicy activation = ActivationPolicy::kRoundRobin;
   // Post-optimize each RV's flattened visiting order with 2-opt before
   // departure (library extension; off by default to match the paper's

@@ -179,11 +179,6 @@ const std::vector<KeyHandler>& handlers() {
        }},
       {"threads", [](const SimConfig& c) { return std::to_string(c.threads); },
        [](SimConfig& c, const std::string& v) { c.threads = parse_u64("threads", v); }},
-      {"parallel_threshold",
-       [](const SimConfig& c) { return std::to_string(c.parallel_threshold); },
-       [](SimConfig& c, const std::string& v) {
-         c.parallel_threshold = parse_u64("parallel_threshold", v);
-       }},
       {"activation", [](const SimConfig& c) { return to_string(c.activation); },
        [](SimConfig& c, const std::string& v) {
          c.activation = parse_activation(trim(v));

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/plan_context.hpp"
 
@@ -279,21 +278,6 @@ KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
     return best_c;
   };
 
-  // Both assignment passes only write per-point slots (u/l/stamp/assignment)
-  // and read state that is frozen for the pass (centroids, s, the drift
-  // tables), so they shard across the installed executor (core/parallel.hpp)
-  // with no merge step at all: every slot ends up with exactly the value the
-  // serial loop would store. The changed flags are ORed per shard in
-  // shard-index order (order-independent for a bool, ordered anyway).
-  auto run_pass = [&](auto&& pass) -> bool {
-    ParallelExec* exec = current_parallel();
-    if (exec != nullptr && exec->should_shard(n)) {
-      return exec->reduce_shards(
-          n, false, pass, [](bool& acc, bool part) { acc = acc || part; });
-    }
-    return pass(std::size_t{0}, n);
-  };
-
   for (result.iterations = 1; result.iterations <= max_iterations;
        ++result.iterations) {
     // Updates applied so far; index into the cumulative-drift tables.
@@ -301,17 +285,13 @@ KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
     bool changed = false;
     if (result.iterations == 1) {
       // First pass: full scans, exactly the reference, seeding the bounds.
-      changed = run_pass([&](std::size_t begin, std::size_t end) {
-        bool any = false;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t best_c = assign_full(i);
-          if (result.assignment[i] != best_c) {
-            result.assignment[i] = best_c;
-            any = true;
-          }
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t best_c = assign_full(i);
+        if (result.assignment[i] != best_c) {
+          result.assignment[i] = best_c;
+          changed = true;
         }
-        return any;
-      });
+      }
     } else {
       for (std::size_t c = 0; c < k; ++c) {
         double nearest = kInf;
@@ -323,40 +303,33 @@ KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
         s[c] = 0.5 * nearest;
       }
       const double cum_max_now = cum_max[now];
-      changed = run_pass([&](std::size_t begin, std::size_t end) {
-        bool any = false;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t a = result.assignment[i];
-          const std::uint32_t ti = stamp[i];
-          // Reconstruct the drifted bounds from the prefix sums: u grew by
-          // the own center's drift since the stamp, l shrank by the
-          // accumulated max drift (l may go negative; max with s keeps the
-          // test sound).
-          const double u_eff =
-              u[i] + (cum[a * kStride + now] - cum[a * kStride + ti]);
-          const double l_eff = l[i] - (cum_max_now - cum_max[ti]);
-          // Skip when either bound proves strict dominance: any other center
-          // c has d(i,c) >= max(2*s[a] - u[i], l[i]) > u[i] >= d(i,a), so the
-          // full argmin — ties to the lowest index included — would return
-          // the current assignment.
-          const double m = std::max(s[a], l_eff);
-          if (u_eff + kMargin < m) continue;
-          // Tighten u to the exact distance, re-stamp, and retry before
-          // paying for the full scan (the cheap test fails mostly because u
-          // drifted).
-          u[i] = std::sqrt(squared_distance(points[i], result.centroids[a]));
-          l[i] = l_eff;
-          stamp[i] = now;
-          if (u[i] + kMargin < m) continue;
-          const std::size_t best_c = assign_full(i);
-          if (result.assignment[i] != best_c) {
-            result.assignment[i] = best_c;
-            any = true;
-          }
-          stamp[i] = now;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t a = result.assignment[i];
+        const std::uint32_t ti = stamp[i];
+        // Reconstruct the drifted bounds from the prefix sums: u grew by the
+        // own center's drift since the stamp, l shrank by the accumulated
+        // max drift (l may go negative; max with s keeps the test sound).
+        const double u_eff = u[i] + (cum[a * kStride + now] - cum[a * kStride + ti]);
+        const double l_eff = l[i] - (cum_max_now - cum_max[ti]);
+        // Skip when either bound proves strict dominance: any other center
+        // c has d(i,c) >= max(2*s[a] - u[i], l[i]) > u[i] >= d(i,a), so the
+        // full argmin — ties to the lowest index included — would return
+        // the current assignment.
+        const double m = std::max(s[a], l_eff);
+        if (u_eff + kMargin < m) continue;
+        // Tighten u to the exact distance, re-stamp, and retry before paying
+        // for the full scan (the cheap test fails mostly because u drifted).
+        u[i] = std::sqrt(squared_distance(points[i], result.centroids[a]));
+        l[i] = l_eff;
+        stamp[i] = now;
+        if (u[i] + kMargin < m) continue;
+        const std::size_t best_c = assign_full(i);
+        if (result.assignment[i] != best_c) {
+          result.assignment[i] = best_c;
+          changed = true;
         }
-        return any;
-      });
+        stamp[i] = now;
+      }
     }
 
     // Update step (verbatim reference expressions).

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/profit.hpp"
 
@@ -68,26 +67,13 @@ PlanContext::PlanContext(const std::vector<RechargeItem>& items,
   const std::size_t n = items.size();
   std::vector<Vec2> positions;
   positions.reserve(n);
+  base_dist_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     positions.push_back(items[i].pos);
+    // Same call the reference's serve_cost makes, so the sum below is
+    // bit-identical to its `travel` expression.
+    base_dist_.push_back(distance(items[i].pos, params.base));
     if (items[i].critical) critical_.push_back(i);
-  }
-  // Same call the reference's serve_cost makes, so the sum in serve() is
-  // bit-identical to its `travel` expression. Each slot is written exactly
-  // once from per-item inputs, so the precompute shards freely across the
-  // installed executor (core/parallel.hpp).
-  base_dist_.resize(n);
-  ParallelExec* exec = current_parallel();
-  if (exec != nullptr && exec->should_shard(n)) {
-    exec->for_shards(n, [this, &items](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        base_dist_[i] = distance(items[i].pos, params_.base);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      base_dist_[i] = distance(items[i].pos, params.base);
-    }
   }
   grid_.build(positions);
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "geom/grid.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/plan_context.hpp"
@@ -227,7 +225,6 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
 
   std::vector<std::size_t> cand;
   cand.reserve(64);
-  std::vector<std::uint8_t> accept;  // per-candidate acceptance flags
   std::vector<std::size_t> long_pos;  // sorted edge positions with elen > r_short
 
   // Round-scoped skip bound: all i beyond the last reversal of a round were
@@ -293,15 +290,8 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
         std::sort(cand.begin(), cand.end());
         cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-        // Ordered first-improvement selection. The acceptance test is pure
-        // in the current tour, so when an executor is installed and the
-        // candidate list clears its threshold the tests shard into disjoint
-        // flag slots and the serial scan then takes the FIRST accepted j in
-        // candidate order — exactly the move the serial early-exit scan
-        // takes (it merely skips evaluating candidates past the first hit,
-        // which cannot change which one is first). The reversal itself is
-        // applied serially either way.
-        auto accepts = [&](std::size_t j) {
+        bool reversed = false;
+        for (const std::size_t j : cand) {
           const Vec2 c = at(j + 1);
           const bool has_next = j + 1 < n;
           const Vec2 d = has_next ? at(j + 2) : Vec2{};
@@ -309,75 +299,49 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
           // is the reference's exact acceptance expression.
           const double before = elen[i] + (has_next ? elen[j + 1] : 0.0);
           const double after = distance(a, c) + (has_next ? distance(b, d) : 0.0);
-          return after + 1e-12 < before;
-        };
-        std::size_t chosen = kBadIndex;
-        ParallelExec* exec = current_parallel();
-        if (exec != nullptr && exec->should_shard(cand.size())) {
-          accept.assign(cand.size(), 0);
-          exec->for_shards(cand.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t ci = lo; ci < hi; ++ci) {
-              if (accepts(cand[ci])) accept[ci] = 1;
+          if (after + 1e-12 < before) {
+            std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
+                         order.begin() + static_cast<std::ptrdiff_t>(j + 1));
+            for (std::size_t k = i; k <= j; ++k) pos_of[order[k]] = k + 1;
+            std::reverse(elen.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                         elen.begin() + static_cast<std::ptrdiff_t>(j + 1));
+            elen[i] = distance(a, c);
+            if (has_next) elen[j + 1] = distance(b, d);
+            // Remap long-edge positions through the reversal (values in
+            // [i+1, j] move to i+1+j-q, staying in-window, so reversing the
+            // affected slice restores sorted order), then account for the
+            // two boundary edges whose lengths actually changed.
+            {
+              const auto lo = std::lower_bound(long_pos.begin(),
+                                               long_pos.end(), i + 1);
+              const auto hi = std::upper_bound(lo, long_pos.end(), j);
+              for (auto it = lo; it != hi; ++it) *it = i + 1 + j - *it;
+              std::reverse(lo, hi);
+              auto set_long = [&](std::size_t q) {
+                const bool is_long = elen[q] > r_short;
+                const auto it = std::lower_bound(long_pos.begin(),
+                                                 long_pos.end(), q);
+                const bool present = it != long_pos.end() && *it == q;
+                if (is_long && !present) {
+                  long_pos.insert(it, q);
+                } else if (!is_long && present) {
+                  long_pos.erase(it);
+                }
+              };
+              if (i >= 1) set_long(i);
+              if (has_next) set_long(j + 1);
             }
-          });
-          for (std::size_t ci = 0; ci < cand.size(); ++ci) {
-            if (accept[ci] != 0) {
-              chosen = cand[ci];
-              break;
-            }
-          }
-        } else {
-          for (const std::size_t j : cand) {
-            if (accepts(j)) {
-              chosen = j;
-              break;
-            }
+            improved = true;
+            any_reversal = true;
+            last_reversal_i = i;
+            // The reference continues its inner loop at j + 1 against the
+            // new at(i+1); regenerate candidates from there.
+            jmin = j + 1;
+            reversed = true;
+            break;
           }
         }
-        if (chosen == kBadIndex) break;
-        {
-          const std::size_t j = chosen;
-          const Vec2 c = at(j + 1);
-          const bool has_next = j + 1 < n;
-          const Vec2 d = has_next ? at(j + 2) : Vec2{};
-          std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
-                       order.begin() + static_cast<std::ptrdiff_t>(j + 1));
-          for (std::size_t k = i; k <= j; ++k) pos_of[order[k]] = k + 1;
-          std::reverse(elen.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                       elen.begin() + static_cast<std::ptrdiff_t>(j + 1));
-          elen[i] = distance(a, c);
-          if (has_next) elen[j + 1] = distance(b, d);
-          // Remap long-edge positions through the reversal (values in
-          // [i+1, j] move to i+1+j-q, staying in-window, so reversing the
-          // affected slice restores sorted order), then account for the
-          // two boundary edges whose lengths actually changed.
-          {
-            const auto lo = std::lower_bound(long_pos.begin(),
-                                             long_pos.end(), i + 1);
-            const auto hi = std::upper_bound(lo, long_pos.end(), j);
-            for (auto it = lo; it != hi; ++it) *it = i + 1 + j - *it;
-            std::reverse(lo, hi);
-            auto set_long = [&](std::size_t q) {
-              const bool is_long = elen[q] > r_short;
-              const auto it = std::lower_bound(long_pos.begin(),
-                                               long_pos.end(), q);
-              const bool present = it != long_pos.end() && *it == q;
-              if (is_long && !present) {
-                long_pos.insert(it, q);
-              } else if (!is_long && present) {
-                long_pos.erase(it);
-              }
-            };
-            if (i >= 1) set_long(i);
-            if (has_next) set_long(j + 1);
-          }
-          improved = true;
-          any_reversal = true;
-          last_reversal_i = i;
-          // The reference continues its inner loop at j + 1 against the
-          // new at(i+1); regenerate candidates from there.
-          jmin = j + 1;
-        }
+        if (!reversed) break;
       }
     }
     scan_end = any_reversal ? last_reversal_i + 2 : 0;

@@ -52,11 +52,6 @@ World::World(const SimConfig& config, WorldEngine engine)
       }()),
       traffic_(config.num_sensors) {
   end_ = config_.sim_duration.value();
-  // Thread budget for the sharded bulk phases (core/parallel.hpp); serial
-  // (no pool) unless the config/env grants more than one thread. Output is
-  // byte-identical either way — the equivalence and determinism suites hold
-  // this to account.
-  exec_ = ParallelExec(resolve_threads(config_.threads), config_.parallel_threshold);
   // Re-seat the queue on the configured implementation (the default member
   // construction already consulted WRSN_EVENT_QUEUE; an explicit config key
   // overrides it). Nothing has been pushed yet, so this is a plain swap.
@@ -108,9 +103,6 @@ World::World(const SimConfig& config, WorldEngine engine)
   target_index_.init(config_.field_side.value(), config_.sensing_range.value(),
                      current_target_positions());
 
-  // Construction reclusters and dispatches, so the planner kernels must
-  // already see this world's executor on the running thread.
-  const ParallelScope par_scope(&exec_);
   recluster();
 
   // Round-robin handover ticks (only meaningful under the RR policy).
@@ -195,9 +187,6 @@ void World::run_until(Second t_in) {
   // WRSN_OBS_SCOPE sites in the schedulers report here — and so a replica
   // without telemetry never leaks into a pool worker's previous installation.
   const obs::TelemetryScope obs_scope(telemetry_);
-  // ... and the executor, so world phases and planner kernels shard across
-  // this world's pool (serial pass-through when threads == 1).
-  const ParallelScope par_scope(&exec_);
   const double t = std::min(t_in.value(), end_);
   if (t <= now_) return;  // past or current horizon: nothing to do
   while (!queue_.empty() && queue_.top().time <= t) {
@@ -288,7 +277,6 @@ void World::close_spans() {
 
 void World::inject_sensor_failure(SensorId s) {
   const obs::TelemetryScope obs_scope(telemetry_);  // dispatch() runs planners
-  const ParallelScope par_scope(&exec_);
   WRSN_REQUIRE(s < net_.num_sensors(), "sensor id out of range");
   settle_sensor(s);
   if (!soa_.alive(s)) return;  // already down (or death pending its event)
@@ -345,66 +333,23 @@ void World::settle_sensor(SensorId s) {
   const double dt = now_ - last;
   last = now_;
   if (soa_.drain[s] <= 0.0) return;
-  // Bit-exact replica of Battery::drain's clamp, run over the packed arrays.
-  apply_settlement(s, std::min(soa_.drain[s] * dt, soa_.level[s]));
-}
-
-bool World::apply_settlement(SensorId s, double drawn) {
-  // The resulting level is mirrored back into the Network battery so every
+  // Bit-exact replica of Battery::drain's clamp, run over the packed arrays;
+  // the resulting level is mirrored back into the Network battery so every
   // external reader (planners, metrics, tests) stays current.
   const double level = soa_.level[s];
   const bool was_alive = level > 0.0;
+  const double drawn = std::min(soa_.drain[s] * dt, level);
   soa_.level[s] = level - drawn;
   sensor_energy_consumed_ += drawn;
   net_.sensor(s).battery.set_level(Joule{soa_.level[s]});
   WRSN_DEBUG_ASSERT(soa_.level[s] >= 0.0 && soa_.level[s] <= soa_.capacity[s],
                     "battery level escaped [0, capacity]");
   if (settle_counter_ != nullptr) settle_counter_->add();
-  const bool died = was_alive && soa_.level[s] <= 0.0;
-  if (died) on_sensor_alive_changed(s, false);
-  return died;
+  if (was_alive && soa_.level[s] <= 0.0) on_sensor_alive_changed(s, false);
 }
 
 void World::settle_all_sensors() {
-  const std::size_t n = soa_.last_settle.size();
-  if (!exec_.should_shard(n)) {
-    for (SensorId s = 0; s < n; ++s) settle_sensor(s);
-    return;
-  }
-  // Compute-then-apply: the pure half (elapsed time, drain clamp) runs over
-  // fixed shards into disjoint slots; the serial ascending apply then
-  // performs every mutation — the fp energy accumulation, the net_ mirror,
-  // alive transitions — in exactly the serial loop's order, so the result is
-  // byte-identical at any thread count. A death mid-apply can rewire later
-  // sensors' drains (monitor handover, traffic rerouting), which would make
-  // their precomputed draws stale; from the first alive transition on, the
-  // tail falls back to plain settle_sensor, which recomputes from live state
-  // just as the serial loop would.
-  constexpr double kNotDue = -1.0;     // now_ <= last_settle: untouched
-  constexpr double kStampOnly = -2.0;  // due but drain <= 0: stamp, no draw
-  settle_scratch_.assign(n, kNotDue);
-  exec_.for_shards(n, [this](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      const double last = soa_.last_settle[s];
-      if (now_ <= last) continue;
-      settle_scratch_[s] =
-          soa_.drain[s] <= 0.0
-              ? kStampOnly
-              : std::min(soa_.drain[s] * (now_ - last), soa_.level[s]);
-    }
-  });
-  bool rewired = false;
-  for (SensorId s = 0; s < n; ++s) {
-    if (rewired) {
-      settle_sensor(s);
-      continue;
-    }
-    const double drawn = settle_scratch_[s];
-    if (drawn == kNotDue) continue;
-    soa_.last_settle[s] = now_;
-    if (drawn == kStampOnly) continue;
-    rewired = apply_settlement(s, drawn);
-  }
+  for (SensorId s = 0; s < soa_.last_settle.size(); ++s) settle_sensor(s);
 }
 
 StateSnapshot World::snapshot() const {
@@ -463,22 +408,18 @@ Watt World::sensor_drain(SensorId s) const {
   return total;
 }
 
-bool World::drain_refresh_blocked(SensorId s) const {
-  if (soa_.death_processed[s] != 0) return false;
-  // A depleted — or depleting-within-this-instant — sensor whose death
-  // crossing has not fired yet keeps its drain and epoch, so the pending
-  // crossing stays valid and handle_death runs exactly once.
-  if (!soa_.alive(s)) return true;
-  return soa_.drain[s] > 0.0 &&
-         soa_.drain[s] * (now_ - soa_.last_settle[s]) >= soa_.level[s];
-}
-
 bool World::update_drain(SensorId s) {
-  if (drain_refresh_blocked(s)) return false;
-  return apply_drain(s, sensor_drain(s).value());
-}
-
-bool World::apply_drain(SensorId s, double d) {
+  if (soa_.death_processed[s] == 0) {
+    // A depleted — or depleting-within-this-instant — sensor whose death
+    // crossing has not fired yet keeps its drain and epoch, so the pending
+    // crossing stays valid and handle_death runs exactly once.
+    if (!soa_.alive(s)) return false;
+    if (soa_.drain[s] > 0.0 &&
+        soa_.drain[s] * (now_ - soa_.last_settle[s]) >= soa_.level[s]) {
+      return false;
+    }
+  }
+  const double d = sensor_drain(s).value();
   if (d == soa_.drain[s]) return false;
   settle_sensor(s);  // integrate the old drain up to now before switching
   soa_.drain[s] = d;
@@ -501,31 +442,7 @@ bool World::apply_drain(SensorId s, double d) {
 }
 
 void World::refresh_drains() {
-  const std::size_t n = soa_.drain.size();
-  if (!exec_.should_shard(n)) {
-    for (SensorId s = 0; s < n; ++s) update_drain(s);
-    drain_marks_.clear();
-    return;
-  }
-  // Compute-then-apply: sensor_drain is pure in state this loop holds
-  // frozen — drain_refresh_blocked's guard means no settlement here can
-  // deplete a battery, so no alive transition, monitor handover or traffic
-  // rewiring happens mid-loop and no apply changes another sensor's drain
-  // inputs. The expensive drain evaluations therefore shard freely into
-  // disjoint slots; the serial ascending apply settles, swaps drains and
-  // pushes crossing events in exactly the serial order — identical fp
-  // accumulation, identical (time, seq) assignment.
-  drain_scratch_.resize(n);
-  exec_.for_shards(n, [this](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      if (drain_refresh_blocked(s)) continue;
-      drain_scratch_[s] = sensor_drain(s).value();
-    }
-  });
-  for (SensorId s = 0; s < n; ++s) {
-    if (drain_refresh_blocked(s)) continue;
-    apply_drain(s, drain_scratch_[s]);
-  }
+  for (SensorId s = 0; s < soa_.drain.size(); ++s) update_drain(s);
   drain_marks_.clear();
 }
 
@@ -535,28 +452,7 @@ void World::flush_drain_marks() {
   // already duplicate-free (DirtySet dedupes at insert), so a plain sort of
   // the marked ids suffices.
   drain_marks_.sort_ids();
-  const auto& ids = drain_marks_.ids();
-  const std::size_t count = ids.size();
-  if (!exec_.should_shard(count)) {
-    for (const SensorId s : ids) update_drain(s);
-    drain_marks_.clear();
-    return;
-  }
-  // Same compute-then-apply split as refresh_drains, indexed by mark
-  // position instead of sensor id.
-  drain_scratch_.resize(count);
-  exec_.for_shards(count, [this, &ids](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const SensorId s = ids[i];
-      if (drain_refresh_blocked(s)) continue;
-      drain_scratch_[i] = sensor_drain(s).value();
-    }
-  });
-  for (std::size_t i = 0; i < count; ++i) {
-    const SensorId s = ids[i];
-    if (drain_refresh_blocked(s)) continue;
-    apply_drain(s, drain_scratch_[i]);
-  }
+  for (const SensorId s : drain_marks_.ids()) update_drain(s);
   drain_marks_.clear();
 }
 
@@ -650,18 +546,10 @@ void World::recompute_covered(TargetId t) {
 }
 
 void World::rebuild_counters() {
-  // Integer shard partials folded in shard-index order (order-independent
-  // for a count, but the ordered merge is the house rule).
-  alive_count_ = exec_.reduce_shards(
-      net_.num_sensors(), std::size_t{0},
-      [this](std::size_t begin, std::size_t end) {
-        std::size_t alive = 0;
-        for (SensorId s = begin; s < end; ++s) {
-          if (soa_.alive(s)) ++alive;
-        }
-        return alive;
-      },
-      [](std::size_t& acc, std::size_t part) { acc += part; });
+  alive_count_ = 0;
+  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+    if (soa_.alive(s)) ++alive_count_;
+  }
   alive_members_.assign(net_.num_targets(), 0);
   for (SensorId s = 0; s < net_.num_sensors(); ++s) {
     const TargetId t = clusters_.assignment[s];
@@ -711,9 +599,8 @@ void World::recluster() {
     for (Sensor& s : net_.sensors()) s.monitoring = false;
 
     // Clusters plus each target's coverable bit (any sensor, alive or not,
-    // in range). coverable_scratch_ holds bytes, not vector<bool> bits, so
-    // the reference engine's scans can shard into disjoint slots.
-    coverable_scratch_.assign(net_.num_targets(), 0);
+    // in range).
+    coverable_.assign(net_.num_targets(), false);
     if (engine_ == WorldEngine::kReference) {
       std::vector<bool> alive(net_.num_sensors());
       for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
@@ -721,11 +608,9 @@ void World::recluster() {
       // doubles as the clustering input without a per-recluster copy.
       clusters_ = balanced_clustering(soa_.pos, current_target_positions(),
                                       config_.sensing_range.value(), alive);
-      exec_.for_shards(net_.num_targets(), [this](std::size_t begin, std::size_t end) {
-        for (TargetId t = begin; t < end; ++t) {
-          coverable_scratch_[t] = net_.any_covering_scan(net_.target(t).pos) ? 1 : 0;
-        }
-      });
+      for (TargetId t = 0; t < net_.num_targets(); ++t) {
+        coverable_[t] = net_.any_covering_scan(net_.target(t).pos);
+      }
     } else {
       // Same candidate sets from one sensing-grid query per target: the
       // covering sensors, alive ones only, ascending. The buffers persist
@@ -734,10 +619,12 @@ void World::recluster() {
       for (TargetId t = 0; t < net_.num_targets(); ++t) {
         std::vector<SensorId>& list = recluster_cand_[t];
         list.clear();
+        bool coverable = false;
         net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
-          coverable_scratch_[t] = 1;
+          coverable = true;
           if (soa_.alive(s)) list.push_back(s);
         });
+        coverable_[t] = coverable;
         std::sort(list.begin(), list.end());
       }
       balanced_clustering(recluster_cand_, net_.num_sensors(), clusters_,
@@ -749,13 +636,11 @@ void World::recluster() {
 
     rotors_.assign(net_.num_targets(), ClusterRotor{});
     active_monitor_.assign(net_.num_targets(), kInvalidId);
-    coverable_.assign(net_.num_targets(), false);
 
     net_.rebuild_routing();
 
     const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
     for (TargetId t = 0; t < net_.num_targets(); ++t) {
-      coverable_[t] = coverable_scratch_[t] != 0;
       rotors_[t] = ClusterRotor(clusters_.members[t]);
       if (config_.activation == ActivationPolicy::kRoundRobin) {
         const SensorId first =
@@ -790,24 +675,13 @@ void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
   if (engine_ == WorldEngine::kReference) {
     const double range = config_.sensing_range.value();
     const double r2 = range * range;
-    // Per-shard hit lists concatenated in shard-index order reproduce the
-    // serial ascending push_back sequence exactly (the scan is pure).
-    dirty = exec_.reduce_shards(
-        net_.num_sensors(), std::move(dirty),
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<SensorId> hits;
-          for (SensorId s = begin; s < end; ++s) {
-            if (!soa_.alive(s)) continue;
-            if (squared_distance(soa_.pos[s], old_pos) <= r2 ||
-                squared_distance(soa_.pos[s], new_pos) <= r2) {
-              hits.push_back(s);
-            }
-          }
-          return hits;
-        },
-        [](std::vector<SensorId>& acc, std::vector<SensorId>&& hits) {
-          acc.insert(acc.end(), hits.begin(), hits.end());
-        });
+    for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+      if (!soa_.alive(s)) continue;
+      if (squared_distance(soa_.pos[s], old_pos) <= r2 ||
+          squared_distance(soa_.pos[s], new_pos) <= r2) {
+        dirty.push_back(s);
+      }
+    }
   } else {
     net_.for_each_covering(old_pos, [&](SensorId s) {
       if (soa_.alive(s)) dirty.push_back(s);
@@ -834,15 +708,10 @@ void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
         config_.sensing_range.value(), dirty);
   } else {
     cand_scratch_.resize(dirty.size());
-    // Disjoint output slots + const grid queries: the candidate scans shard
-    // freely and the result is position-for-position what the serial loop
-    // produces (candidates() sorts each slot ascending itself).
-    exec_.for_shards(dirty.size(), [this, &dirty](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        target_index_.candidates(soa_.pos[dirty[i]],
-                                 config_.sensing_range.value(), cand_scratch_[i]);
-      }
-    });
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      target_index_.candidates(soa_.pos[dirty[i]],
+                               config_.sensing_range.value(), cand_scratch_[i]);
+    }
     res = rebalance_dirty(clusters_, cand_scratch_, dirty);
   }
   for (const RebalanceResult::Move& mv : res.moves) {

@@ -33,7 +33,6 @@
 #include "activity/clustering.hpp"
 #include "core/config.hpp"
 #include "core/dirty_set.hpp"
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "fault/fault.hpp"
 #include "net/network.hpp"
@@ -227,20 +226,11 @@ class World {
   // current soa_.drain[s]; fires on_sensor_alive_changed when the level
   // clamps to empty. Idempotent within an instant.
   void settle_sensor(SensorId s);
-  // Mutation half of a settlement: charges `drawn` joules against the level,
-  // mirrors net_, fires the alive transition. Returns whether s just died
-  // (the parallel settle falls back to serial from that point on).
-  bool apply_settlement(SensorId s, double drawn);
   void settle_all_sensors();
   // Recomputes soa_.drain[s]; on change settles, bumps the epoch and re-predicts
   // the crossing. Sensors whose death event is still pending are left
   // untouched so the crossing fires and handle_death runs exactly once.
   bool update_drain(SensorId s);
-  // update_drain split for the compute-then-apply parallel refreshes: the
-  // blocked predicate and the mutation half, fed a drain value that the
-  // parallel phase precomputed (sensor_drain is pure given frozen state).
-  [[nodiscard]] bool drain_refresh_blocked(SensorId s) const;
-  bool apply_drain(SensorId s, double d);
   void refresh_drains();       // update_drain over all sensors (full scan)
   void flush_drain_marks();    // update_drain over marked sensors only
   void request_drain_refresh();  // engine dispatch: full scan vs marks
@@ -385,17 +375,6 @@ class World {
   SensorSoa soa_;
   double sensor_energy_consumed_ = 0.0;          // J, cumulative
   DirtySet drain_marks_;                         // pending update_drain targets
-
-  // Deterministic sharded execution of the bulk per-sensor phases
-  // (core/parallel.hpp). The executor is serial unless config_.threads (or
-  // WRSN_THREADS) grants more than one thread; every parallel phase follows
-  // the compute-then-apply split, so output is byte-identical at any thread
-  // count. Scratch slots back the parallel compute halves (one disjoint
-  // slot per item; no shared mutation).
-  ParallelExec exec_;
-  std::vector<double> drain_scratch_;            // per sensor: next drain W
-  std::vector<double> settle_scratch_;           // per sensor: energy drawn J
-  std::vector<std::uint8_t> coverable_scratch_;  // per target: coverable flag
 
   // Incremental target bucket grid: answers "targets within sensing range
   // of this sensor" for the scoped rebalances without the O(M) scan the

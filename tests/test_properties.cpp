@@ -80,9 +80,9 @@ TEST_P(WorldProperty, SystemInvariantsHoldUnderRandomConfigs) {
     for (const Sensor& s : w.network().sensors()) {
       levels += s.battery.level().value();
     }
-    const double initial =
+    const double sensor_initial =
         cfg.battery.capacity.value() * static_cast<double>(cfg.num_sensors);
-    const double lhs = initial + r.energy_recharged.value();
+    const double lhs = sensor_initial + r.energy_recharged.value();
     const double rhs = levels + w.sensor_energy_consumed().value();
     EXPECT_NEAR(lhs, rhs, 1e-6 * (1.0 + lhs));
   }

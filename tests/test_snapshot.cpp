@@ -273,6 +273,25 @@ TEST(SnapshotFile, SaveLoadFile) {
   EXPECT_THROW(load_snapshot_file(path), InvalidArgument);
 }
 
+// Every snapshot written while the World still had a shard executor carries
+// `parallel_threshold = 4096` in its config text. The key is gone, so such a
+// snapshot must fail to restore with a one-line error naming the key.
+TEST(SnapshotFile, RemovedConfigKeyFailsRestoreLoudly) {
+  WorldSnapshot snap = tiny_snapshot();
+  const std::string anchor = "\nthreads = ";
+  const std::size_t at = snap.config_text.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  snap.config_text.insert(at + 1, "parallel_threshold = 4096\n");
+  try {
+    const World restored(snap);
+    FAIL() << "a snapshot carrying parallel_threshold restored";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'parallel_threshold'"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
 TEST(SnapshotManifest, LinesAreValidJson) {
   std::string err;
   EXPECT_TRUE(json_validate(snapshot_manifest_meta_line(), &err)) << err;

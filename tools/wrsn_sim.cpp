@@ -67,9 +67,9 @@ extern "C" void checkpoint_signal_handler(int) { g_stop_requested = 1; }
       "  --scheduler NAME     a registered policy (see --list-schedulers)\n"
       "  --routing NAME       a registered routing policy (see --list-routers)\n"
       "  --threads N          shorthand for --set threads=N: worker threads\n"
-      "                       for the deterministic intra-simulation shards\n"
-      "                       (0 = auto from WRSN_THREADS, default 1; output\n"
-      "                       is byte-identical at any thread count)\n"
+      "                       for the replicas of --seeds (0 = hardware\n"
+      "                       concurrency, the default; reports do not\n"
+      "                       depend on it)\n"
       "  --faults FILE|SPEC   enable fault injection: a config file of\n"
       "                       fault.* keys, or a comma list such as\n"
       "                       request_loss_prob=0.2,rv_breakdown_at_h=6\n"
@@ -298,8 +298,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--checkpoint") {
       checkpoint_prefix = need_value(i);
     } else if (a == "--checkpoint-every") {
-      checkpoint_every = std::stod(need_value(i));
-      WRSN_REQUIRE(checkpoint_every > 0.0, "--checkpoint-every must be positive");
+      checkpoint_every = parse_finite(a, need_value(i), Bound::kPositive);
     } else if (a == "--checkpoint-on-signal") {
       checkpoint_on_signal = true;
     } else if (a == "--restore") {
@@ -433,7 +432,7 @@ int main(int argc, char** argv) try {
   if (seeds > 1) {
     SimConfig rest = cfg;
     rest.seed = cfg.seed + 1;
-    ThreadPool pool;
+    ThreadPool pool(cfg.threads);
     auto more = run_replicas(rest, seeds - 1, &pool, telemetry_ptr);
     reports.insert(reports.end(), more.begin(), more.end());
   }

@@ -14,14 +14,9 @@
 //              [--watchdog-s S] [--retries N] [--retry-backoff-ms MS]
 //              [--inject-fail POINT,REPLICA] [--list-routers]
 //
-// --threads N (or the `threads` config key / WRSN_THREADS env) is the TOTAL
-// thread budget, split between outer replica workers and inner per-replica
-// shard threads so that outer x inner <= N: the sweep first spends the
-// budget on whole replicas (outer = min(N, points x seeds)) and gives any
-// leftover factor to each replica's deterministic shard executor
-// (inner = N / outer). Reports are byte-identical for any split. With no
-// budget given, the historical default applies: one hardware thread per
-// replica worker, serial replicas.
+// --threads N (shorthand for --set threads=N) is the number of worker
+// threads, each running one replica at a time; 0, the default, means
+// hardware concurrency. The CSV is byte-identical at any thread count.
 //
 // --telemetry FILE aggregates telemetry (event-loop counters, scheduler
 // timing histograms) over every replica of every grid point and writes it
@@ -77,7 +72,6 @@
 #include "core/config_io.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
-#include "core/parallel.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 #include "net/routing.hpp"
@@ -173,8 +167,8 @@ std::string journal_done_line(std::uint64_t cells) {
 
 // Identity of a sweep for resume purposes: base config text + grid spec +
 // replica count. A journal can only resume the exact campaign it recorded.
-// `threads` is normalized out: reports are byte-identical for any thread
-// split, so a resume may use a different budget than the original run.
+// `threads` is normalized out: reports are byte-identical at any thread
+// count, so a resume may use a different count than the original run.
 std::uint64_t campaign_hash(const SimConfig& base,
                             const std::vector<Sweep>& sweeps,
                             std::size_t seeds) {
@@ -286,11 +280,11 @@ int main(int argc, char** argv) try {
       journal_dir = need_value(i);
       resume = true;
     } else if (a == "--watchdog-s") {
-      sup_options.watchdog_s = std::stod(need_value(i));
+      sup_options.watchdog_s = parse_finite(a, need_value(i), Bound::kNonNegative);
     } else if (a == "--retries") {
       sup_options.max_retries = parse_count(a, need_value(i));
     } else if (a == "--retry-backoff-ms") {
-      sup_options.backoff_ms = std::stod(need_value(i));
+      sup_options.backoff_ms = parse_finite(a, need_value(i), Bound::kNonNegative);
     } else if (a == "--inject-fail") {
       const std::vector<std::string> pr = split(need_value(i), ',');
       WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
@@ -417,24 +411,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Thread-budget split (see file header): outer replica workers x inner
-  // per-replica shard threads <= budget. The budget comes from the single
-  // `threads` knob (CLI / config / WRSN_THREADS); when nobody set it, keep
-  // the historical default of hardware-concurrency replica workers with
-  // serial replicas.
-  const bool budget_given =
-      base.threads != 0 || std::getenv("WRSN_THREADS") != nullptr;
-  const std::size_t budget =
-      budget_given ? resolve_threads(base.threads)
-                   : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  const std::size_t outer = std::max<std::size_t>(std::min(budget, total_tasks), 1);
-  const std::size_t inner = budget_given ? std::max<std::size_t>(budget / outer, 1) : 1;
-  for (SimConfig& cfg : point_cfgs) cfg.threads = inner;
-  if (budget_given) {
-    std::cout << "thread budget " << budget << ": " << outer
-              << " replica worker(s) x " << inner << " shard thread(s)\n";
-  }
-
   obs::TelemetryRegistry telemetry;
   obs::TelemetryRegistry* telemetry_ptr =
       telemetry_path.empty() ? nullptr : &telemetry;
@@ -476,7 +452,10 @@ int main(int argc, char** argv) try {
     obs::FlightRecorder::arm_signal_handlers();
   }
 
-  ThreadPool pool(outer);
+  const std::size_t workers =
+      base.threads != 0 ? base.threads
+                        : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  ThreadPool pool(std::min(workers, total_tasks));
   pool.parallel_for(total_tasks, [&](std::size_t task) {
     if (done[task]) return;  // journaled by a previous (interrupted) run
     const std::size_t point = task / seeds;

@@ -2,13 +2,10 @@
 // per processed event), for debugging schedules and for teaching material.
 // Use short horizons: a 120-day run emits hundreds of thousands of events.
 //
-//   wrsn_trace [--days N] [--threads N] [--set KEY=VALUE]...
+//   wrsn_trace [--days N] [--set KEY=VALUE]...
 //              [--faults FILE|SPEC] [--out FILE] [--format csv|jsonl]
 //              [--telemetry FILE] [--spans FILE] [--chrome-trace FILE]
 //              [--flight-recorder N]
-//
-// --threads N is shorthand for --set threads=N (deterministic shard
-// executor; the trace stream is byte-identical at any thread count).
 //
 // Formats (both carry the same fields; see obs/trace.hpp):
 //   csv    t_seconds,t_hours,event,subject,epoch,queue_size   (default)
@@ -64,7 +61,7 @@ int main(int argc, char** argv) try {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--help" || a == "-h") {
-      std::cout << "wrsn_trace [--days N] [--threads N] [--set KEY=VALUE]...\n"
+      std::cout << "wrsn_trace [--days N] [--set KEY=VALUE]...\n"
                    "           [--faults FILE|SPEC] [--out FILE] [--format csv|jsonl]\n"
                    "           [--telemetry FILE] [--spans FILE] [--chrome-trace FILE]\n"
                    "           [--flight-recorder N]\n"
@@ -82,8 +79,6 @@ int main(int argc, char** argv) try {
     }
     if (a == "--days") {
       config_set(cfg, "sim_days", need_value(i));
-    } else if (a == "--threads") {
-      config_set(cfg, "threads", need_value(i));
     } else if (a == "--faults") {
       apply_fault_arg(cfg, need_value(i));
     } else if (a == "--set") {
@@ -109,8 +104,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--checkpoint") {
       checkpoint_prefix = need_value(i);
     } else if (a == "--checkpoint-every") {
-      checkpoint_every = std::stod(need_value(i));
-      WRSN_REQUIRE(checkpoint_every > 0.0, "--checkpoint-every must be positive");
+      checkpoint_every = parse_finite(a, need_value(i), Bound::kPositive);
     } else if (a == "--checkpoint-on-signal") {
       checkpoint_on_signal = true;
     } else if (a == "--restore") {
