@@ -2,7 +2,8 @@
 //
 // Measures ns/op for the reference linear-scan planners against the
 // PlanContext / grid-backed replacements at n in {100, 500, 2000, 10000}
-// (constant item density: the field side grows with sqrt(n)) and writes a
+// (constant item density: the field side grows with sqrt(n)), plus one
+// dispatch round of the partition policy (`partition_round`), and writes a
 // machine-readable JSON report:
 //
 //   bench_planner_hotpath [--quick] [--out FILE]
@@ -20,7 +21,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "sched/kmeans.hpp"
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
+#include "sched/policy.hpp"
 #include "sched/tsp.hpp"
 
 namespace {
@@ -301,6 +306,59 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
   }
 }
 
+// One dispatch round of the partition policy: 16 RVs (four at the base,
+// the rest spread over a 400 m field) decide in turn on one unchanged
+// context of 12 single-sensor items, so four of them find no group and
+// return to base. The reference creates a fresh policy per decision and
+// regroups every time; the optimized side creates one policy per round,
+// which groups once and reuses the grouping for the other 15 RVs (no more
+// items than groups: K-means draws nothing). ns/op is one whole round; the
+// row's n is the fleet size.
+void run_partition_round(std::vector<Row>& rows) {
+  constexpr std::size_t kRvs = 16;
+  constexpr std::size_t kItems = 12;
+  constexpr double kSide = 400.0;
+  Xoshiro256 rng(0x5eed);
+  const auto items = random_items(kItems, kSide, rng);
+  std::vector<SensorView> views;
+  for (const RechargeItem& it : items) views.push_back({it.pos, it.demand, it.critical});
+  const PlannerParams params{JoulePerMeter{5.6}, Vec2{kSide / 2.0, kSide / 2.0}};
+  std::vector<Vec2> fleet(kRvs, params.base);
+  for (std::size_t r = 4; r < kRvs; ++r) {
+    fleet[r] = {rng.uniform(0.0, kSide), rng.uniform(0.0, kSide)};
+  }
+  std::vector<SensorId> arrival(kItems);
+  std::iota(arrival.begin(), arrival.end(), SensorId{0});
+
+  auto round = [&](bool fresh_per_decision) {
+    Xoshiro256 sched_rng(42);
+    auto policy = SchedulerRegistry::instance().create("partition");
+    double sum = 0.0;
+    for (std::size_t r = 0; r < kRvs; ++r) {
+      if (fresh_per_decision && r > 0) {
+        policy = SchedulerRegistry::instance().create("partition");
+      }
+      const RvPlanState state{fleet[r], Joule{2e5}};
+      const DispatchContext ctx(items, state, params, r, fleet, kRvs, sched_rng,
+                                arrival, [&](SensorId s) { return views[s]; });
+      const DispatchDecision d = policy->decide(ctx);
+      sum += 1000.0 * static_cast<double>(d.kind);
+      for (const std::size_t i : d.sequence) sum += static_cast<double>(i) + 1.0;
+    }
+    return sum;
+  };
+  const auto [ref, opt] =
+      time_kernel_pair([&] { return round(true); }, [&] { return round(false); });
+  if (ref.checksum != opt.checksum) {
+    std::cerr << "bench_planner_hotpath: checksum mismatch on partition_round ("
+              << ref.checksum << " vs " << opt.checksum << ")\n";
+    std::exit(1);
+  }
+  rows.push_back({"partition_round", kRvs, ref.ns_per_op, opt.ns_per_op});
+  std::cerr << "  partition_round rvs=" << kRvs << ": " << ref.ns_per_op << " -> "
+            << opt.ns_per_op << " ns/op (" << ref.ns_per_op / opt.ns_per_op << "x)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -329,11 +387,13 @@ int main(int argc, char** argv) {
     std::cerr << "n=" << n << '\n';
     run_size(n, rows);
   }
+  run_partition_round(rows);
 
   JsonWriter w;
   w.begin_object()
       .field("schema", "wrsn.bench_planner.v1")
       .field("quick", quick)
+      .field("cores", static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .key("results")
       .begin_array();
   for (const Row& r : rows) {

@@ -56,6 +56,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
     rows = report["results"]
+    print(f"\ncores: {report.get('cores', '?')}")
     print(f"\n{'kernel':<22} {'n':>6} {'ref ns/op':>14} {'opt ns/op':>14} {'speedup':>9}")
     for r in rows:
         ref = r["ref_ns_per_op"]

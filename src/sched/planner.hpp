@@ -76,9 +76,13 @@ struct PlannerParams {
     const std::vector<RechargeItem>& items, std::size_t num_groups,
     Xoshiro256& rng);
 
-// Matches each group (by its centroid) to the nearest available RV;
-// returns rv index per group. Greedy min-distance matching, exact for the
-// fleet sizes of the paper (m = 3).
+// Matches each group (by its centroid) to a distinct RV; returns the RV
+// index per group. Greedy: it repeatedly binds the closest still-unmatched
+// (group, RV) pair by squared centroid distance, ties going to the lowest
+// group index, then the lowest RV index. This is not an optimal
+// assignment, even at m = 2: with centroids at x = 0 and x = 2 and RVs at
+// x = 1.1 and x = 3.5 it binds group 1 to RV 0 first and travels 4.4 m
+// where the optimal assignment travels 2.6 m.
 [[nodiscard]] std::vector<std::size_t> match_groups_to_rvs(
     const std::vector<Vec2>& group_centroids, const std::vector<Vec2>& rv_positions);
 

@@ -1,5 +1,7 @@
 // Partition-Scheme (Section IV-D-1): K-means groups matched to RVs,
 // Algorithm 3 within this RV's group.
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,34 +12,21 @@
 namespace wrsn {
 namespace {
 
+bool same_bits(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
 class PartitionPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
-    // K-means over the full list into m groups (Section IV-D-1). Groups are
-    // matched to ALL RVs (busy ones included) so each vehicle keeps a
-    // stable geographic responsibility; this RV plans only within the group
-    // matched to it.
     const std::vector<RechargeItem>& items = ctx.items();
-    const auto groups =
-        partition_items(items, ctx.num_groups(), ctx.sched_rng());
-    std::vector<Vec2> centroids;
-    std::vector<const std::vector<std::size_t>*> live_groups;
-    for (const auto& group : groups) {
-      if (group.empty()) continue;
-      Vec2 centroid{};
-      for (std::size_t i : group) centroid += items[i].pos;
-      centroids.push_back(centroid / static_cast<double>(group.size()));
-      live_groups.push_back(&group);
-    }
+    if (!grouping_.reusable_for(ctx)) grouping_.compute(ctx);
     const std::vector<std::size_t>* best_group = nullptr;
-    if (!live_groups.empty()) {
-      const auto rv_of_group =
-          match_groups_to_rvs(centroids, ctx.fleet_positions());
-      for (std::size_t g = 0; g < live_groups.size(); ++g) {
-        if (rv_of_group[g] == ctx.rv_id()) {
-          best_group = live_groups[g];
-          break;
-        }
+    for (std::size_t g = 0; g < grouping_.live.size(); ++g) {
+      if (grouping_.rv_of_live[g] == ctx.rv_id()) {
+        best_group = &grouping_.groups[grouping_.live[g]];
+        break;
       }
     }
     if (best_group == nullptr) {
@@ -69,6 +58,79 @@ class PartitionPolicy final : public SchedulerPolicy {
     for (std::size_t gi : group_seq) seq.push_back((*best_group)[gi]);
     return DispatchDecision::plan(items, std::move(seq));
   }
+
+ private:
+  // The last grouping of the item list and its group-to-RV matching. Every
+  // idle RV of a dispatch round asks for the same grouping, so it is kept
+  // and reused while its inputs stay the same — but only when computing it
+  // drew nothing from sched_rng (no more items than groups: K-means returns
+  // the identity assignment). Then the grouping is a pure function of the
+  // group count, the item positions and the fleet positions, and reuse
+  // decides exactly what a recomputation would. With more items than groups
+  // K-means draws, so it runs on every decision and the RNG stream matches
+  // a fresh policy's.
+  struct Grouping {
+    std::vector<std::vector<std::size_t>> groups;  // item indices per group
+    std::vector<std::size_t> live;        // indices of the non-empty groups
+    std::vector<std::size_t> rv_of_live;  // matched RV per live group
+
+    // Memo key, set only for a draw-free grouping.
+    bool reusable = false;
+    std::size_t num_groups = 0;
+    std::vector<Vec2> item_pos;
+    std::vector<Vec2> fleet;
+
+    // Bit-for-bit key comparison, so a reuse returns exactly what the
+    // computation would.
+    [[nodiscard]] bool reusable_for(const DispatchContext& ctx) const {
+      const std::vector<RechargeItem>& items = ctx.items();
+      const std::vector<Vec2>& fleet_now = ctx.fleet_positions();
+      if (!reusable || num_groups != ctx.num_groups() ||
+          item_pos.size() != items.size() || fleet.size() != fleet_now.size()) {
+        return false;
+      }
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!same_bits(item_pos[i], items[i].pos)) return false;
+      }
+      for (std::size_t r = 0; r < fleet.size(); ++r) {
+        if (!same_bits(fleet[r], fleet_now[r])) return false;
+      }
+      return true;
+    }
+
+    // K-means over the full list into m groups (Section IV-D-1). Groups are
+    // matched to ALL RVs (busy ones included) so each vehicle keeps a
+    // stable geographic responsibility; an RV plans only within the group
+    // matched to it.
+    void compute(const DispatchContext& ctx) {
+      const std::vector<RechargeItem>& items = ctx.items();
+      reusable = false;  // stays false if partitioning or matching throws
+      groups = partition_items(items, ctx.num_groups(), ctx.sched_rng());
+      std::vector<Vec2> centroids;
+      live.clear();
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (groups[g].empty()) continue;
+        Vec2 centroid{};
+        for (std::size_t i : groups[g]) centroid += items[i].pos;
+        centroids.push_back(centroid / static_cast<double>(groups[g].size()));
+        live.push_back(g);
+      }
+      rv_of_live.clear();
+      if (!live.empty()) {
+        rv_of_live = match_groups_to_rvs(centroids, ctx.fleet_positions());
+      }
+      if (items.size() > ctx.num_groups()) return;  // K-means drew
+      reusable = true;
+      num_groups = ctx.num_groups();
+      item_pos.clear();
+      for (const RechargeItem& item : items) item_pos.push_back(item.pos);
+      fleet = ctx.fleet_positions();
+    }
+  };
+
+  // Never serialized: a restored World starts empty and recomputes the
+  // same grouping bit for bit.
+  mutable Grouping grouping_;
 };
 
 }  // namespace

@@ -150,8 +150,12 @@ struct DispatchDecision {
 };
 
 // Strategy interface. Implementations must be deterministic given the
-// context (any randomness comes from ctx.sched_rng()) and stateless across
-// calls; one instance is created per World.
+// context (any randomness comes from ctx.sched_rng()); one instance is
+// created per World. A policy may keep a private memo across calls only if
+// every decision and every sched_rng draw stays bit-identical to a fresh
+// instance's on the same context. The memo is never serialized: a restored
+// World starts with an empty one and recomputes it (see the partition
+// policy).
 class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;

@@ -68,6 +68,8 @@ struct RechargeItem {
   double min_fraction = 1.0;     // lowest member battery fraction (EDF key)
   ClusterId cluster = kInvalidId;
   std::vector<SensorId> sensors;  // the underlying requests
+
+  friend bool operator==(const RechargeItem&, const RechargeItem&) = default;
 };
 
 // Folds the raw request list into planner items. Ordering is deterministic:

@@ -307,7 +307,14 @@ class World {
   void head_home_and_refill(Rv& rv);
   void abandon_plan(Rv& rv);
   [[nodiscard]] Joule rv_reserve() const;
-  [[nodiscard]] const std::vector<RechargeItem>& unclaimed_items();
+  // Settles every unclaimed requesting sensor and fills `items` with their
+  // aggregated recharge items and `arrival` with them oldest request first:
+  // one dispatch round's request snapshot.
+  void collect_unclaimed(std::vector<RechargeItem>& items,
+                         std::vector<SensorId>& arrival);
+  // Debug check: a fresh collect_unclaimed equals the snapshot in
+  // items_scratch_ / arrival_scratch_ that the round is reusing.
+  [[nodiscard]] bool round_snapshot_current();
 
   // --- misc ------------------------------------------------------------
   // Ends every span still open at the simulation horizon (open requests
@@ -396,9 +403,10 @@ class World {
   std::vector<bool> covered_;                    // per target
   std::vector<std::size_t> alive_members_;       // per target, alive members
 
-  // Dispatch-round scratch: the arena backs PlanContext's per-round tables,
+  // Dispatch-round scratch: the arena backs PlanContext's per-RV tables,
   // the vectors are reused across rounds to avoid reallocating the item /
-  // fleet / arrival lists every dispatch.
+  // fleet / arrival lists every dispatch. items_scratch_ and
+  // arrival_scratch_ hold the round's request snapshot (see dispatch()).
   PlanArena plan_arena_;
   std::vector<RechargeRequest> unclaimed_scratch_;
   std::vector<RechargeItem> items_scratch_;

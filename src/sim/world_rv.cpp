@@ -13,12 +13,12 @@ Joule World::rv_reserve() const {
   return config_.rv.capacity * config_.rv.reserve_fraction;
 }
 
-const std::vector<RechargeItem>& World::unclaimed_items() {
+void World::collect_unclaimed(std::vector<RechargeItem>& items,
+                              std::vector<SensorId>& arrival) {
   // Demands drift while requests wait; refresh them so planners see current
-  // values (the base station learns levels from status reports). The request
-  // and item lists live in reused scratch buffers: rebuilt every call, valid
-  // until the next one.
+  // values (the base station learns levels from status reports).
   unclaimed_scratch_.clear();
+  arrival.clear();
   for (const RechargeRequest& r : requests_.requests()) {
     if (claimed_.contains(r.sensor)) continue;
     settle_sensor(r.sensor);  // decision point: planners see current levels
@@ -29,14 +29,27 @@ const std::vector<RechargeItem>& World::unclaimed_items() {
     unclaimed_scratch_.back().demand = net_.sensor(r.sensor).battery.demand();
     unclaimed_scratch_.back().critical = sensor_critical(r.sensor);
     unclaimed_scratch_.back().fraction = net_.sensor(r.sensor).battery.fraction();
+    arrival.push_back(r.sensor);
   }
-  items_scratch_ = aggregate_requests(unclaimed_scratch_);
-  return items_scratch_;
+  items = aggregate_requests(unclaimed_scratch_);
+}
+
+bool World::round_snapshot_current() {
+  std::vector<RechargeItem> items;
+  std::vector<SensorId> arrival;
+  collect_unclaimed(items, arrival);
+  return items == items_scratch_ && arrival == arrival_scratch_;
 }
 
 void World::dispatch() {
   const PlannerParams params{config_.rv.move_cost, net_.base_station()};
 
+  // The round's request snapshot (items_scratch_, arrival_scratch_) is built
+  // at the first idle RV that needs it and reused by the RVs after it. Only
+  // assign_plan (and the abandon_plan inside it) changes claimed_, so only
+  // a plan forces a rebuild; any other rebuild would settle no sensor (they
+  // are all settled at now_) and rewrite the same values.
+  bool snapshot_current = false;
   for (Rv& rv : rvs_) {
     if (!rv.idle()) continue;
 
@@ -46,27 +59,28 @@ void World::dispatch() {
       continue;
     }
 
-    const std::vector<RechargeItem>& items = unclaimed_items();
+    if (snapshot_current) {
+      WRSN_DEBUG_ASSERT(round_snapshot_current(),
+                        "dispatch round reused a stale request snapshot");
+    } else {
+      collect_unclaimed(items_scratch_, arrival_scratch_);
+      snapshot_current = true;
+    }
+    const std::vector<RechargeItem>& items = items_scratch_;
     if (items.empty()) {
       if (rv.in_field) return_to_base(rv);
       continue;
     }
 
-    // Assemble the read-only facade the policy plans against. The snapshots
-    // are pure reads; building them for every scheme keeps the physics
-    // identical across policies. All plan-round allocations come from reused
-    // scratch vectors plus the bump arena (reset per round; any PlanContext
-    // the policy built is gone by then).
+    // Assemble the read-only facade the policy plans against. Fleet
+    // positions are per RV: return_to_base at the dock snaps rv.pos. All
+    // plan-round allocations come from reused scratch vectors plus the bump
+    // arena (reset per RV; any PlanContext the policy built is gone by then).
     plan_arena_.reset();
     const RvPlanState state{rv.pos, rv.battery.level() - rv_reserve()};
     fleet_scratch_.clear();
     fleet_scratch_.reserve(rvs_.size());
     for (const Rv& other : rvs_) fleet_scratch_.push_back(other.pos);
-    arrival_scratch_.clear();
-    arrival_scratch_.reserve(requests_.requests().size());
-    for (const RechargeRequest& req : requests_.requests()) {
-      if (!claimed_.contains(req.sensor)) arrival_scratch_.push_back(req.sensor);
-    }
     const DispatchContext ctx(
         items, state, params, rv.id, fleet_scratch_, config_.num_rvs,
         sched_rng_, arrival_scratch_,
@@ -81,6 +95,7 @@ void World::dispatch() {
     switch (decision.kind) {
       case DispatchDecision::Kind::kPlan:
         assign_plan(rv, decision.items, decision.sequence);
+        snapshot_current = false;
         break;
       case DispatchDecision::Kind::kReturnToBase:
         if (rv.in_field) return_to_base(rv);

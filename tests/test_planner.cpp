@@ -208,6 +208,26 @@ TEST(MatchGroups, OneToOneAndDistinct) {
   EXPECT_NE(match[0], match[1]);
 }
 
+// The matching is greedy, not optimal: group 1 and RV 0 are the closest
+// pair (0.9 m) and are bound first, leaving group 0 to RV 1 (3.5 m), 4.4 m
+// in all; the optimal assignment (0 -> RV 0, 1 -> RV 1) costs 2.6 m. A
+// switch to an optimal assignment changes which RV serves which region and
+// must fail here.
+TEST(MatchGroups, GreedyNotOptimalAtTwoGroups) {
+  const std::vector<Vec2> centroids = {{0.0, 0.0}, {2.0, 0.0}};
+  const std::vector<Vec2> rvs = {{1.1, 0.0}, {3.5, 0.0}};
+  const auto match = match_groups_to_rvs(centroids, rvs);
+  ASSERT_EQ(match.size(), 2u);
+  EXPECT_EQ(match[0], 1u);
+  EXPECT_EQ(match[1], 0u);
+  const double greedy = distance(centroids[0], rvs[match[0]]) +
+                        distance(centroids[1], rvs[match[1]]);
+  const double optimal =
+      distance(centroids[0], rvs[0]) + distance(centroids[1], rvs[1]);
+  EXPECT_NEAR(greedy, 4.4, 1e-12);
+  EXPECT_NEAR(optimal, 2.6, 1e-12);
+}
+
 TEST(MatchGroups, MoreGroupsThanRvsRejected) {
   EXPECT_THROW(match_groups_to_rvs({{0, 0}, {1, 1}}, {{0, 0}}), InvalidArgument);
 }

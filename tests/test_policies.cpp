@@ -4,6 +4,7 @@
 // requests claimed), over-budget batches and the happy paths.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -271,6 +272,143 @@ TEST(PartitionPolicy, PlansWithinItsOwnGroup) {
     EXPECT_EQ(d.items[idx].sensors, std::vector<SensorId>{2})
         << "RV 1 must stay in its own region";
   }
+}
+
+// Memo oracle: one long-lived partition policy (which keeps its grouping
+// across calls) must decide exactly like a fresh policy per call, the
+// behaviour of a policy without memory, over randomized context sequences.
+// Each step either keeps the item and fleet positions (the memo's reuse
+// case, with a different rv_id or different demands), redraws the items
+// with fewer, as many or more items than groups (K-means draws), moves an
+// RV, changes the group count, or moves one fleet or item position by one
+// ulp. Positions sit on a 10 m lattice, so distance ties are common and a
+// one-ulp move decides them.
+TEST(PartitionPolicy, MemoDecidesLikeAFreshPolicyPerCall) {
+  std::size_t below = 0, equal = 0, above = 0;
+  std::map<DispatchDecision::Kind, std::size_t> kinds;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Xoshiro256 gen(seed);
+    const std::size_t fleet_size = 1 + gen.uniform_int(5);  // 1..5 RVs
+    Round kept, fresh;  // identical contexts, one RNG stream each
+    kept.rng = Xoshiro256(seed * 977);
+    fresh.rng = Xoshiro256(seed * 977);
+    const std::unique_ptr<SchedulerPolicy> policy = make("partition");
+
+    auto spot = [&gen] {
+      return Vec2{10.0 * static_cast<double>(gen.uniform_int(21)),
+                  10.0 * static_cast<double>(gen.uniform_int(21))};
+    };
+    std::vector<Vec2> fleet(fleet_size);
+    for (Vec2& p : fleet) p = spot();
+    std::size_t num_groups = fleet_size;
+    std::vector<Vec2> item_pos;
+    std::vector<double> demand;
+    auto redraw_items = [&] {
+      // Up to twice the group count, so all three regimes occur.
+      const std::size_t n = gen.uniform_int(2 * num_groups + 2);
+      item_pos.assign(n, Vec2{});
+      for (Vec2& p : item_pos) p = spot();
+      demand.assign(n, 0.0);
+      for (double& d : demand) d = gen.uniform(50.0, 3000.0);
+    };
+    redraw_items();
+
+    for (int step = 0; step < 150; ++step) {
+      switch (gen.uniform_int(7)) {
+        case 0:  // same positions, another RV asks
+          break;
+        case 1:  // same positions, demands drift
+          for (double& d : demand) d = gen.uniform(50.0, 3000.0);
+          break;
+        case 2:
+          redraw_items();
+          break;
+        case 3: {  // one fleet position moves by one ulp
+          Vec2& p = fleet[gen.uniform_int(fleet.size())];
+          p.x = std::nextafter(p.x, 1e9);
+          break;
+        }
+        case 4:  // one item position moves by one ulp
+          if (!item_pos.empty()) {
+            Vec2& p = item_pos[gen.uniform_int(item_pos.size())];
+            p.y = std::nextafter(p.y, -1e9);
+          }
+          break;
+        case 5:  // one RV drives elsewhere
+          fleet[gen.uniform_int(fleet.size())] = spot();
+          break;
+        default:  // the group count changes
+          num_groups = 1 + gen.uniform_int(fleet_size);
+          break;
+      }
+      const std::size_t rv_id = gen.uniform_int(fleet_size);
+      // Budgets from generous to unaffordable reach both the plan and the
+      // self-charge outcome.
+      const double budget = gen.uniform(0.0, 20000.0);
+      for (Round* round : {&kept, &fresh}) {
+        round->items.clear();
+        round->sensors.clear();
+        round->arrival.clear();
+        for (std::size_t i = 0; i < item_pos.size(); ++i) {
+          round->add_single(i, item_pos[i], demand[i], i % 4 == 0);
+        }
+        round->fleet = fleet;
+        round->num_groups = num_groups;
+        round->rv_id = rv_id;
+        round->rv = {fleet[rv_id], Joule{budget}};
+      }
+      if (item_pos.size() < num_groups) ++below;
+      if (item_pos.size() == num_groups) ++equal;
+      if (item_pos.size() > num_groups) ++above;
+
+      const DispatchDecision got = policy->decide(kept.ctx());
+      const DispatchDecision want = make("partition")->decide(fresh.ctx());
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ASSERT_EQ(got.kind, want.kind) << where;
+      ASSERT_EQ(got.sequence, want.sequence) << where;
+      ASSERT_TRUE(got.items == want.items) << where;
+      ASSERT_EQ(kept.rng.state(), fresh.rng.state()) << where;
+      ++kinds[got.kind];
+    }
+  }
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(equal, 0u);
+  EXPECT_GT(above, 0u);
+  EXPECT_GT(kinds[DispatchDecision::Kind::kPlan], 0u);
+  EXPECT_GT(kinds[DispatchDecision::Kind::kReturnToBase], 0u);
+  EXPECT_GT(kinds[DispatchDecision::Kind::kSelfCharge], 0u);
+}
+
+// A one-ulp move that decides a distance tie must reach the memo's key: two
+// RVs 10 m either side of the only item tie for its group, which goes to
+// the lower index (RV 0); moving RV 1, or the item, one ulp toward the
+// other side hands the group to RV 1.
+TEST(PartitionPolicy, MemoSeesOneUlpMoves) {
+  const std::unique_ptr<SchedulerPolicy> kept = make("partition");
+  Round round;
+  round.num_groups = 2;
+  round.fleet = {{90.0, 100.0}, {110.0, 100.0}};
+  round.rv_id = 1;
+  round.rv.pos = round.fleet[1];
+  round.add_single(1, {100.0, 100.0}, 500.0);
+  ASSERT_EQ(kept->decide(round.ctx()).kind,
+            DispatchDecision::Kind::kReturnToBase);
+
+  round.fleet[1].x = std::nextafter(110.0, 0.0);
+  round.rv.pos = round.fleet[1];
+  EXPECT_EQ(make("partition")->decide(round.ctx()).kind,
+            DispatchDecision::Kind::kPlan);
+  EXPECT_EQ(kept->decide(round.ctx()).kind, DispatchDecision::Kind::kPlan);
+
+  round.fleet[1].x = 110.0;
+  round.rv.pos = round.fleet[1];
+  ASSERT_EQ(kept->decide(round.ctx()).kind,
+            DispatchDecision::Kind::kReturnToBase);
+  round.items[0].pos.x = std::nextafter(100.0, 200.0);
+  EXPECT_EQ(make("partition")->decide(round.ctx()).kind,
+            DispatchDecision::Kind::kPlan);
+  EXPECT_EQ(kept->decide(round.ctx()).kind, DispatchDecision::Kind::kPlan);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Checkpoint/restore equivalence: save-at-t then restore-and-run must be
 // BYTE-IDENTICAL to an uninterrupted run — report JSON, event trace, final
 // battery bit patterns, span files — across both world engines, both event
-// queue implementations, with and without fault injection, with the snapshot
+// queue implementations, with and without fault injection, under the
+// combined and the partition scheduler (whose grouping memo is never
+// serialized, so a restored World starts without it), with the snapshot
 // taken at a pseudo-random event index of each run. Any divergence pinpoints
 // a member missing from SnapshotAccess::io or a restore that recomputes
 // state instead of reinstating it.
@@ -25,13 +27,15 @@ struct Scenario {
   WorldEngine engine = WorldEngine::kIncremental;
   std::string queue = "calendar";
   bool faults = false;
+  std::string scheduler = "combined";
 };
 
 std::string describe(const Scenario& sc) {
   std::ostringstream os;
   os << "seed=" << sc.seed
      << " engine=" << (sc.engine == WorldEngine::kIncremental ? "incremental" : "reference")
-     << " queue=" << sc.queue << " faults=" << (sc.faults ? "on" : "off");
+     << " queue=" << sc.queue << " faults=" << (sc.faults ? "on" : "off")
+     << " scheduler=" << sc.scheduler;
   return os.str();
 }
 
@@ -50,7 +54,7 @@ SimConfig eq_config(const Scenario& sc) {
                                        : TargetMotion::kTeleport;
   cfg.target_period = minutes(30.0);
   cfg.target_speed = MeterPerSecond{1.0};
-  cfg.scheduler = "combined";
+  cfg.scheduler = sc.scheduler;
   cfg.battery.capacity = Joule{150.0};
   cfg.radio.listen_duty_cycle = 0.2;
   cfg.event_queue = sc.queue;
@@ -199,21 +203,25 @@ TEST_P(SnapshotEquivalence, RestoredRunIsByteIdentical) {
 
 std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
-  for (const WorldEngine engine : {WorldEngine::kIncremental, WorldEngine::kReference}) {
-    for (const std::string& queue : {std::string("calendar"), std::string("heap")}) {
-      for (const bool faults : {false, true}) {
-        for (std::uint64_t seed = 0; seed < 5; ++seed) {
-          out.push_back({seed, engine, queue, faults});
+  for (const std::string& scheduler : {std::string("combined"), std::string("partition")}) {
+    for (const WorldEngine engine : {WorldEngine::kIncremental, WorldEngine::kReference}) {
+      for (const std::string& queue : {std::string("calendar"), std::string("heap")}) {
+        for (const bool faults : {false, true}) {
+          for (std::uint64_t seed = 0; seed < 5; ++seed) {
+            out.push_back({seed, engine, queue, faults, scheduler});
+          }
         }
       }
     }
   }
-  return out;  // 2 x 2 x 2 x 5 = 40 instances
+  return out;  // 2 x 2 x 2 x 2 x 5 = 80 instances
 }
 
 std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
   const Scenario& sc = info.param;
   std::ostringstream os;
+  // The combined instances keep their original, scheduler-less names.
+  if (sc.scheduler != "combined") os << sc.scheduler << "_";
   os << (sc.engine == WorldEngine::kIncremental ? "inc" : "ref") << "_"
      << sc.queue << "_" << (sc.faults ? "faults" : "clean") << "_s" << sc.seed;
   return os.str();
