@@ -1,6 +1,7 @@
 #include "core/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -44,30 +45,31 @@ void rename_into_place(const std::string& tmp, const std::string& path) {
   fsync_path(parent_dir(path), /*required=*/false);
 }
 
+// rename(2) would replace a device, FIFO or terminal (`--out /dev/stdout`,
+// `--spans /dev/null`) with a regular file, so such a target is written in
+// place instead.
+bool writes_in_place(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+}
+
 }  // namespace
 
 void write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw_errno("cannot open", tmp);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out) throw_errno("write failed for", tmp);
-  }
-  fsync_path(tmp, /*required=*/true);
-  rename_into_place(tmp, path);
+  AtomicFile file(path);
+  file.stream().write(content.data(), static_cast<std::streamsize>(content.size()));
+  file.commit();
 }
 
 AtomicFile::AtomicFile(std::string path)
-    : path_(std::move(path)), tmp_path_(path_ + ".tmp") {
+    : path_(std::move(path)),
+      tmp_path_(writes_in_place(path_) ? path_ : path_ + ".tmp") {
   out_.open(tmp_path_, std::ios::binary | std::ios::trunc);
   if (!out_) throw_errno("cannot open", tmp_path_);
 }
 
 AtomicFile::~AtomicFile() {
-  if (!committed_) {
+  if (!committed_ && tmp_path_ != path_) {
     out_.close();
     std::remove(tmp_path_.c_str());
   }
@@ -77,8 +79,10 @@ void AtomicFile::commit() {
   out_.flush();
   if (!out_) throw_errno("write failed for", tmp_path_);
   out_.close();
-  fsync_path(tmp_path_, /*required=*/true);
-  rename_into_place(tmp_path_, path_);
+  if (tmp_path_ != path_) {
+    fsync_path(tmp_path_, /*required=*/true);
+    rename_into_place(tmp_path_, path_);
+  }
   committed_ = true;
 }
 

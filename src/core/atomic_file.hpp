@@ -6,6 +6,8 @@
 // complete new one — never a truncated tail. AtomicFile is the streaming
 // variant: build the file through an ostream, then commit() performs the
 // same fsync+rename dance; a destructor without commit() unlinks the temp.
+// A PATH that exists but is not a regular file (/dev/null, /dev/stdout, a
+// FIFO) cannot be replaced by a rename and is written in place.
 //
 // JournalWriter appends single lines to a log with O_APPEND and fsyncs
 // after each record, which is the durability contract the sweep journal

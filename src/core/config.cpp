@@ -6,45 +6,6 @@
 
 namespace wrsn {
 
-std::string to_string(ActivationPolicy policy) {
-  switch (policy) {
-    case ActivationPolicy::kFullTime: return "full-time";
-    case ActivationPolicy::kRoundRobin: return "round-robin";
-  }
-  return "unknown";
-}
-
-std::string to_string(ChargeProfileKind profile) {
-  switch (profile) {
-    case ChargeProfileKind::kConstantPower: return "constant-power";
-    case ChargeProfileKind::kTaperedCcCv: return "tapered-cc-cv";
-  }
-  return "unknown";
-}
-
-std::string to_string(TargetMotion motion) {
-  switch (motion) {
-    case TargetMotion::kTeleport: return "teleport";
-    case TargetMotion::kRandomWaypoint: return "random-waypoint";
-  }
-  return "unknown";
-}
-
-std::vector<std::string> activation_policy_names() {
-  return {to_string(ActivationPolicy::kFullTime),
-          to_string(ActivationPolicy::kRoundRobin)};
-}
-
-std::vector<std::string> charge_profile_names() {
-  return {to_string(ChargeProfileKind::kConstantPower),
-          to_string(ChargeProfileKind::kTaperedCcCv)};
-}
-
-std::vector<std::string> target_motion_names() {
-  return {to_string(TargetMotion::kTeleport),
-          to_string(TargetMotion::kRandomWaypoint)};
-}
-
 void SimConfig::validate() const {
   // Infinity passes every `> 0` comparison and NaN fails them with a
   // misleading message, so reject non-finite inputs up front. Parsing a

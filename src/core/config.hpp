@@ -41,16 +41,65 @@ enum class ChargeProfileKind {
   kTaperedCcCv,    // Ni-MH CC then linearly tapering acceptance power
 };
 
-[[nodiscard]] std::string to_string(ActivationPolicy policy);
-[[nodiscard]] std::string to_string(ChargeProfileKind profile);
-[[nodiscard]] std::string to_string(TargetMotion motion);
+// {value, name} table of one closed enum knob, in declaration order.
+// to_string, the *_names() lists, config parsing (core/config_io) and its
+// error messages all read these tables.
+template <class Enum>
+struct EnumName {
+  Enum value;
+  const char* name;
+};
+
+inline constexpr EnumName<ActivationPolicy> kActivationPolicyNames[] = {
+    {ActivationPolicy::kFullTime, "full-time"},
+    {ActivationPolicy::kRoundRobin, "round-robin"},
+};
+inline constexpr EnumName<TargetMotion> kTargetMotionNames[] = {
+    {TargetMotion::kTeleport, "teleport"},
+    {TargetMotion::kRandomWaypoint, "random-waypoint"},
+};
+inline constexpr EnumName<ChargeProfileKind> kChargeProfileNames[] = {
+    {ChargeProfileKind::kConstantPower, "constant-power"},
+    {ChargeProfileKind::kTaperedCcCv, "tapered-cc-cv"},
+};
+
+template <class Enum, std::size_t N>
+[[nodiscard]] std::string enum_name(const EnumName<Enum> (&table)[N], Enum value) {
+  for (const EnumName<Enum>& e : table) {
+    if (e.value == value) return e.name;
+  }
+  return "unknown";
+}
+
+template <class Enum, std::size_t N>
+[[nodiscard]] std::vector<std::string> enum_names(const EnumName<Enum> (&table)[N]) {
+  std::vector<std::string> out;
+  for (const EnumName<Enum>& e : table) out.emplace_back(e.name);
+  return out;
+}
+
+[[nodiscard]] inline std::string to_string(ActivationPolicy policy) {
+  return enum_name(kActivationPolicyNames, policy);
+}
+[[nodiscard]] inline std::string to_string(ChargeProfileKind profile) {
+  return enum_name(kChargeProfileNames, profile);
+}
+[[nodiscard]] inline std::string to_string(TargetMotion motion) {
+  return enum_name(kTargetMotionNames, motion);
+}
 
 // Every accepted name for the closed enum knobs, in declaration order.
 // Parse errors quote these; `wrsn_sim --list` prints them (the open-ended
 // scheduler list comes from wrsn::scheduler_names() instead).
-[[nodiscard]] std::vector<std::string> activation_policy_names();
-[[nodiscard]] std::vector<std::string> charge_profile_names();
-[[nodiscard]] std::vector<std::string> target_motion_names();
+[[nodiscard]] inline std::vector<std::string> activation_policy_names() {
+  return enum_names(kActivationPolicyNames);
+}
+[[nodiscard]] inline std::vector<std::string> charge_profile_names() {
+  return enum_names(kChargeProfileNames);
+}
+[[nodiscard]] inline std::vector<std::string> target_motion_names() {
+  return enum_names(kTargetMotionNames);
+}
 
 struct RadioModel {
   // CC2480 (TI datasheet [25]): 27 mA @ 3 V while transmitting or receiving,

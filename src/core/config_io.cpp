@@ -13,15 +13,6 @@ namespace wrsn {
 
 namespace {
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
 struct KeyHandler {
   std::string name;
   std::function<std::string(const SimConfig&)> get;
@@ -78,28 +69,31 @@ std::string fmt(double v) {
   return std::string(buf, ptr);
 }
 
-std::string parse_scheduler(const std::string& v) {
-  if (!SchedulerRegistry::instance().contains(v)) {
-    throw InvalidArgument("unknown scheduler '" + v +
-                          "' (valid: " + join_names(scheduler_names()) + ")");
-  }
-  return v;
+// The trimmed name, once `registry` knows it.
+template <class Policy>
+std::string registered(const Registry<Policy>& registry, const std::string& value) {
+  std::string name = trim(value);
+  registry.require(name);
+  return name;
 }
 
-std::string parse_routing(const std::string& v) {
-  if (!RoutingRegistry::instance().contains(v)) {
-    throw InvalidArgument("unknown routing policy '" + v +
-                          "' (valid: " + join_names(routing_names()) + ")");
-  }
-  return v;
-}
-
-ActivationPolicy parse_activation(const std::string& v) {
-  for (auto p : {ActivationPolicy::kFullTime, ActivationPolicy::kRoundRobin}) {
-    if (to_string(p) == v) return p;
-  }
-  throw InvalidArgument("unknown activation policy '" + v + "' (valid: " +
-                        join_names(activation_policy_names()) + ")");
+// A closed enum knob read through its name table; `field` selects the
+// member on a const or mutable config, `kind` names it in errors.
+template <class Enum, std::size_t N, class Field>
+KeyHandler enum_key(std::string key, const char* kind, const EnumName<Enum> (&table)[N],
+                    Field field) {
+  return {std::move(key),
+          [&table, field](const SimConfig& c) { return enum_name(table, field(c)); },
+          [&table, kind, field](SimConfig& c, const std::string& v) {
+            const std::string name = trim(v);
+            for (const EnumName<Enum>& e : table) {
+              if (name == e.name) {
+                field(c) = e.value;
+                return;
+              }
+            }
+            throw unknown_name(kind, name, enum_names(table));
+          }};
 }
 
 const std::vector<KeyHandler>& handlers() {
@@ -146,28 +140,21 @@ const std::vector<KeyHandler>& handlers() {
        [](SimConfig& c, const std::string& v) {
          c.data_rate_pkt_per_min = parse_double("data_rate_pkt_per_min", v);
        }},
-      {"target_motion",
-       [](const SimConfig& c) { return to_string(c.target_motion); },
-       [](SimConfig& c, const std::string& v) {
-         const std::string t = trim(v);
-         if (t == to_string(TargetMotion::kTeleport)) {
-           c.target_motion = TargetMotion::kTeleport;
-         } else if (t == to_string(TargetMotion::kRandomWaypoint)) {
-           c.target_motion = TargetMotion::kRandomWaypoint;
-         } else {
-           throw InvalidArgument("unknown target motion '" + t + "' (valid: " +
-                                 join_names(target_motion_names()) + ")");
-         }
-       }},
+      enum_key("target_motion", "target motion", kTargetMotionNames,
+               [](auto& c) -> auto& { return c.target_motion; }),
       {"target_speed_m_per_s",
        [](const SimConfig& c) { return fmt(c.target_speed.value()); },
        [](SimConfig& c, const std::string& v) {
          c.target_speed = MeterPerSecond{parse_double("target_speed_m_per_s", v)};
        }},
       {"scheduler", [](const SimConfig& c) { return c.scheduler; },
-       [](SimConfig& c, const std::string& v) { c.scheduler = parse_scheduler(trim(v)); }},
+       [](SimConfig& c, const std::string& v) {
+         c.scheduler = registered(SchedulerRegistry::instance(), v);
+       }},
       {"routing", [](const SimConfig& c) { return c.routing; },
-       [](SimConfig& c, const std::string& v) { c.routing = parse_routing(trim(v)); }},
+       [](SimConfig& c, const std::string& v) {
+         c.routing = registered(RoutingRegistry::instance(), v);
+       }},
       {"event_queue", [](const SimConfig& c) { return c.event_queue; },
        [](SimConfig& c, const std::string& v) {
          const std::string name = trim(v);
@@ -179,10 +166,8 @@ const std::vector<KeyHandler>& handlers() {
        }},
       {"threads", [](const SimConfig& c) { return std::to_string(c.threads); },
        [](SimConfig& c, const std::string& v) { c.threads = parse_u64("threads", v); }},
-      {"activation", [](const SimConfig& c) { return to_string(c.activation); },
-       [](SimConfig& c, const std::string& v) {
-         c.activation = parse_activation(trim(v));
-       }},
+      enum_key("activation", "activation policy", kActivationPolicyNames,
+               [](auto& c) -> auto& { return c.activation; }),
       {"two_opt_tours",
        [](const SimConfig& c) { return c.two_opt_tours ? "true" : "false"; },
        [](SimConfig& c, const std::string& v) {
@@ -249,19 +234,8 @@ const std::vector<KeyHandler>& handlers() {
        [](SimConfig& c, const std::string& v) {
          c.rv.charge_power = watts(parse_double("rv.charge_power_w", v));
        }},
-      {"rv.charge_profile",
-       [](const SimConfig& c) { return to_string(c.rv.charge_profile); },
-       [](SimConfig& c, const std::string& v) {
-         const std::string t = trim(v);
-         if (t == to_string(ChargeProfileKind::kConstantPower)) {
-           c.rv.charge_profile = ChargeProfileKind::kConstantPower;
-         } else if (t == to_string(ChargeProfileKind::kTaperedCcCv)) {
-           c.rv.charge_profile = ChargeProfileKind::kTaperedCcCv;
-         } else {
-           throw InvalidArgument("unknown charge profile '" + t + "' (valid: " +
-                                 join_names(charge_profile_names()) + ")");
-         }
-       }},
+      enum_key("rv.charge_profile", "charge profile", kChargeProfileNames,
+               [](auto& c) -> auto& { return c.rv.charge_profile; }),
       {"rv.charge_knee_soc",
        [](const SimConfig& c) { return fmt(c.rv.charge_knee_soc); },
        [](SimConfig& c, const std::string& v) {

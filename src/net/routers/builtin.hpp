@@ -6,9 +6,9 @@
 // objects because the linker is free to drop unreferenced object files from
 // a static library, which would silently lose policies.
 
-namespace wrsn {
+#include "net/routing.hpp"
 
-class RoutingRegistry;
+namespace wrsn {
 
 // Dijkstra shortest-path tree rooted at the base station (the paper's
 // routing model and the default).

@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <queue>
-#include <sstream>
 
 #include "core/error.hpp"
 #include "net/routers/builtin.hpp"
@@ -48,14 +47,6 @@ ShortestPaths run_dijkstra(const CommGraph& graph, std::size_t source,
     }
   }
   return out;
-}
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    os << (i ? ", " : "") << names[i];
-  }
-  return os.str();
 }
 
 }  // namespace
@@ -146,9 +137,10 @@ bool RouteTable::reachable(std::size_t node) const {
   return dist_[node] < kInf;
 }
 
+template <>
 RoutingRegistry& RoutingRegistry::instance() {
   static RoutingRegistry* registry = [] {
-    auto* r = new RoutingRegistry();
+    auto* r = new RoutingRegistry("routing policy");
     // The paper's Dijkstra tree first (the default), then the alternative
     // topologies — the order names() reports and the docs table uses.
     register_shortest_path_router(*r);
@@ -158,58 +150,6 @@ RoutingRegistry& RoutingRegistry::instance() {
     return r;
   }();
   return *registry;
-}
-
-void RoutingRegistry::add(std::string name, std::string summary,
-                          Factory factory) {
-  WRSN_REQUIRE(!name.empty(), "routing policy name must be non-empty");
-  WRSN_REQUIRE(factory != nullptr,
-               "routing policy '" + name + "' needs a factory");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    WRSN_REQUIRE(e.name != name,
-                 "routing policy '" + name + "' is already registered");
-  }
-  entries_.push_back({std::move(name), std::move(summary), factory});
-}
-
-bool RoutingRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.name == name) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<RoutingPolicy> RoutingRegistry::create(
-    const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.factory();
-    }
-  }
-  throw InvalidArgument("unknown routing policy '" + name +
-                        "' (valid: " + join_names(names()) + ")");
-}
-
-std::vector<std::string> RoutingRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::string RoutingRegistry::summary(const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.summary;
-    }
-  }
-  throw InvalidArgument("unknown routing policy '" + name +
-                        "' (valid: " + join_names(names()) + ")");
 }
 
 std::vector<std::string> routing_names() {

@@ -7,7 +7,7 @@
 // RouteTable; consumers (TrafficModel, stats, the World) only see the narrow
 // RouteView contract — next-hop, path, reachability and hop distance — so
 // swapping the scheme never touches them. Policies are selected by name
-// through the string-keyed RoutingRegistry (mirroring SchedulerRegistry):
+// through the string-keyed RoutingRegistry (core/registry.hpp, as schedulers):
 // the paper's Dijkstra tree is the default `shortest_path` policy, and a new
 // scheme is one file in src/net/routers/ plus one registration line.
 //
@@ -15,11 +15,11 @@
 // recharge-revival), which is rare compared with activation rotations.
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "geom/vec2.hpp"
 #include "net/graph.hpp"
 #include "net/ids.hpp"
@@ -104,40 +104,11 @@ class RoutingPolicy {
   virtual void build(const RoutingBuildInput& in, RouteTable& out) const = 0;
 };
 
-// String-keyed registry of routing-policy factories, mirroring
-// SchedulerRegistry: built-ins register on first access, lookups are
-// thread-safe, unknown names throw listing every registered name.
-class RoutingRegistry {
- public:
-  using Factory = std::unique_ptr<RoutingPolicy> (*)();
-
-  static RoutingRegistry& instance();
-
-  // Registers a policy. `summary` is the one-line description surfaced by
-  // `wrsn_sim --list-routers` and the README table. Throws InvalidArgument
-  // on a duplicate or empty name.
-  void add(std::string name, std::string summary, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  // Instantiates the named policy; throws InvalidArgument listing the
-  // registered names when `name` is unknown.
-  [[nodiscard]] std::unique_ptr<RoutingPolicy> create(
-      const std::string& name) const;
-  // Registered names, in registration order (the paper's default first).
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::string summary(const std::string& name) const;
-
- private:
-  RoutingRegistry() = default;
-
-  struct Entry {
-    std::string name;
-    std::string summary;
-    Factory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
+// Routing policies by name (core/registry.hpp); instance() registers the
+// built-ins, the paper's default first.
+using RoutingRegistry = Registry<RoutingPolicy>;
+template <>
+RoutingRegistry& RoutingRegistry::instance();
 
 // Convenience: RoutingRegistry::instance().names().
 [[nodiscard]] std::vector<std::string> routing_names();

@@ -6,9 +6,9 @@
 // inside static libraries, where the linker drops object files nothing
 // references.
 
-namespace wrsn {
+#include "sched/policy.hpp"
 
-class SchedulerRegistry;
+namespace wrsn {
 
 void register_greedy_policy(SchedulerRegistry& registry);
 void register_partition_policy(SchedulerRegistry& registry);

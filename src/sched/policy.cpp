@@ -1,23 +1,9 @@
 #include "sched/policy.hpp"
 
-#include <sstream>
-
 #include "core/error.hpp"
 #include "sched/policies/builtin.hpp"
 
 namespace wrsn {
-
-namespace {
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    os << (i ? ", " : "") << names[i];
-  }
-  return os.str();
-}
-
-}  // namespace
 
 std::vector<RechargeItem> DispatchContext::singles(
     const std::vector<RechargeItem>& from, SinglesCritical mode) const {
@@ -50,9 +36,10 @@ DispatchDecision fallback_single_node(const DispatchContext& ctx) {
   return DispatchDecision::self_charge();
 }
 
+template <>
 SchedulerRegistry& SchedulerRegistry::instance() {
   static SchedulerRegistry* registry = [] {
-    auto* r = new SchedulerRegistry();
+    auto* r = new SchedulerRegistry("scheduler");
     // Paper schemes first, then the library's ablation baselines — the
     // order names() reports and the docs table uses.
     register_greedy_policy(*r);
@@ -64,58 +51,6 @@ SchedulerRegistry& SchedulerRegistry::instance() {
     return r;
   }();
   return *registry;
-}
-
-void SchedulerRegistry::add(std::string name, std::string summary,
-                            Factory factory) {
-  WRSN_REQUIRE(!name.empty(), "scheduler name must be non-empty");
-  WRSN_REQUIRE(factory != nullptr,
-               "scheduler '" + name + "' needs a factory");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    WRSN_REQUIRE(e.name != name,
-                 "scheduler '" + name + "' is already registered");
-  }
-  entries_.push_back({std::move(name), std::move(summary), factory});
-}
-
-bool SchedulerRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.name == name) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<SchedulerPolicy> SchedulerRegistry::create(
-    const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.factory();
-    }
-  }
-  throw InvalidArgument("unknown scheduler '" + name +
-                        "' (valid: " + join_names(names()) + ")");
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::string SchedulerRegistry::summary(const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.summary;
-    }
-  }
-  throw InvalidArgument("unknown scheduler '" + name +
-                        "' (valid: " + join_names(names()) + ")");
 }
 
 std::vector<std::string> scheduler_names() {

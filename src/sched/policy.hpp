@@ -19,10 +19,10 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "geom/vec2.hpp"
@@ -168,40 +168,11 @@ class SchedulerPolicy {
 // inherited from the batch), or go refill when nothing is affordable.
 [[nodiscard]] DispatchDecision fallback_single_node(const DispatchContext& ctx);
 
-// String-keyed registry of policy factories. Built-in schemes register on
-// first access; lookups are thread-safe (Worlds are constructed from the
-// replica thread pool).
-class SchedulerRegistry {
- public:
-  using Factory = std::unique_ptr<SchedulerPolicy> (*)();
-
-  static SchedulerRegistry& instance();
-
-  // Registers a policy. `summary` is a one-line description surfaced by
-  // `wrsn_sim --list-schedulers` and the README table. Throws
-  // InvalidArgument on a duplicate or empty name.
-  void add(std::string name, std::string summary, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  // Instantiates the named policy; throws InvalidArgument listing the
-  // registered names when `name` is unknown.
-  [[nodiscard]] std::unique_ptr<SchedulerPolicy> create(
-      const std::string& name) const;
-  // Registered names, in registration order (paper schemes first).
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::string summary(const std::string& name) const;
-
- private:
-  SchedulerRegistry() = default;
-
-  struct Entry {
-    std::string name;
-    std::string summary;
-    Factory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
+// Scheduler policies by name (core/registry.hpp); instance() registers the
+// built-in schemes, paper schemes first.
+using SchedulerRegistry = Registry<SchedulerPolicy>;
+template <>
+SchedulerRegistry& SchedulerRegistry::instance();
 
 // Convenience: SchedulerRegistry::instance().names().
 [[nodiscard]] std::vector<std::string> scheduler_names();

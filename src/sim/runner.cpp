@@ -8,20 +8,17 @@
 
 namespace wrsn {
 
-MetricsReport run_replica(const SimConfig& config,
-                          obs::TelemetryRegistry* telemetry) {
-  World world(config);
-  world.set_telemetry(telemetry);
-  return world.run();
+void attach(World& world, const ReplicaInstruments& instruments) {
+  world.set_telemetry(instruments.telemetry);
+  world.set_trace_sink(instruments.trace);
+  world.set_span_log(instruments.spans);
+  world.set_flight_recorder(instruments.flight);
 }
 
 MetricsReport run_replica(const SimConfig& config,
                           const ReplicaInstruments& instruments) {
   World world(config);
-  world.set_telemetry(instruments.telemetry);
-  world.set_trace_sink(instruments.trace);
-  world.set_span_log(instruments.spans);
-  world.set_flight_recorder(instruments.flight);
+  attach(world, instruments);
   return world.run();
 }
 
@@ -124,7 +121,7 @@ std::vector<MetricsReport> run_replicas(const SimConfig& config,
     // Each replica records into a private registry so hot-path updates never
     // contend across workers; the merge at the end is the only shared write.
     obs::TelemetryRegistry local;
-    reports[i] = run_replica(c, &local);
+    reports[i] = run_replica(c, {.telemetry = &local});
     const std::lock_guard lock(merge_mutex);
     telemetry->merge_from(local);
   };

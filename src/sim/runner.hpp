@@ -16,11 +16,7 @@
 
 namespace wrsn {
 
-// One full simulation of `config` (seed taken from the config). When
-// `telemetry` is non-null the world records event-loop counters and
-// scheduler timings into it (see obs/telemetry.hpp); physics is unaffected.
-[[nodiscard]] MetricsReport run_replica(const SimConfig& config,
-                                        obs::TelemetryRegistry* telemetry = nullptr);
+class World;
 
 // Per-replica observability attachments (each may be null). All are purely
 // observational — attaching any of them leaves the replica's physics and
@@ -33,9 +29,14 @@ struct ReplicaInstruments {
   obs::FlightRecorder* flight = nullptr;
 };
 
-// run_replica with the full instrument set attached.
+// Attaches every instrument (null ones detach) to `world`.
+void attach(World& world, const ReplicaInstruments& instruments);
+
+// One full simulation of `config` (seed taken from the config) with
+// `instruments` attached. A telemetry registry records event-loop counters
+// and scheduler timings (see obs/telemetry.hpp); physics is unaffected.
 [[nodiscard]] MetricsReport run_replica(const SimConfig& config,
-                                        const ReplicaInstruments& instruments);
+                                        const ReplicaInstruments& instruments = {});
 
 // Field-wise arithmetic mean of reports (counters become averages too).
 [[nodiscard]] MetricsReport mean_report(const std::vector<MetricsReport>& reports);

@@ -22,41 +22,37 @@ void ReplicaSupervisor::count(const char* name) {
   if (telemetry_ != nullptr) telemetry_->counter(name).add();
 }
 
-ReplicaResult ReplicaSupervisor::run(const SimConfig& config) {
-  return run(config, ReplicaInstruments{});
-}
-
 ReplicaResult ReplicaSupervisor::run(const SimConfig& config,
                                      const ReplicaInstruments& instruments) {
-  return supervise([&]() {
-    AttemptOutcome out;
-    World world(config);
-    world.set_telemetry(instruments.telemetry);
-    world.set_trace_sink(instruments.trace);
-    world.set_span_log(instruments.spans);
-    world.set_flight_recorder(instruments.flight);
-    if (options_.watchdog_s > 0.0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(options_.watchdog_s));
-      // Throttle the clock read: one syscall per event would dominate small
-      // replicas, and a 1024-event overshoot is noise at wall-clock scale.
-      std::uint32_t tick = 0;
-      world.set_checkpoint_hook([deadline, tick](const World&) mutable {
-        if (++tick % 1024 != 0) return false;
-        return std::chrono::steady_clock::now() >= deadline;
-      });
-    }
-    world.run_until(config.sim_duration);
-    if (!world.finished()) {
-      out.status = AttemptOutcome::Status::kTimeout;
-      return out;
-    }
-    out.status = AttemptOutcome::Status::kOk;
-    out.report = world.report();
+  return supervise([&]() { return attempt(config, instruments); });
+}
+
+AttemptOutcome ReplicaSupervisor::attempt(const SimConfig& config,
+                                          const ReplicaInstruments& instruments) const {
+  AttemptOutcome out;
+  World world(config);
+  attach(world, instruments);
+  if (options_.watchdog_s > 0.0) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(options_.watchdog_s));
+    // Throttle the clock read: one syscall per event would dominate small
+    // replicas, and a 1024-event overshoot is noise at wall-clock scale.
+    std::uint32_t tick = 0;
+    world.set_checkpoint_hook([deadline, tick](const World&) mutable {
+      if (++tick % 1024 != 0) return false;
+      return std::chrono::steady_clock::now() >= deadline;
+    });
+  }
+  world.run_until(config.sim_duration);
+  if (!world.finished()) {
+    out.status = AttemptOutcome::Status::kTimeout;
     return out;
-  });
+  }
+  out.status = AttemptOutcome::Status::kOk;
+  out.report = world.report();
+  return out;
 }
 
 ReplicaResult ReplicaSupervisor::supervise(

@@ -71,9 +71,14 @@ class ReplicaSupervisor {
   // Runs one replica of `config` (optionally instrumented) under the
   // watchdog + retry policy. Never throws on replica failure: a replica
   // that keeps failing comes back quarantined.
-  [[nodiscard]] ReplicaResult run(const SimConfig& config);
   [[nodiscard]] ReplicaResult run(const SimConfig& config,
-                                  const ReplicaInstruments& instruments);
+                                  const ReplicaInstruments& instruments = {});
+
+  // One attempt of run(): a fresh World for `config` with `instruments`
+  // attached, run to the horizon under the watchdog. A caller that needs
+  // fresh sinks per attempt (wrsn_sweep) wraps it in supervise() itself.
+  [[nodiscard]] AttemptOutcome attempt(const SimConfig& config,
+                                       const ReplicaInstruments& instruments) const;
 
   // Policy core: runs `attempt` until it succeeds or the retry cap is hit,
   // sleeping the backoff schedule in between. Exceptions escaping `attempt`

@@ -3,6 +3,9 @@
 // export/restore path, the whole-file snapshot format (magic + version +
 // FNV-1a trailer) and the wrsn.snapshot manifest lines.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -154,6 +157,34 @@ TEST(AtomicFile, CommitPublishes) {
     file.commit();
   }
   EXPECT_EQ(read_file(path), "payload");
+  std::remove(path.c_str());
+}
+
+// A rename over a FIFO or device (--out /dev/stdout, --spans /dev/null)
+// would replace it with a regular file: such targets are written in place,
+// and an uncommitted writer leaves them alone.
+TEST(AtomicFile, NonRegularTargetIsWrittenInPlace) {
+  const std::string path = temp_path("atomic_fifo");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  { AtomicFile discarded(path); }
+  {
+    AtomicFile file(path);
+    file.stream() << "payload";
+    file.commit();
+  }
+  write_file_atomic(path, "+more");
+  char buf[32] = {};
+  const ssize_t n = ::read(reader, buf, sizeof(buf));
+  ::close(reader);
+  EXPECT_EQ(std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0), "payload+more");
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  std::ifstream tmp(path + ".tmp");
+  EXPECT_FALSE(tmp.is_open());
   std::remove(path.c_str());
 }
 

@@ -5,15 +5,13 @@
 // and 95% CIs for the headline metrics. This is the generic engine behind
 // "reproduce figure X with different parameters".
 //
-//   wrsn_sweep --sweep KEY=V1,V2,... [--sweep KEY=...]...
-//              [--config FILE] [--set KEY=VALUE]... [--days N] [--seeds N]
-//              [--threads N] [--faults FILE|SPEC] [--csv FILE]
-//              [--telemetry FILE] [--spans PREFIX] [--chrome-trace PREFIX]
-//              [--flight-recorder N]
-//              [--journal DIR] [--resume DIR]
+//   wrsn_sweep --sweep KEY=V1,V2,... [--sweep KEY=...]... [shared flags]
+//              [--seeds N] [--csv FILE] [--journal DIR] [--resume DIR]
 //              [--watchdog-s S] [--retries N] [--retry-backoff-ms MS]
-//              [--inject-fail POINT,REPLICA] [--list-routers]
+//              [--inject-fail POINT,REPLICA]
 //
+// The config, observability and listing flags are shared with wrsn_sim and
+// wrsn_trace (tools/run_options.hpp); `wrsn_sweep --help` lists them all.
 // --threads N (shorthand for --set threads=N) is the number of worker
 // threads, each running one replica at a time; 0, the default, means
 // hardware concurrency. The CSV is byte-identical at any thread count.
@@ -61,12 +59,12 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cli_numbers.hpp"
 #include "core/atomic_file.hpp"
 #include "core/binio.hpp"
 #include "core/config_io.hpp"
@@ -74,13 +72,9 @@
 #include "core/json.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
-#include "net/routing.hpp"
-#include "obs/flight.hpp"
-#include "obs/spans.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/runner.hpp"
+#include "run_options.hpp"
 #include "sim/supervisor.hpp"
-#include "sim/world.hpp"
 
 namespace {
 
@@ -184,13 +178,15 @@ std::uint64_t campaign_hash(const SimConfig& base,
 }
 
 // Minimal field extraction from already-json_validate'd journal lines (the
-// same validate-then-scan idiom as wrsn_jsonl_check).
-bool find_json_u64(const std::string& line, const std::string& key,
-                   std::uint64_t* out) {
+// same validate-then-scan idiom as wrsn_jsonl_check). Integers must be exact
+// tokens: "-1" or "0.9" are corruption, not values to wrap or truncate.
+std::optional<std::uint64_t> find_json_u64(const std::string& line,
+                                           const std::string& key) {
   const auto pos = line.find('"' + key + "\":");
-  if (pos == std::string::npos) return false;
-  *out = std::strtoull(line.c_str() + pos + key.size() + 3, nullptr, 10);
-  return true;
+  if (pos == std::string::npos) return std::nullopt;
+  const std::size_t begin = pos + key.size() + 3;
+  const std::size_t end = line.find_first_of(",}", begin);
+  return parse_decimal_u64(std::string_view(line).substr(begin, end - begin));
 }
 
 bool find_json_doubles(const std::string& line, const std::string& key,
@@ -208,96 +204,90 @@ bool find_json_doubles(const std::string& line, const std::string& key,
   return *p == ']';
 }
 
-}  // namespace
+const char kUsage[] =
+    "wrsn_sweep — cross-product experiment driver: runs every point of a\n"
+    "config grid, --seeds replicas each, and writes one CSV row per point\n"
+    "with means and 95% CIs of the headline metrics\n"
+    "\n"
+    "  --sweep KEY=V1,V2,...  sweep one config key over values; repeatable,\n"
+    "                         once per key, at least one required (`--list`\n"
+    "                         prints every enum-like knob as such a line)\n"
+    "  --seeds N              replicas per grid point (default 2)\n"
+    "  --csv FILE             write the CSV to FILE (default stdout)\n"
+    "  --journal DIR          record every finished cell in an fsync'd\n"
+    "                         DIR/journal.jsonl next to DIR/manifest.json\n"
+    "  --resume DIR           continue a journaled sweep, skipping finished\n"
+    "                         cells; the CSV is byte-identical\n"
+    "  --watchdog-s S         wall-clock budget per replica attempt (0 = off)\n"
+    "  --retries N            retries before quarantine (default 2)\n"
+    "  --retry-backoff-ms MS  first retry delay, doubling (default 100)\n"
+    "  --inject-fail P,R      test hook: cell (point P, replica R) fails on\n"
+    "                         every attempt\n"
+    "  --spans/--chrome-trace take a PREFIX: every replica writes\n"
+    "  PREFIX.point<P>.rep<R>.jsonl/.json. A sweep with quarantined cells\n"
+    "  completes, lists them under failed_points on stderr and exits 3.\n";
 
-int main(int argc, char** argv) try {
-  SimConfig base = SimConfig::paper_defaults();
+int sweep_main(const std::vector<std::string>& args) {
+  RunOptions opts;
+  opts.config = SimConfig::paper_defaults();
   std::vector<Sweep> sweeps;
   std::size_t seeds = 2;
-  std::string csv_path, telemetry_path, spans_prefix, chrome_prefix;
-  std::size_t flight_capacity = 0;
+  std::string csv_path;
   std::string journal_dir;
   bool resume = false;
   SupervisorOptions sup_options;  // watchdog off, 2 retries, 100 ms backoff
   bool inject_fail = false;
   std::size_t inject_point = 0, inject_replica = 0;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  auto need_value = [&](std::size_t& i) -> const std::string& {
-    WRSN_REQUIRE(i + 1 < args.size(), args[i] + " needs a value");
-    return args[++i];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--help" || a == "-h") {
-      std::cout << "see the header of tools/wrsn_sweep.cpp for usage\n"
-                   "`wrsn_sim --list` prints every enum-like knob as a\n"
-                   "ready-made --sweep KEY=V1,V2,... line\n";
-      return 0;
-    }
-    if (a == "--list-routers") {
-      for (const std::string& name : wrsn::routing_names()) std::cout << name << '\n';
-      return 0;
-    }
+  const auto tool_flags = [&](const std::string& a, const auto& value) {
     if (a == "--sweep") {
-      const std::string& spec = need_value(i);
+      const std::string& spec = value();
       const auto eq = spec.find('=');
       WRSN_REQUIRE(eq != std::string::npos, "--sweep expects KEY=V1,V2,...");
       Sweep sweep;
       sweep.key = spec.substr(0, eq);
       sweep.values = split(spec.substr(eq + 1), ',');
       WRSN_REQUIRE(!sweep.values.empty(), "--sweep needs at least one value");
+      for (const Sweep& s : sweeps) {
+        if (s.key == sweep.key) {
+          throw InvalidArgument("--sweep " + sweep.key + " given twice");
+        }
+      }
       sweeps.push_back(std::move(sweep));
-    } else if (a == "--config") {
-      base = load_config(need_value(i), base);
-    } else if (a == "--set") {
-      const std::string& kv = need_value(i);
-      const auto eq = kv.find('=');
-      WRSN_REQUIRE(eq != std::string::npos, "--set expects KEY=VALUE");
-      config_set(base, kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (a == "--days") {
-      config_set(base, "sim_days", need_value(i));
-    } else if (a == "--threads") {
-      config_set(base, "threads", need_value(i));
-    } else if (a == "--faults") {
-      apply_fault_arg(base, need_value(i));
     } else if (a == "--seeds") {
-      seeds = parse_count(a, need_value(i));
+      seeds = parse_count(a, value());
     } else if (a == "--csv") {
-      csv_path = need_value(i);
-    } else if (a == "--telemetry") {
-      telemetry_path = need_value(i);
-    } else if (a == "--spans") {
-      spans_prefix = need_value(i);
-    } else if (a == "--chrome-trace") {
-      chrome_prefix = need_value(i);
-    } else if (a == "--flight-recorder") {
-      flight_capacity = parse_count(a, need_value(i));
-      WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
+      csv_path = value();
     } else if (a == "--journal") {
-      journal_dir = need_value(i);
+      journal_dir = value();
     } else if (a == "--resume") {
-      journal_dir = need_value(i);
+      journal_dir = value();
       resume = true;
     } else if (a == "--watchdog-s") {
-      sup_options.watchdog_s = parse_finite(a, need_value(i), Bound::kNonNegative);
+      sup_options.watchdog_s = parse_finite(a, value(), Bound::kNonNegative);
     } else if (a == "--retries") {
-      sup_options.max_retries = parse_count(a, need_value(i));
+      sup_options.max_retries = parse_count(a, value());
     } else if (a == "--retry-backoff-ms") {
-      sup_options.backoff_ms = parse_finite(a, need_value(i), Bound::kNonNegative);
+      sup_options.backoff_ms = parse_finite(a, value(), Bound::kNonNegative);
     } else if (a == "--inject-fail") {
-      const std::vector<std::string> pr = split(need_value(i), ',');
+      const std::vector<std::string> pr = split(value(), ',');
       WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
       inject_fail = true;
       inject_point = parse_count(a, pr[0]);
       inject_replica = parse_count(a, pr[1]);
     } else {
-      std::cerr << "unknown option '" << a << "' (try --help)\n";
-      return 2;
+      return false;
     }
+    return true;
+  };
+  if (!parse_run_options(args, kUsage, tool_flags, opts)) return 0;
+  if (!opts.checkpoint_prefix.empty() || !opts.restore_path.empty()) {
+    throw InvalidArgument(
+        "--checkpoint/--restore need a single world (wrsn_sim, wrsn_trace); "
+        "a sweep resumes with --journal/--resume");
   }
   WRSN_REQUIRE(!sweeps.empty(), "at least one --sweep is required");
   WRSN_REQUIRE(seeds > 0, "--seeds must be positive");
+  const SimConfig& base = opts.config;
 
   std::size_t total_points = 1;
   for (const Sweep& s : sweeps) total_points *= s.values.size();
@@ -353,11 +343,9 @@ int main(int argc, char** argv) try {
                                "' already exists; use --resume to continue it");
       std::ostringstream buf;
       buf << manifest_in.rdbuf();
-      std::uint64_t recorded = 0;
-      WRSN_REQUIRE(
-          find_json_u64(buf.str(), "campaign_hash", &recorded) && recorded == hash,
-          "journal '" + journal_dir +
-              "' records a different campaign (config/grid/seeds mismatch)");
+      WRSN_REQUIRE(find_json_u64(buf.str(), "campaign_hash") == hash,
+                   "journal '" + journal_dir +
+                       "' records a different campaign (config/grid/seeds mismatch)");
     } else {
       WRSN_REQUIRE(!resume, "nothing to resume: no manifest in '" + journal_dir + "'");
       JsonWriter w;
@@ -374,35 +362,48 @@ int main(int argc, char** argv) try {
     std::ifstream journal_in(journal_path);
     std::size_t restored_cells = 0;
     std::size_t journal_lines = 0;
-    if (journal_in.is_open()) {
-      std::string line;
-      while (std::getline(journal_in, line)) {
-        if (line.empty()) continue;
-        ++journal_lines;
-        std::string err;
-        WRSN_REQUIRE(json_validate(line, &err),
-                     journal_path + ": corrupt journal line: " + err);
-        if (line.find("\"record\":\"done\"") != std::string::npos) {
-          journal_has_done = true;
-          continue;
-        }
-        if (line.find("\"record\":\"cell\"") == std::string::npos) continue;
-        std::uint64_t id = 0, point = 0, replica = 0;
-        MetricValues m{};
-        WRSN_REQUIRE(find_json_u64(line, "id", &id) &&
-                         find_json_u64(line, "point", &point) &&
-                         find_json_u64(line, "replica", &replica) &&
-                         find_json_doubles(line, "m", &m),
-                     journal_path + ": malformed cell record");
-        WRSN_REQUIRE(point < total_points && replica < seeds,
-                     journal_path + ": cell outside the campaign grid");
-        const std::size_t task = point * seeds + replica;
-        values[task] = m;
-        done[task] = 1;
-        ++restored_cells;
-        journal_next_id = std::max(journal_next_id, id + 1);
+    std::uint64_t last_id = 0;
+    std::string line;
+    for (std::size_t line_no = 1; std::getline(journal_in, line); ++line_no) {
+      if (line.empty()) continue;
+      ++journal_lines;
+      // Any damage fails the resume with one line naming the journal line.
+      const auto corrupt = [&](const std::string& what) {
+        return InvalidArgument(journal_path + ":" + std::to_string(line_no) + ": " + what);
+      };
+      std::string err;
+      if (!json_validate(line, &err)) throw corrupt("corrupt journal line: " + err);
+      if (line.find("\"record\":\"done\"") != std::string::npos) {
+        journal_has_done = true;
+        continue;
       }
+      if (line.find("\"record\":\"cell\"") == std::string::npos) continue;
+      const auto id = find_json_u64(line, "id");
+      const auto point = find_json_u64(line, "point");
+      const auto replica = find_json_u64(line, "replica");
+      const auto seed = find_json_u64(line, "seed");
+      MetricValues m{};
+      if (!id || !point || !replica || !seed || !find_json_doubles(line, "m", &m)) {
+        throw corrupt("malformed cell record");
+      }
+      if (*id <= last_id) {
+        throw corrupt("cell id " + std::to_string(*id) +
+                      " not greater than previous id " + std::to_string(last_id));
+      }
+      if (*point >= total_points || *replica >= seeds) {
+        throw corrupt("cell outside the campaign grid");
+      }
+      const std::size_t task = *point * seeds + *replica;
+      if (done[task]) throw corrupt("cell recorded twice");
+      if (*seed != point_cfgs[*point].seed + *replica) {
+        throw corrupt("cell seed " + std::to_string(*seed) + " is not point seed + replica");
+      }
+      values[task] = m;
+      done[task] = 1;
+      ++restored_cells;
+      last_id = *id;
     }
+    journal_next_id = last_id + 1;
     journal = std::make_unique<JournalWriter>(journal_path);
     if (journal_lines == 0) journal->append(journal_meta_line());
     if (resume) {
@@ -412,9 +413,7 @@ int main(int argc, char** argv) try {
   }
 
   obs::TelemetryRegistry telemetry;
-  obs::TelemetryRegistry* telemetry_ptr =
-      telemetry_path.empty() ? nullptr : &telemetry;
-  if (telemetry_ptr != nullptr) obs::require_writable(telemetry_path);
+  obs::TelemetryRegistry* const telemetry_ptr = telemetry_target(opts, telemetry);
   // Replica-private registries, merged in task order after the parallel
   // phase so the aggregate is independent of completion order. The
   // supervisor's own counters (supervisor/retries, ...) land here too.
@@ -447,10 +446,7 @@ int main(int argc, char** argv) try {
     return os.str();
   };
 
-  if (flight_capacity > 0) {
-    obs::FlightRecorder::arm_failure_hook();
-    obs::FlightRecorder::arm_signal_handlers();
-  }
+  arm_flight_hooks(opts);
 
   const std::size_t workers =
       base.threads != 0 ? base.threads
@@ -467,63 +463,25 @@ int main(int argc, char** argv) try {
     const std::string tag =
         ".point" + std::to_string(point) + ".rep" + std::to_string(replica);
 
-    SupervisorOptions options = sup_options;
     ReplicaSupervisor supervisor(
-        options, telemetry_ptr != nullptr ? &local_telemetry[task] : nullptr);
+        sup_options, telemetry_ptr != nullptr ? &local_telemetry[task] : nullptr);
+    const auto prefixed = [&](const std::string& prefix, const char* ext) {
+      return prefix.empty() ? prefix : prefix + tag + ext;
+    };
     // Each attempt opens its own sinks and commits them only on success, so
     // retried attempts never leave partial or duplicated span files.
     const ReplicaResult result = supervisor.supervise([&]() {
       WRSN_REQUIRE(!(inject_fail && point == inject_point && replica == inject_replica),
                    "injected failure (--inject-fail)");
-      std::unique_ptr<AtomicFile> spans_file, chrome_file;
-      std::unique_ptr<obs::JsonlSpanSink> spans_sink;
-      std::unique_ptr<obs::ChromeTraceSink> chrome_sink;
-      std::unique_ptr<obs::SpanLog> span_log;
-      std::unique_ptr<obs::FlightRecorder> flight;
-      if (!spans_prefix.empty()) {
-        spans_file = std::make_unique<AtomicFile>(spans_prefix + tag + ".jsonl");
-        spans_sink = std::make_unique<obs::JsonlSpanSink>(spans_file->stream());
+      WorldSinks sinks(prefixed(opts.spans_path, ".jsonl"),
+                       prefixed(opts.chrome_path, ".json"), opts.flight_capacity,
+                       "wrsn_sweep" + tag + " seed " + std::to_string(cfg.seed));
+      const AttemptOutcome out = supervisor.attempt(
+          cfg, sinks.instruments(telemetry_ptr != nullptr ? &local_telemetry[task]
+                                                          : nullptr));
+      if (out.status == AttemptOutcome::Status::kOk) {
+        sinks.finish(cfg.sim_duration.value());
       }
-      if (!chrome_prefix.empty()) {
-        chrome_file = std::make_unique<AtomicFile>(chrome_prefix + tag + ".json");
-        chrome_sink = std::make_unique<obs::ChromeTraceSink>(chrome_file->stream());
-      }
-      if (spans_sink != nullptr || chrome_sink != nullptr) {
-        span_log =
-            std::make_unique<obs::SpanLog>(spans_sink.get(), chrome_sink.get());
-      }
-      if (flight_capacity > 0) {
-        flight = std::make_unique<obs::FlightRecorder>(flight_capacity);
-        flight->set_label("wrsn_sweep" + tag + " seed " + std::to_string(cfg.seed));
-      }
-
-      AttemptOutcome out;
-      World world(cfg);
-      world.set_telemetry(telemetry_ptr != nullptr ? &local_telemetry[task]
-                                                   : nullptr);
-      world.set_span_log(span_log.get());
-      world.set_flight_recorder(flight.get());
-      if (options.watchdog_s > 0.0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(options.watchdog_s));
-        std::uint32_t tick = 0;
-        world.set_checkpoint_hook([deadline, tick](const World&) mutable {
-          if (++tick % 1024 != 0) return false;
-          return std::chrono::steady_clock::now() >= deadline;
-        });
-      }
-      world.run_until(cfg.sim_duration);
-      if (!world.finished()) {
-        out.status = AttemptOutcome::Status::kTimeout;
-        return out;
-      }
-      out.status = AttemptOutcome::Status::kOk;
-      out.report = world.report();
-      if (span_log != nullptr) span_log->finish(world.now().value());
-      if (spans_file != nullptr) spans_file->commit();
-      if (chrome_file != nullptr) chrome_file->commit();
       return out;
     });
 
@@ -600,9 +558,9 @@ int main(int argc, char** argv) try {
   } else {
     std::cout << csv_text.str();
   }
-  if (!telemetry_path.empty()) {
-    obs::write_registry_file(telemetry_path, telemetry);
-    std::cout << "wrote telemetry to " << telemetry_path << '\n';
+  if (telemetry_ptr != nullptr) {
+    obs::write_registry_file(opts.telemetry_path, telemetry);
+    std::cout << "wrote telemetry to " << opts.telemetry_path << '\n';
   }
 
   std::size_t failed_cells = 0;
@@ -630,12 +588,12 @@ int main(int argc, char** argv) try {
     return 3;
   }
   return 0;
-} catch (const std::exception& e) {
-  wrsn::obs::FlightRecorder::dump_all("graceful-failure");
-  std::cerr << "wrsn_sweep: " << e.what() << '\n';
-  return 1;
-} catch (...) {
-  wrsn::obs::FlightRecorder::dump_all("graceful-failure");
-  std::cerr << "wrsn_sweep: unknown error\n";
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return wrsn::run_main("wrsn_sweep", [&] {
+    return sweep_main(std::vector<std::string>(argv + 1, argv + argc));
+  });
 }
