@@ -1,6 +1,7 @@
-// bench_event_queue — push/pop throughput of the two EventQueue backends.
+// bench_event_queue — push/pop throughput of the calendar EventQueue
+// against the binary-heap reference (HeapQueue, tests/support/).
 //
-// Drives the binary-heap and calendar-queue implementations through the
+// Drives both queues through the
 // classic hold model (steady state: every pop is followed by a push some
 // random hold time in the future) across distributions chosen to stress
 // different queue behaviours:
@@ -18,7 +19,7 @@
 //   --quick   smaller queue sizes and fewer ops (the ctest smoke target)
 //   --out     output path (default BENCH_event_queue.json in the cwd)
 //
-// Both backends consume the identical schedule (same RNG seed) and fold the
+// Both queues consume the identical schedule (same RNG seed) and fold the
 // popped (time, kind, subject) stream into a checksum; a checksum mismatch
 // is a pop-order divergence and fails the run. Timing is whole-phase wall
 // clock over `ops` hold steps after warm-up; figure of merit is ns/op where
@@ -33,6 +34,7 @@
 
 #include "core/json.hpp"
 #include "core/rng.hpp"
+#include "heap_queue.hpp"
 #include "sim/events.hpp"
 
 namespace {
@@ -62,10 +64,11 @@ struct HoldResult {
   double checksum = 0.0;
 };
 
-HoldResult run_hold(EventQueueImpl impl, Dist dist, std::size_t size,
-                    std::size_t ops, std::uint64_t seed) {
+template <typename Queue>
+HoldResult run_hold(Dist dist, std::size_t size, std::size_t ops,
+                    std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  EventQueue q(impl);
+  Queue q;
   const double mean_hold = 30.0;  // seconds; matches the sim's event spacing
   // Pre-fill to steady-state occupancy.
   for (std::size_t i = 0; i < size; ++i) {
@@ -155,10 +158,8 @@ int main(int argc, char** argv) {
   for (const Dist dist : {Dist::kUniform, Dist::kBursty, Dist::kBimodal}) {
     for (const std::size_t size : sizes) {
       const std::uint64_t seed = 0xe0e90000ULL ^ (size * 2654435761ULL);
-      const HoldResult heap =
-          run_hold(EventQueueImpl::kHeap, dist, size, ops, seed);
-      const HoldResult cal =
-          run_hold(EventQueueImpl::kCalendar, dist, size, ops, seed);
+      const HoldResult heap = run_hold<HeapQueue>(dist, size, ops, seed);
+      const HoldResult cal = run_hold<EventQueue>(dist, size, ops, seed);
       if (heap.checksum != cal.checksum) {
         std::cerr << "bench_event_queue: pop-order divergence (" << dist_name(dist)
                   << ", size=" << size << "): checksum " << heap.checksum

@@ -1,32 +1,27 @@
 // bench_world_hotpath — old-vs-new event-loop throughput for the World.
 //
 // Runs the same battery-stressed random-waypoint + round-robin scenario
-// under the reference engine (full O(N) rescans per event) and the
-// incremental engine (lazy settlement, O(1) coverage counters, dirty-marked
-// drain refreshes, grid-scoped reclustering) at n in {500, 2000, 10000,
+// under ReferenceWorld (tests/support/: full O(N) rescans per event) and
+// the production World (lazy settlement, O(1) coverage counters,
+// dirty-marked drain refreshes, grid-scoped reclustering), both on the
+// calendar event queue, at n in {500, 2000, 10000,
 // 100000}, plus one row at the paper's own configuration (Table II: n=500,
 // teleport motion every 3 h, so every target move is a global recluster)
 // over a shortened horizon, and writes a machine-readable JSON report:
 //
-//   bench_world_hotpath [--quick] [--out FILE] [--sizes N,N,...]
-//                       [--ref-queue IMPL] [--inc-queue IMPL] [--no-ref]
+//   bench_world_hotpath [--quick] [--out FILE] [--sizes N,N,...] [--no-ref]
 //
 //   --quick      only n in {500, 2000} plus the paper row (the ctest smoke
 //                target)
 //   --out        output path (default BENCH_world.json in the cwd)
 //   --sizes      comma-separated n list overriding the default ladder
-//   --ref-queue  event queue for the reference engine (default heap)
-//   --inc-queue  event queue for the incremental engine (default calendar)
 //   --no-ref     probe mode: skip the reference run (and with it the
 //                cross-check and speedup) and the JSON report
 //
 // The two runs must agree bit-for-bit: the metrics report JSON and the final
 // per-sensor battery vector are cross-checked before any timing is reported,
 // so the benchmark doubles as an engine-equivalence smoke test at scales the
-// unit suite does not reach. The reference run uses the binary-heap event
-// queue and the incremental run the calendar queue, so the cross-check also
-// proves the two queue implementations pop in an identical order at scale.
-// Timing is whole-run wall clock (steady_clock, best of 2 fresh worlds per
+// unit suite does not reach. Timing is whole-run wall clock (steady_clock, best of 2 fresh worlds per
 // engine; a single rep at n=100000, where the reference engine's
 // O(N)-per-event rescans already take minutes and rep noise is negligible
 // next to the measured gap); the figure of merit is events/sec.
@@ -35,11 +30,13 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/json.hpp"
+#include "reference_world.hpp"
 #include "sim/world.hpp"
 
 namespace {
@@ -92,35 +89,26 @@ struct RunOutcome {
   std::vector<double> battery_levels;
 };
 
-// Old-vs-new covers both axes at once: the baseline pairs the reference
-// engine with the heap queue, the optimized run the incremental engine with
-// the calendar queue (both overridable from the command line for probing).
-// The bit-identical cross-check then certifies both the engine counters and
-// the queue's pop order.
-std::string g_ref_queue = "heap";
-std::string g_inc_queue = "calendar";
 bool g_no_ref = false;
 
-RunOutcome run_once(const SimConfig& cfg_in, WorldEngine engine) {
-  SimConfig cfg = cfg_in;
-  cfg.event_queue =
-      engine == WorldEngine::kReference ? g_ref_queue : g_inc_queue;
-  World w(cfg, engine);  // construction (clustering, seeding) is not timed
+RunOutcome run_once(const SimConfig& cfg, Engine engine) {
+  // Construction (clustering, seeding) is not timed.
+  const std::unique_ptr<World> w = make_world(cfg, engine);
   const auto t0 = Clock::now();
-  w.run_until(cfg.sim_duration);
+  w->run_until(cfg.sim_duration);
   const auto t1 = Clock::now();
   RunOutcome out;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.events = w.events_processed();
-  out.report_json = to_json(w.report());
-  out.battery_levels.reserve(w.network().num_sensors());
-  for (const Sensor& s : w.network().sensors()) {
+  out.events = w->events_processed();
+  out.report_json = to_json(w->report());
+  out.battery_levels.reserve(w->network().num_sensors());
+  for (const Sensor& s : w->network().sensors()) {
     out.battery_levels.push_back(s.battery.level().value());
   }
   return out;
 }
 
-RunOutcome run_best(const SimConfig& cfg, WorldEngine engine, int reps) {
+RunOutcome run_best(const SimConfig& cfg, Engine engine, int reps) {
   RunOutcome best = run_once(cfg, engine);
   for (int r = 1; r < reps; ++r) {
     RunOutcome next = run_once(cfg, engine);
@@ -140,15 +128,15 @@ struct Row {
 // timing is reported. Fills `row` (n taken from cfg).
 bool run_row(const std::string& label, const SimConfig& cfg, Row& row) {
   const int reps = cfg.num_sensors >= 100000 ? 1 : 2;
-  const RunOutcome inc = run_best(cfg, WorldEngine::kIncremental, reps);
+  const RunOutcome inc = run_best(cfg, Engine::kIncremental, reps);
   const double inc_eps = static_cast<double>(inc.events) / inc.wall_s;
   row = {cfg.num_sensors, inc.events, 0.0, inc.wall_s};
   if (g_no_ref) {
-    std::cerr << "  " << label << ": " << inc.events << " events, inc(" << g_inc_queue
-              << ") " << static_cast<std::uint64_t>(inc_eps) << " events/s\n";
+    std::cerr << "  " << label << ": " << inc.events << " events, inc "
+              << static_cast<std::uint64_t>(inc_eps) << " events/s\n";
     return true;
   }
-  const RunOutcome ref = run_best(cfg, WorldEngine::kReference, reps);
+  const RunOutcome ref = run_best(cfg, Engine::kReference, reps);
 
   if (inc.report_json != ref.report_json || inc.events != ref.events ||
       inc.battery_levels != ref.battery_levels) {
@@ -171,8 +159,6 @@ void write_row(JsonWriter& w, const Row& r) {
   const double inc_eps = static_cast<double>(r.events) / r.inc_wall_s;
   w.field("n", static_cast<std::uint64_t>(r.n))
       .field("events", r.events)
-      .field("ref_queue", g_ref_queue)
-      .field("inc_queue", g_inc_queue)
       .field("ref_wall_s", r.ref_wall_s)
       .field("inc_wall_s", r.inc_wall_s)
       .field("ref_events_per_sec", ref_eps)
@@ -186,9 +172,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path = "BENCH_world.json";
   std::vector<std::size_t> size_override;
-  const auto queue_ok = [](const std::string& q) {
-    return q == "heap" || q == "calendar";
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--quick") {
@@ -202,16 +185,11 @@ int main(int argc, char** argv) {
         size_override.push_back(std::stoull(list.substr(pos, comma - pos)));
         pos = comma + 1;
       }
-    } else if (a == "--ref-queue" && i + 1 < argc && queue_ok(argv[i + 1])) {
-      g_ref_queue = argv[++i];
-    } else if (a == "--inc-queue" && i + 1 < argc && queue_ok(argv[i + 1])) {
-      g_inc_queue = argv[++i];
     } else if (a == "--no-ref") {
       g_no_ref = true;
     } else if (a == "--help" || a == "-h") {
       std::cout << "usage: bench_world_hotpath [--quick] [--out FILE] "
-                   "[--sizes N,N,...] [--ref-queue IMPL] [--inc-queue IMPL] "
-                   "[--no-ref]\n";
+                   "[--sizes N,N,...] [--no-ref]\n";
       return 0;
     } else {
       std::cerr << "unknown option '" << a << "' (try --help)\n";

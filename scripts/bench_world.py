@@ -3,8 +3,9 @@
 
 Builds nothing itself: point --bin at an already-built bench_world_hotpath
 (default: build/bench/bench_world_hotpath relative to the repo root). The
-binary runs the reference and incremental World engines over identical
-scenarios, cross-checks them bit-for-bit, and writes the JSON report; this
+binary runs the full-rescan ReferenceWorld and the production World over
+identical scenarios, cross-checks them bit-for-bit, and writes the JSON
+report; this
 script renders the events/sec table and can gate on a minimum speedup:
 
     scripts/bench_world.py                  # full sizes (500, 2000, 10000)

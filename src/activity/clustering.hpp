@@ -41,8 +41,8 @@ struct ClusterSet {
 // `eligible[s]` (when non-empty) masks which sensors may be clustered — the
 // simulator passes the alive mask. Scan-based entry point: finds the
 // candidate sets by an O(M*N) distance scan, then runs the admission core.
-// The reference engine and the tests use it as the oracle for grid-fed
-// candidate sets.
+// The full-rescan World oracle (tests/support/) and the tests use it as the
+// oracle for grid-fed candidate sets.
 [[nodiscard]] ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                              const std::vector<Vec2>& target_pos,
                                              double sensing_range,

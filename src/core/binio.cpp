@@ -5,7 +5,7 @@
 namespace wrsn {
 
 void BinReader::need(std::size_t n) const {
-  if (pos_ + n > bytes_.size()) {
+  if (n > bytes_.size() - pos_) {  // pos_ <= size, so this cannot wrap
     throw InvalidArgument("binary payload truncated (needed " +
                           std::to_string(n) + " bytes at offset " +
                           std::to_string(pos_) + " of " +
@@ -40,12 +40,22 @@ void BinReader::u64(std::uint64_t& v) {
   v = out;
 }
 
-void BinReader::str(std::string& s) {
+std::size_t BinReader::count(std::size_t min_bytes) {
   std::uint64_t n = 0;
   u64(n);
-  need(static_cast<std::size_t>(n));
-  s.assign(bytes_.substr(pos_, static_cast<std::size_t>(n)));
-  pos_ += static_cast<std::size_t>(n);
+  if (n > remaining() / min_bytes) {
+    throw InvalidArgument("binary payload truncated (count " +
+                          std::to_string(n) + " at offset " +
+                          std::to_string(pos_ - 8) + " exceeds the " +
+                          std::to_string(remaining()) + " bytes left)");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+void BinReader::str(std::string& s) {
+  const std::size_t n = count(1);
+  s.assign(bytes_.substr(pos_, n));
+  pos_ += n;
 }
 
 void BinReader::expect_end() const {

@@ -4,9 +4,10 @@
 // Doubles are encoded as their IEEE-754 bit pattern (u64), so a value read
 // back is the *same object*, bit for bit — the property the deterministic
 // WorldSnapshot (sim/snapshot.hpp) is built on. The reader bounds-checks
-// every access and throws InvalidArgument on truncation or trailing bytes,
-// so a half-written snapshot file is rejected instead of silently restoring
-// garbage. An FNV-1a 64 checksum helper covers whole payloads.
+// every access and every element count and throws InvalidArgument on
+// truncation or trailing bytes, so a half-written snapshot file is rejected
+// instead of silently restoring garbage. An FNV-1a 64 checksum helper covers
+// whole payloads.
 //
 // The writer/reader pair is deliberately symmetric: serialization code is
 // written once as a template over the archive (see SnapshotAccess in
@@ -76,6 +77,11 @@ class BinReader {
   template <typename T>
   void vec(std::vector<T>& v);
 
+  // Reads a u64 element count and checks it against the bytes left, each
+  // element taking at least `min_bytes` (> 0) of them, so a hostile length
+  // fails here instead of sizing an allocation.
+  [[nodiscard]] std::size_t count(std::size_t min_bytes);
+
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
   // Throws unless every byte has been consumed (a codec/schema mismatch
   // shows up as a hard error, not a silently ignored tail).
@@ -105,11 +111,11 @@ void BinWriter::vec(const std::vector<T>& v) {
 
 template <typename T>
 void BinReader::vec(std::vector<T>& v) {
-  std::uint64_t n = 0;
-  u64(n);
+  // Every bin_io element type encodes in exactly sizeof(T) bytes.
+  const std::size_t n = count(sizeof(T));
   v.clear();
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     T e{};
     bin_io(*this, e);
     v.push_back(e);

@@ -36,9 +36,6 @@ void SimConfig::validate() const {
   // parsing and World construction); core only rejects the trivially bad.
   WRSN_REQUIRE(!scheduler.empty(), "scheduler name must be non-empty");
   WRSN_REQUIRE(!routing.empty(), "routing policy name must be non-empty");
-  WRSN_REQUIRE(event_queue == "auto" || event_queue == "calendar" ||
-                   event_queue == "heap",
-               "event_queue must be one of: auto, calendar, heap");
   WRSN_REQUIRE(num_sensors > 0, "need at least one sensor");
   WRSN_REQUIRE(num_rvs > 0, "need at least one RV");
   WRSN_REQUIRE(field_side.value() > 0.0, "field side must be positive");

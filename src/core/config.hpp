@@ -263,11 +263,6 @@ struct SimConfig {
   // the paper's Dijkstra tree; wrsn::routing_names() enumerates whatever is
   // registered. Validated at parse time and at World construction.
   std::string routing = "shortest_path";
-  // Event-queue implementation: "auto" (WRSN_EVENT_QUEUE env, defaulting to
-  // the calendar queue), "calendar" or "heap". Both produce identical event
-  // order — the heap is the O(log n) reference, the calendar queue the O(1)
-  // amortized default (see sim/events.hpp).
-  std::string event_queue = "auto";
   // Worker threads that run independent replicas (wrsn_sim --seeds,
   // wrsn_sweep); 0 means hardware concurrency. A World never reads it: each
   // replica runs on one thread, so reports do not depend on it.

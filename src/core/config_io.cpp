@@ -155,15 +155,6 @@ const std::vector<KeyHandler>& handlers() {
        [](SimConfig& c, const std::string& v) {
          c.routing = registered(RoutingRegistry::instance(), v);
        }},
-      {"event_queue", [](const SimConfig& c) { return c.event_queue; },
-       [](SimConfig& c, const std::string& v) {
-         const std::string name = trim(v);
-         if (name != "auto" && name != "calendar" && name != "heap") {
-           throw InvalidArgument("unknown event_queue '" + name +
-                                 "' (valid: auto, calendar, heap)");
-         }
-         c.event_queue = name;
-       }},
       {"threads", [](const SimConfig& c) { return std::to_string(c.threads); },
        [](SimConfig& c, const std::string& v) { c.threads = parse_u64("threads", v); }},
       enum_key("activation", "activation policy", kActivationPolicyNames,

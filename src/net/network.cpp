@@ -50,15 +50,6 @@ bool Network::any_covering(Vec2 point) const {
   return sensing_grid_.any_in_radius(point, config_.sensing_range.value());
 }
 
-bool Network::any_covering_scan(Vec2 point) const {
-  const double r2 =
-      config_.sensing_range.value() * config_.sensing_range.value();
-  for (const Sensor& s : sensors_) {
-    if (squared_distance(s.pos, point) <= r2) return true;
-  }
-  return false;
-}
-
 void Network::relocate_target(TargetId id, Xoshiro256& rng) {
   WRSN_REQUIRE(id < targets_.size(), "target id out of range");
   targets_[id].pos = random_location(config_.field_side.value(), rng);

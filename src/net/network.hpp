@@ -49,11 +49,6 @@ class Network {
   // first hit.
   [[nodiscard]] bool any_covering(Vec2 point) const;
 
-  // Grid-free linear-scan equivalent of any_covering (identical predicate,
-  // identical result). The reference world engine uses this so a spatial-
-  // grid bug cannot hide in both engines at once.
-  [[nodiscard]] bool any_covering_scan(Vec2 point) const;
-
   // Visits the id of every sensor whose sensing disc contains `point`
   // (unsorted cell order), without allocating.
   template <typename Fn>

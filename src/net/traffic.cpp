@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -170,28 +171,51 @@ void TrafficModel::serialize(BinWriter& w) const {
 }
 
 void TrafficModel::deserialize(BinReader& r) {
+  // The node count is fixed at construction; every restored id indexes the
+  // per-node rate arrays, so each is checked against it.
+  const std::size_t nodes = tx_rate_.size();
+  const auto reject = [](const std::string& what) {
+    throw InvalidArgument("snapshot traffic " + what);
+  };
+  const auto check_node = [&](std::uint64_t id, const char* what) {
+    if (id >= nodes) {
+      reject(std::string(what) + " " + std::to_string(id) +
+             " out of range (limit " + std::to_string(nodes) + ")");
+    }
+  };
   r.vec(tx_rate_);
   r.vec(rx_rate_);
+  if (tx_rate_.size() != nodes || rx_rate_.size() != nodes) {
+    reject("rate arrays do not match the " + std::to_string(nodes) + " sensors");
+  }
   r.f64(delivery_rate_);
   r.f64(offered_rate_);
   r.f64(weighted_hops_);
   r.f64(delivering_rate_);
   r.size(delivering_sources_);
-  std::size_t n = 0;
-  r.size(n);
+  const std::size_t n = r.count(8);
   routes_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t source = 0;
     r.u64(source);
+    check_node(source, "source");
     SourceFlow flow{0.0, {}, {}, {}, 1.0};
     r.f64(flow.rate_pps);
     std::vector<std::uint64_t> path;
     r.vec(path);
+    for (const std::uint64_t node : path) check_node(node, "relay");
     flow.relay_path.assign(path.begin(), path.end());
     r.vec(flow.hop_etx);
     r.vec(flow.hop_success);
+    if (!(flow.hop_etx.empty() || flow.hop_etx.size() == path.size()) ||
+        flow.hop_success.size() != flow.hop_etx.size()) {
+      reject("flow of source " + std::to_string(source) +
+             " has link captures that do not match its path");
+    }
     r.f64(flow.path_success);
-    routes_.emplace(static_cast<SensorId>(source), std::move(flow));
+    if (!routes_.emplace(static_cast<SensorId>(source), std::move(flow)).second) {
+      reject("source " + std::to_string(source) + " recorded twice");
+    }
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "core/error.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/plan_context.hpp"
 
 namespace wrsn {
 
@@ -207,7 +206,7 @@ KMeansResult kmeans_reference(const std::vector<Vec2>& points, std::size_t k,
 
 KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
                     Xoshiro256& rng, std::size_t max_iterations) {
-  if (planners_use_reference() || points.size() < kSmallKMeans) {
+  if (points.size() < kSmallKMeans) {
     return kmeans_reference(points, k, rng, max_iterations);
   }
   WRSN_OBS_SCOPE("kmeans/lloyd");

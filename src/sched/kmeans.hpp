@@ -26,7 +26,7 @@ struct KMeansResult {
 // The production path prunes assignment scans with Elkan/Hamerly-style
 // triangle-inequality bounds but is bit-identical to kmeans_reference on every input
 // (same RNG consumption, same assignment, centroids, wcss and iteration
-// count); WRSN_REFERENCE_PLANNERS=1 forces the reference path.
+// count); inputs below a small size cutoff run the reference directly.
 [[nodiscard]] KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
                                   Xoshiro256& rng, std::size_t max_iterations = 100);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "core/error.hpp"
@@ -46,14 +45,6 @@ double cell_size_for(double extent, std::size_t n) {
 
 }  // namespace
 
-bool planners_use_reference() {
-  static const bool use = [] {
-    const char* env = std::getenv("WRSN_REFERENCE_PLANNERS");
-    return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  }();
-  return use;
-}
-
 PlanContext::PlanContext(const std::vector<RechargeItem>& items,
                          const PlannerParams& params, PlanArena* arena)
     : items_(&items),
@@ -94,7 +85,7 @@ PlanContext::PlanContext(const std::vector<RechargeItem>& items,
 
 std::optional<std::size_t> PlanContext::greedy_next(
     const RvPlanState& rv, const std::vector<bool>& taken) const {
-  if (planners_use_reference() || size() < kSmallN) {
+  if (size() < kSmallN) {
     return wrsn::greedy_next(rv, *items_, taken, params_);
   }
   WRSN_OBS_SCOPE("planner/ctx_greedy");
@@ -192,7 +183,7 @@ std::optional<std::size_t> PlanContext::greedy_next(
 
 std::optional<std::size_t> PlanContext::nearest_next(
     const RvPlanState& rv, const std::vector<bool>& taken) const {
-  if (planners_use_reference() || size() < kSmallN) {
+  if (size() < kSmallN) {
     return wrsn::nearest_next(rv, *items_, taken, params_);
   }
   WRSN_OBS_SCOPE("planner/ctx_nearest");
@@ -362,7 +353,7 @@ void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
 
 std::vector<std::size_t> PlanContext::insertion_sequence(
     const RvPlanState& rv, std::vector<bool>& taken) const {
-  if (planners_use_reference() || size() < kSmallN) {
+  if (size() < kSmallN) {
     return wrsn::insertion_sequence(rv, *items_, taken, params_);
   }
   WRSN_OBS_SCOPE("planner/ctx_insertion");

@@ -18,10 +18,9 @@
 // only make pruning more conservative, never unsound: every query returns
 // the bit-identical result of the corresponding linear-scan reference in
 // sched/planner.hpp (ties included — lowest index wins, exactly like an
-// ascending reference scan with strict comparisons).
-//
-// Setting the environment variable WRSN_REFERENCE_PLANNERS=1 routes every
-// query back to the reference scans (A/B hook for tests and benches).
+// ascending reference scan with strict comparisons). Rounds below kSmallN
+// items run the reference scans directly; tests/test_planner_equivalence.cpp
+// calls the references itself to pin the grid paths against them.
 
 #include <optional>
 #include <vector>
@@ -32,11 +31,6 @@
 #include "sched/request.hpp"
 
 namespace wrsn {
-
-// True when WRSN_REFERENCE_PLANNERS is set (to anything but "" or "0"):
-// PlanContext queries and the optimized tsp/kmeans routines then fall back
-// to their linear reference implementations. Read once per process.
-[[nodiscard]] bool planners_use_reference();
 
 class PlanContext {
  public:

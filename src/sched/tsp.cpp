@@ -7,7 +7,6 @@
 #include "core/error.hpp"
 #include "geom/grid.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/plan_context.hpp"
 
 namespace wrsn {
 
@@ -70,7 +69,7 @@ std::vector<std::size_t> nearest_neighbor_tour_reference(
 std::vector<std::size_t> nearest_neighbor_tour(Vec2 start,
                                                const std::vector<Vec2>& points) {
   const std::size_t n = points.size();
-  if (planners_use_reference() || n < kSmallTour) {
+  if (n < kSmallTour) {
     return nearest_neighbor_tour_reference(start, points);
   }
   WRSN_OBS_SCOPE("tsp/nearest-neighbor");
@@ -197,7 +196,7 @@ void two_opt_reference(Vec2 start, const std::vector<Vec2>& points,
 // explicitly.
 void two_opt(Vec2 start, const std::vector<Vec2>& points,
              std::vector<std::size_t>& order, int max_rounds) {
-  if (planners_use_reference() || order.size() < kSmallTour) {
+  if (order.size() < kSmallTour) {
     two_opt_reference(start, points, order, max_rounds);
     return;
   }

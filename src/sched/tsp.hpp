@@ -10,8 +10,8 @@
 // spatial-grid cells in expanding rings and prune candidates against the
 // incumbent, but apply the exact same floating-point acceptance tests and
 // therefore produce identical tours (enforced by the planner-equivalence
-// property tests). Set WRSN_REFERENCE_PLANNERS=1 to force the reference
-// paths at runtime.
+// property tests). Tours below a small size cutoff run the reference
+// directly.
 
 #include <vector>
 

@@ -1,7 +1,6 @@
 #include "sim/events.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "core/error.hpp"
@@ -27,53 +26,22 @@ constexpr double kMaxDay = 9007199254740992.0;  // 2^53
 
 }  // namespace
 
-EventQueueImpl event_queue_default_impl() {
-  const char* env = std::getenv("WRSN_EVENT_QUEUE");
-  if (env == nullptr || env[0] == '\0') return EventQueueImpl::kCalendar;
-  const std::string v(env);
-  if (v == "calendar") return EventQueueImpl::kCalendar;
-  if (v == "heap") return EventQueueImpl::kHeap;
-  throw InvalidArgument("WRSN_EVENT_QUEUE must be 'heap' or 'calendar', got '" +
-                        v + "'");
-}
-
-EventQueueImpl event_queue_impl_from_name(const std::string& name) {
-  if (name.empty() || name == "auto") return event_queue_default_impl();
-  if (name == "calendar") return EventQueueImpl::kCalendar;
-  if (name == "heap") return EventQueueImpl::kHeap;
-  throw InvalidArgument(
-      "event queue must be 'auto', 'heap' or 'calendar', got '" + name + "'");
-}
-
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl) {
-  if (impl_ == EventQueueImpl::kCalendar) {
-    buckets_.resize(kMinBuckets);
-    bucket_mask_ = kMinBuckets - 1;
-  }
+EventQueue::EventQueue() {
+  buckets_.resize(kMinBuckets);
+  bucket_mask_ = kMinBuckets - 1;
 }
 
 void EventQueue::push(double time, EventKind kind, std::size_t subject,
                       std::uint64_t epoch) {
-  const Event e{time, next_seq_++, kind, subject, epoch};
-  if (impl_ == EventQueueImpl::kHeap) {
-    heap_.push(e);
-    return;
-  }
-  cal_push(e);
+  cal_push(Event{time, next_seq_++, kind, subject, epoch});
 }
 
 const Event& EventQueue::top() const {
-  if (impl_ == EventQueueImpl::kHeap) return heap_.top();
   cal_find_top();
   return buckets_[top_bucket_].front();
 }
 
 Event EventQueue::pop() {
-  if (impl_ == EventQueueImpl::kHeap) {
-    const Event e = heap_.top();
-    heap_.pop();
-    return e;
-  }
   cal_find_top();
   std::vector<Event>& bucket = buckets_[top_bucket_];
   // The bucket is a binary min-heap on (time, seq); the located top is its
@@ -100,14 +68,10 @@ std::vector<Event> EventQueue::sorted_events() const {
 
 void EventQueue::restore(const std::vector<Event>& events,
                          std::uint64_t next_seq) {
-  *this = EventQueue(impl_);
+  *this = EventQueue();
   for (const Event& e : events) {
     WRSN_REQUIRE(e.seq < next_seq, "event seq beyond restored next_seq");
-    if (impl_ == EventQueueImpl::kHeap) {
-      heap_.push(e);
-    } else {
-      cal_push(e);
-    }
+    cal_push(e);
   }
   next_seq_ = next_seq;
 }

@@ -7,21 +7,16 @@
 // subject's state changes, its epoch is bumped and stale queue entries are
 // discarded on pop instead of being deleted in place.
 //
-// Two interchangeable implementations back the queue (see
-// docs/ARCHITECTURE.md, "Event queue"):
-//  - kCalendar (the default): a classic calendar/bucket queue — the time
-//    axis is split into fixed-width "days" hashed into a power-of-two ring
-//    of "year" buckets, giving O(1) amortized push/pop under the usual
-//    hold-model workloads. Bucket count and day width resize on occupancy.
-//  - kHeap: the std::priority_queue binary heap, kept as the reference.
-// Both produce the exact same pop order — the strict (time, seq) total
-// order leaves no room for divergence — which
-// tests/test_queue_equivalence.cpp pins with randomized interleavings and
-// full-simulation report comparisons.
+// The queue is a classic calendar/bucket queue (see docs/ARCHITECTURE.md,
+// "Event queue"): the time axis is split into fixed-width "days" hashed into
+// a power-of-two ring of "year" buckets, giving O(1) amortized push/pop
+// under the usual hold-model workloads. Bucket count and day width resize on
+// occupancy. The strict (time, seq) total order leaves no room for
+// implementation-defined ties, so tests/test_queue_equivalence.cpp pins the
+// pop order against a std::priority_queue oracle (tests/support/) with
+// randomized interleavings and the pending events of real runs.
 
 #include <cstdint>
-#include <queue>
-#include <string>
 #include <vector>
 
 namespace wrsn {
@@ -73,44 +68,15 @@ struct Event {
   std::uint64_t epoch = 0;
 };
 
-enum class EventQueueImpl : std::uint8_t {
-  kCalendar,  // bucketed calendar queue (the default)
-  kHeap,      // binary heap (the reference)
-};
-
-[[nodiscard]] constexpr const char* impl_name(EventQueueImpl impl) {
-  switch (impl) {
-    case EventQueueImpl::kCalendar: return "calendar";
-    case EventQueueImpl::kHeap: return "heap";
-  }
-  return "unknown";
-}
-
-// Implementation picked by the default EventQueue constructor: kHeap when
-// WRSN_EVENT_QUEUE=heap, kCalendar when it is "calendar", unset or empty.
-// Any other value throws. Read per call so tests can toggle the environment
-// between constructions (the WRSN_REFERENCE_WORLD pattern).
-[[nodiscard]] EventQueueImpl event_queue_default_impl();
-
-// Resolves a config-key value: "heap" / "calendar" select an implementation
-// directly, "auto" (or "") defers to event_queue_default_impl(). Throws
-// InvalidArgument on anything else.
-[[nodiscard]] EventQueueImpl event_queue_impl_from_name(const std::string& name);
-
 class EventQueue {
  public:
-  EventQueue() : EventQueue(event_queue_default_impl()) {}
-  explicit EventQueue(EventQueueImpl impl);
-
-  [[nodiscard]] EventQueueImpl impl() const { return impl_; }
+  EventQueue();
 
   void push(double time, EventKind kind, std::size_t subject = 0,
             std::uint64_t epoch = 0);
 
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] std::size_t size() const {
-    return impl_ == EventQueueImpl::kHeap ? heap_.size() : cal_size_;
-  }
+  [[nodiscard]] std::size_t size() const { return cal_size_; }
   // Undefined on an empty queue (like priority_queue::top).
   [[nodiscard]] const Event& top() const;
   Event pop();
@@ -140,13 +106,9 @@ class EventQueue {
   void cal_resize(std::size_t new_nbuckets);
   [[nodiscard]] std::uint64_t day_of(double time) const;
 
-  EventQueueImpl impl_;
   std::uint64_t next_seq_ = 0;
 
-  // kHeap state.
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-
-  // kCalendar state. Each bucket chain is a binary min-heap on (time, seq)
+  // Each bucket chain is a binary min-heap on (time, seq)
   // (std::push_heap/pop_heap with Later), so locating the chain's earliest
   // event is an O(1) front peek and membership of the scanned day is decided
   // from the front alone — real workloads alias thousands of events into one

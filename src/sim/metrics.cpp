@@ -200,8 +200,7 @@ void MetricsIntegrator::deserialize(BinReader& r) {
   r.vec(waits_);
   r.vec(travels_);
   r.vec(services_);
-  std::size_t n = 0;
-  r.size(n);
+  const std::size_t n = r.count(16);
   recharge_counts_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t sensor = 0;

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -40,29 +42,81 @@ void io_rng(Ar& ar, Rng& rng) {
   }
 }
 
+// Snapshots of another schema version are refused, not reinterpreted.
+void check_version(std::uint32_t version) {
+  if (version != kSnapshotSchemaVersion) {
+    throw InvalidArgument("unsupported snapshot schema version " +
+                          std::to_string(version) + " (this build reads " +
+                          std::to_string(kSnapshotSchemaVersion) + ")");
+  }
+}
+
+// --- load-side validation --------------------------------------------------
+// A valid checksum only proves the bytes are the ones that were written.
+// Restored ids and enums index fixed-size arrays, so each one is
+// range-checked on load and a violation fails with one line.
+
+[[noreturn]] void reject(const std::string& what) {
+  throw InvalidArgument("snapshot " + what);
+}
+
+// What a restored id may be: below `limit`, or kInvalidId when `none_ok`.
+struct IdBound {
+  const char* what;
+  std::size_t limit;
+  bool none_ok = false;
+};
+
+void check_id(std::uint64_t id, const IdBound& b) {
+  if (b.none_ok && id == static_cast<std::uint64_t>(kInvalidId)) return;
+  if (id >= b.limit) {
+    reject(std::string(b.what) + " " + std::to_string(id) +
+           " out of range (limit " + std::to_string(b.limit) + ")");
+  }
+}
+
+// Battery levels stay within [0, capacity]; NaN fails too.
+void check_level(double level, double capacity, const char* what) {
+  if (!(level >= 0.0 && level <= capacity)) {
+    reject(std::string(what) + " battery level " + std::to_string(level) +
+           " outside [0, " + std::to_string(capacity) + "]");
+  }
+}
+
+template <typename V>
+void check_size(const V& v, std::size_t want, const char* what) {
+  if (v.size() != want) {
+    reject(std::string(what) + " has " + std::to_string(v.size()) +
+           " entries, expected " + std::to_string(want));
+  }
+}
+
 // Index scalar (SensorId / TargetId / std::size_t) through u64, so the
-// encoding never depends on the platform's size_t flavour.
+// encoding never depends on the platform's size_t flavour. On load the
+// value is checked against `bound`.
 template <typename Ar, typename T>
-void io_index(Ar& ar, T& v) {
+void io_index(Ar& ar, T& v, const IdBound& bound) {
   if constexpr (kLoading<Ar>) {
     std::uint64_t e = 0;
     ar.u64(e);
+    check_id(e, bound);
     v = static_cast<std::decay_t<T>>(e);
   } else {
     ar.u64(static_cast<std::uint64_t>(v));
   }
 }
 
+// A vector of ids (or, without a bound, of plain counts).
 template <typename Ar, typename V>
-void io_index_vec(Ar& ar, V& v) {
+void io_index_vec(Ar& ar, V& v, const IdBound* bound = nullptr) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
+    const std::size_t n = ar.count(8);
     v.clear();
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       std::uint64_t e = 0;
       ar.u64(e);
+      if (bound != nullptr) check_id(e, *bound);
       v.push_back(static_cast<typename V::value_type>(e));
     }
   } else {
@@ -74,13 +128,11 @@ void io_index_vec(Ar& ar, V& v) {
 template <typename Ar, typename V>
 void io_bool_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), false);
-    for (std::uint64_t i = 0; i < n; ++i) {
+    v.assign(ar.count(1), false);
+    for (std::size_t i = 0; i < v.size(); ++i) {
       bool b = false;
       ar.boolean(b);
-      v[static_cast<std::size_t>(i)] = b;
+      v[i] = b;
     }
   } else {
     ar.u64(v.size());
@@ -88,11 +140,13 @@ void io_bool_vec(Ar& ar, V& v) {
   }
 }
 
+// One-byte enum with `count` enumerators; larger values are rejected.
 template <typename Ar, typename E>
-void io_enum8(Ar& ar, E& v) {
+void io_enum8(Ar& ar, E& v, std::size_t count, const char* what) {
   if constexpr (kLoading<Ar>) {
     std::uint8_t b = 0;
     ar.u8(b);
+    check_id(b, IdBound{what, count});
     v = static_cast<std::decay_t<E>>(b);
   } else {
     ar.u8(static_cast<std::uint8_t>(v));
@@ -100,28 +154,19 @@ void io_enum8(Ar& ar, E& v) {
 }
 
 template <typename Ar, typename V>
-void io_enum8_vec(Ar& ar, V& v) {
+void io_enum8_vec(Ar& ar, V& v, std::size_t count, const char* what) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), typename V::value_type{});
-    for (auto& e : v) {
-      std::uint8_t b = 0;
-      ar.u8(b);
-      e = static_cast<typename V::value_type>(b);
-    }
+    v.assign(ar.count(1), typename V::value_type{});
   } else {
     ar.u64(v.size());
-    for (const auto e : v) ar.u8(static_cast<std::uint8_t>(e));
   }
+  for (auto& e : v) io_enum8(ar, e, count, what);
 }
 
 template <typename Ar, typename V>
 void io_vec2_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), Vec2{});
+    v.assign(ar.count(16), Vec2{});
   } else {
     ar.u64(v.size());
   }
@@ -142,14 +187,36 @@ void io_battery_level(Ar& ar, B& battery) {
   }
 }
 
+// Encoded sizes of the fixed-size records, for ar.count().
+constexpr std::size_t kEventBytes = 8 + 8 + 1 + 8 + 8;
+constexpr std::size_t kSeriesPointBytes = 6 * 8;
+
 // One queued event; shared by the save loop (on a by-value copy) and the
-// load loop (on a default-constructed Event).
+// load loop (on a default-constructed Event). The subject is checked
+// against the id space its kind names.
 template <typename Ar>
-void io_event(Ar& ar, Event& e) {
+void io_event(Ar& ar, Event& e, std::size_t num_sensors, std::size_t num_targets,
+              std::size_t num_rvs) {
   ar.f64(e.time);
   ar.u64(e.seq);
-  io_enum8(ar, e.kind);
-  io_index(ar, e.subject);
+  io_enum8(ar, e.kind, kNumEventKinds, "event kind");
+  std::size_t limit = std::numeric_limits<std::size_t>::max();
+  switch (e.kind) {
+    case EventKind::kTargetMove: limit = num_targets; break;
+    case EventKind::kSensorCrossing:
+    case EventKind::kRequestUplink:
+    case EventKind::kSensorFaultStart:
+    case EventKind::kSensorFaultEnd: limit = num_sensors; break;
+    case EventKind::kRvArrival:
+    case EventKind::kRvChargeDone:
+    case EventKind::kRvBaseChargeDone:
+    case EventKind::kRvBreakdown:
+    case EventKind::kRvRepaired: limit = num_rvs; break;
+    case EventKind::kSlotRotation:
+    case EventKind::kMetricsSample:
+    case EventKind::kSimEnd: break;
+  }
+  io_index(ar, e.subject, IdBound{"event subject", limit});
   ar.u64(e.epoch);
 }
 
@@ -167,17 +234,24 @@ void io_series_point(Ar& ar, P& p) {
 
 // The one place that walks World's mutable members. Instantiated twice:
 // (const World&, BinWriter&) to save, (World&, BinReader&) to load. Members
-// rebuilt deterministically by the World(config, engine) constructor — the
+// rebuilt deterministically by the World(config) constructor — the
 // deployment, comm graph, sensing grid, SoA capacity/positions, fault plan,
-// scheduler policy, executor, scratch buffers — are deliberately absent;
-// the target bucket grid is re-initialized from the restored target
-// positions at the end (its query results are order-insensitive).
+// scheduler policy, scratch buffers — are deliberately absent; the target
+// bucket grid is re-initialized from the restored target positions at the
+// end (its query results are order-insensitive). On load every id, enum and
+// per-entity vector length is checked against the config's sizes.
 struct SnapshotAccess {
   template <typename W, typename Ar>
   static void io(W& w, Ar& ar) {
     constexpr bool kLoad = kLoading<Ar>;
     const std::size_t num_sensors = w.config_.num_sensors;
     const std::size_t num_targets = w.config_.num_targets;
+    const std::size_t num_rvs = w.config_.num_rvs;
+    const IdBound sensor_id{"sensor id", num_sensors};
+    const IdBound target_or_none{"target id", num_targets, true};
+    const auto sized = [&](const auto& v, std::size_t want, const char* what) {
+      if constexpr (kLoad) check_size(v, want, what);
+    };
 
     // --- clock, counters, RNG positions ---------------------------------
     ar.f64(w.now_);
@@ -199,9 +273,16 @@ struct SnapshotAccess {
     ar.vec(w.soa_.death_processed);
     ar.vec(w.soa_.hw_fault);
     if constexpr (kLoad) {
-      WRSN_REQUIRE(w.soa_.level.size() == num_sensors,
-                   "snapshot sensor count does not match its config");
+      check_size(w.soa_.level, num_sensors, "battery levels");
+      check_size(w.soa_.drain, num_sensors, "drains");
+      check_size(w.soa_.last_settle, num_sensors, "settle times");
+      check_size(w.soa_.epoch, num_sensors, "sensor epochs");
+      check_size(w.soa_.crossing_time, num_sensors, "crossing times");
+      check_size(w.soa_.crossing_to_death, num_sensors, "crossing targets");
+      check_size(w.soa_.death_processed, num_sensors, "death flags");
+      check_size(w.soa_.hw_fault, num_sensors, "hardware-fault flags");
       for (SensorId s = 0; s < num_sensors; ++s) {
+        check_level(w.soa_.level[s], w.soa_.capacity[s], "sensor");
         w.net_.sensor(s).battery.set_level(Joule{w.soa_.level[s]});
       }
     }
@@ -209,7 +290,7 @@ struct SnapshotAccess {
     // --- network mirrors & routing ---------------------------------------
     for (std::size_t s = 0; s < num_sensors; ++s) {
       auto& sensor = w.net_.sensor(s);
-      io_index(ar, sensor.assigned_target);
+      io_index(ar, sensor.assigned_target, target_or_none);
       ar.boolean(sensor.monitoring);
       ar.boolean(sensor.recharge_requested);
     }
@@ -232,6 +313,7 @@ struct SnapshotAccess {
       std::vector<bool> mask;
       if constexpr (!kLoad) mask = w.net_.last_alive_mask();
       io_bool_vec(ar, mask);
+      sized(mask, num_sensors, "routing mask");
       if constexpr (kLoad) w.net_.restore_routing(mask);
     }
     if constexpr (kLoad) {
@@ -242,23 +324,23 @@ struct SnapshotAccess {
 
     // --- clustering & activation -----------------------------------------
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.clusters_.members.assign(static_cast<std::size_t>(n),
-                                 std::vector<SensorId>{});
+      w.clusters_.members.assign(ar.count(8), std::vector<SensorId>{});
     } else {
       ar.u64(w.clusters_.members.size());
     }
-    for (auto& members : w.clusters_.members) io_index_vec(ar, members);
-    io_index_vec(ar, w.clusters_.assignment);
+    sized(w.clusters_.members, num_targets, "clusters");
+    for (auto& members : w.clusters_.members) {
+      io_index_vec(ar, members, &sensor_id);
+    }
+    io_index_vec(ar, w.clusters_.assignment, &target_or_none);
+    sized(w.clusters_.assignment, num_sensors, "cluster assignment");
     io_index_vec(ar, w.clusters_.loads);
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.rotors_.assign(static_cast<std::size_t>(n), ClusterRotor{});
+      w.rotors_.assign(ar.count(16), ClusterRotor{});
+      check_size(w.rotors_, num_targets, "rotors");
       for (auto& rotor : w.rotors_) {
         std::vector<SensorId> members;
-        io_index_vec(ar, members);
+        io_index_vec(ar, members, &sensor_id);
         std::size_t cursor = 0;
         ar.size(cursor);
         rotor.restore(std::move(members), cursor);
@@ -270,23 +352,31 @@ struct SnapshotAccess {
         ar.size(rotor.cursor());
       }
     }
-    io_index_vec(ar, w.active_monitor_);
+    {
+      const IdBound monitor{"active monitor", num_sensors, true};
+      io_index_vec(ar, w.active_monitor_, &monitor);
+    }
+    sized(w.active_monitor_, num_targets, "active monitors");
     io_bool_vec(ar, w.coverable_);
+    sized(w.coverable_, num_targets, "coverable flags");
     io_bool_vec(ar, w.covered_);
+    sized(w.covered_, num_targets, "covered flags");
     io_index_vec(ar, w.alive_members_);
+    sized(w.alive_members_, num_targets, "alive-member counts");
     ar.size(w.alive_count_);
     ar.size(w.coverable_count_);
     ar.size(w.covered_count_);
 
     // --- recharge requests & claims --------------------------------------
+    const IdBound request_sensor{"request sensor", num_sensors};
+    const IdBound request_cluster{"request cluster", num_targets, true};
     if constexpr (kLoad) {
       w.requests_.clear();
-      std::uint64_t n = 0;
-      ar.u64(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
+      const std::size_t n = ar.count(8);
+      for (std::size_t i = 0; i < n; ++i) {
         RechargeRequest req;
-        io_index(ar, req.sensor);
-        io_index(ar, req.cluster);
+        io_index(ar, req.sensor, request_sensor);
+        io_index(ar, req.cluster, request_cluster);
         ar.f64(req.pos.x);
         ar.f64(req.pos.y);
         double demand = 0.0;
@@ -294,14 +384,18 @@ struct SnapshotAccess {
         req.demand = Joule{demand};
         ar.boolean(req.critical);
         ar.f64(req.fraction);
+        if (w.requests_.contains(req.sensor)) {
+          reject("request for sensor " + std::to_string(req.sensor) +
+                 " recorded twice");
+        }
         w.requests_.add(req);  // arrival order rebuilds the slot index
       }
     } else {
       const auto& reqs = w.requests_.requests();
       ar.u64(reqs.size());
       for (const RechargeRequest& req : reqs) {
-        io_index(ar, req.sensor);
-        io_index(ar, req.cluster);
+        io_index(ar, req.sensor, request_sensor);
+        io_index(ar, req.cluster, request_cluster);
         ar.f64(req.pos.x);
         ar.f64(req.pos.y);
         ar.f64(req.demand.value());
@@ -310,14 +404,16 @@ struct SnapshotAccess {
       }
     }
     ar.vec(w.request_time_);
+    sized(w.request_time_, num_sensors, "request times");
     {
       // claimed_ is an unordered_set; sorted for canonical snapshot bytes.
+      const IdBound claim{"claimed sensor", num_sensors};
       std::vector<SensorId> claimed;
       if constexpr (!kLoad) {
         claimed.assign(w.claimed_.begin(), w.claimed_.end());
         std::sort(claimed.begin(), claimed.end());
       }
-      io_index_vec(ar, claimed);
+      io_index_vec(ar, claimed, &claim);
       if constexpr (kLoad) {
         w.claimed_.clear();
         w.claimed_.insert(claimed.begin(), claimed.end());
@@ -326,25 +422,30 @@ struct SnapshotAccess {
 
     // --- RV fleet ---------------------------------------------------------
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      WRSN_REQUIRE(n == w.rvs_.size(),
-                   "snapshot RV count does not match its config");
+      const std::size_t n = ar.count(8);
+      if (n != w.rvs_.size()) {
+        reject("RV count " + std::to_string(n) + " does not match its config (" +
+               std::to_string(w.rvs_.size()) + ")");
+      }
     } else {
       ar.u64(w.rvs_.size());
     }
+    const IdBound queued{"service-queue sensor", num_sensors};
     for (auto& rv : w.rvs_) {
-      io_index(ar, rv.id);
+      io_index(ar, rv.id, IdBound{"RV id", num_rvs});
       ar.f64(rv.pos.x);
       ar.f64(rv.pos.y);
       io_battery_level(ar, rv.battery);
-      io_enum8(ar, rv.state);
+      if constexpr (kLoad) {
+        check_level(rv.battery.level().value(), rv.battery.capacity().value(), "RV");
+      }
+      io_enum8(ar, rv.state, kRvStates, "RV state");
       ar.boolean(rv.in_field);
       {
         std::vector<SensorId> queue;
         if constexpr (!kLoad) queue.assign(rv.service_queue.begin(),
                                            rv.service_queue.end());
-        io_index_vec(ar, queue);
+        io_index_vec(ar, queue, &queued);
         if constexpr (kLoad) rv.service_queue.assign(queue.begin(), queue.end());
       }
       ar.u64(rv.epoch);
@@ -355,41 +456,52 @@ struct SnapshotAccess {
 
     // --- fault-injection cursors & uplink state machine -------------------
     ar.vec(w.uplink_epoch_);
+    sized(w.uplink_epoch_, num_sensors, "uplink epochs");
     ar.vec(w.uplink_attempt_);
-    io_enum8_vec(ar, w.uplink_pending_);
+    sized(w.uplink_attempt_, num_sensors, "uplink attempts");
+    io_enum8_vec(ar, w.uplink_pending_, kUplinkStates, "uplink state");
+    sized(w.uplink_pending_, num_sensors, "uplink states");
     ar.vec(w.stranded_since_);
+    sized(w.stranded_since_, num_sensors, "stranding times");
     io_index_vec(ar, w.rv_breakdown_idx_);
+    sized(w.rv_breakdown_idx_, num_rvs, "breakdown cursors");
     ar.vec(w.breakdown_began_);
+    sized(w.breakdown_began_, num_rvs, "breakdown starts");
 
     // --- target motion ----------------------------------------------------
     io_vec2_vec(ar, w.target_waypoint_);
+    sized(w.target_waypoint_, num_targets, "waypoints");
     io_bool_vec(ar, w.target_dwelling_);
+    sized(w.target_dwelling_, num_targets, "dwell flags");
 
     // --- event queue (canonical (time, seq) order) ------------------------
     if constexpr (kLoad) {
       std::uint64_t next_seq = 0;
       ar.u64(next_seq);
-      std::uint64_t n = 0;
-      ar.u64(n);
-      std::vector<Event> events;
-      events.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        Event e;
-        io_event(ar, e);
-        events.push_back(e);
+      std::vector<Event> events(ar.count(kEventBytes));
+      for (Event& e : events) {
+        io_event(ar, e, num_sensors, num_targets, num_rvs);
+        // Pending events never precede the capture instant (the event
+        // loop's own tolerance); this also rejects NaN times.
+        if (!(e.time + 1e-9 >= w.now_)) {
+          reject("event at t=" + std::to_string(e.time) +
+                 " precedes the snapshot time " + std::to_string(w.now_));
+        }
       }
+      check_fault_events(w, events);
       w.queue_.restore(events, next_seq);
     } else {
       ar.u64(w.queue_.next_seq());
       const std::vector<Event> events = w.queue_.sorted_events();
       ar.u64(events.size());
-      for (Event e : events) io_event(ar, e);
+      for (Event e : events) io_event(ar, e, num_sensors, num_targets, num_rvs);
     }
 
     // --- pending drain marks (insertion order) ----------------------------
     if constexpr (kLoad) {
+      const IdBound mark{"drain mark", num_sensors};
       std::vector<std::size_t> marks;
-      io_index_vec(ar, marks);
+      io_index_vec(ar, marks, &mark);
       w.drain_marks_.reset(num_sensors);
       for (const std::size_t id : marks) w.drain_marks_.add(id);
     } else {
@@ -404,9 +516,7 @@ struct SnapshotAccess {
     }
     ar.boolean(w.record_series_);
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.series_.assign(static_cast<std::size_t>(n), TimeSeriesPoint{});
+      w.series_.assign(ar.count(kSeriesPointBytes), TimeSeriesPoint{});
     } else {
       ar.u64(w.series_.size());
     }
@@ -415,12 +525,19 @@ struct SnapshotAccess {
     // --- span bookkeeping & latency stamps --------------------------------
     ar.boolean(w.spans_closed_);
     ar.vec(w.request_span_);
+    sized(w.request_span_, num_sensors, "request spans");
     ar.vec(w.rv_tour_span_);
+    sized(w.rv_tour_span_, num_rvs, "tour spans");
     ar.vec(w.rv_leg_span_);
+    sized(w.rv_leg_span_, num_rvs, "leg spans");
     ar.vec(w.rv_breakdown_span_);
+    sized(w.rv_breakdown_span_, num_rvs, "breakdown spans");
     ar.vec(w.req_travel_accum_);
+    sized(w.req_travel_accum_, num_sensors, "approach times");
     ar.vec(w.leg_began_);
+    sized(w.leg_began_, num_rvs, "leg starts");
     ar.vec(w.charge_began_);
+    sized(w.charge_began_, num_rvs, "charge starts");
 
     // --- post-load fixups -------------------------------------------------
     if constexpr (kLoad) {
@@ -431,13 +548,44 @@ struct SnapshotAccess {
                            w.current_target_positions());
     }
   }
+
+  // Fault events only exist when the config enables faults (their handlers
+  // read the fault plan), and each RV's pending breakdowns plus the ones
+  // already consumed cannot outnumber its plan's windows.
+  static void check_fault_events(const World& w, const std::vector<Event>& events) {
+    std::vector<std::size_t> breakdowns = w.rv_breakdown_idx_;
+    for (const Event& e : events) {
+      const bool fault_kind = e.kind == EventKind::kRvBreakdown ||
+                              e.kind == EventKind::kRvRepaired ||
+                              e.kind == EventKind::kSensorFaultStart ||
+                              e.kind == EventKind::kSensorFaultEnd;
+      if (fault_kind && w.fault_ == nullptr) {
+        reject(std::string("event kind ") + kind_name(e.kind) +
+               " in a run without faults");
+      }
+      if (e.kind == EventKind::kRvBreakdown) ++breakdowns[e.subject];
+    }
+    for (RvId r = 0; r < breakdowns.size(); ++r) {
+      const std::size_t windows =
+          w.fault_ == nullptr ? 0 : w.fault_->plan().rv_breakdowns(r).size();
+      if (breakdowns[r] > windows) {
+        reject("RV " + std::to_string(r) + " has " + std::to_string(breakdowns[r]) +
+               " breakdowns for " + std::to_string(windows) + " plan windows");
+      }
+    }
+  }
+
+  // Enumerator counts of the one-byte enums in the body.
+  static constexpr std::size_t kRvStates =
+      static_cast<std::size_t>(Rv::State::kBrokenDown) + 1;
+  static constexpr std::size_t kUplinkStates =
+      static_cast<std::size_t>(World::UplinkPending::kRetry) + 1;
 };
 
 WorldSnapshot World::checkpoint() const {
   WorldSnapshot snap;
   snap.version = kSnapshotSchemaVersion;
   snap.config_text = config_to_text(config_);
-  snap.engine = static_cast<std::uint8_t>(engine_);
   snap.now = now_;
   snap.events_processed = events_processed_;
   BinWriter w;
@@ -452,14 +600,12 @@ WorldSnapshot World::checkpoint() const {
 }
 
 World::World(const WorldSnapshot& snap)
-    : World(config_from_text(snap.config_text),
-            static_cast<WorldEngine>(snap.engine)) {
+    : World(config_from_text(snap.config_text)) {
   load_state(snap);
 }
 
 void World::load_state(const WorldSnapshot& snap) {
-  WRSN_REQUIRE(snap.version == kSnapshotSchemaVersion,
-               "unsupported snapshot schema version");
+  check_version(snap.version);
   BinReader r(snap.state);
   SnapshotAccess::io(*this, r);
   r.expect_end();
@@ -469,7 +615,6 @@ std::string serialize_snapshot(const WorldSnapshot& snap) {
   BinWriter w;
   w.u32(snap.version);
   w.str(snap.config_text);
-  w.u8(snap.engine);
   w.f64(snap.now);
   w.u64(snap.events_processed);
   w.str(snap.span_state);
@@ -495,10 +640,8 @@ WorldSnapshot deserialize_snapshot(std::string_view bytes) {
   BinReader r(payload.substr(kMagic.size()));
   WorldSnapshot snap;
   r.u32(snap.version);
-  WRSN_REQUIRE(snap.version == kSnapshotSchemaVersion,
-               "unsupported snapshot schema version");
+  check_version(snap.version);
   r.str(snap.config_text);
-  r.u8(snap.engine);
   r.f64(snap.now);
   r.u64(snap.events_processed);
   r.str(snap.span_state);

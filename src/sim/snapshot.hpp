@@ -7,16 +7,18 @@
 // counters, metrics accumulators, span bookkeeping — such that restoring it
 // and running to the horizon is byte-identical (report JSON, traces, spans,
 // battery bit patterns) to never having stopped. The equivalence suite
-// (tests/test_snapshot_equivalence.cpp) pins this across both engines, both
-// queue implementations and fault injection.
+// (tests/test_snapshot_equivalence.cpp) pins this for the World and its
+// full-rescan oracle, with and without fault injection. Restore validates
+// what it reads: lengths against the bytes left, ids and enums against the
+// config's sizes, each violation failing with one InvalidArgument line.
 //
 // The config rides inside the snapshot as its canonical text dump
 // (core/config_io.hpp, shortest-round-trip doubles), so a snapshot file is
 // self-contained: restore needs no side-channel.
 //
 // File format ("WRSNSNAP"):
-//   magic[8] | u32 schema version | binio header (config text, engine, now,
-//   events processed, span state) | opaque binary body | u64 FNV-1a trailer
+//   magic[8] | u32 schema version | binio header (config text, now, events
+//   processed, span state) | opaque binary body | u64 FNV-1a trailer
 // The trailer covers everything before it; load rejects truncated or
 // bit-rotten files before any deserialization happens.
 
@@ -32,12 +34,13 @@ namespace wrsn {
 
 // v2: routing policy knob + link-quality layer (traffic flows carry per-hop
 // ETX/success captures, the integrator tracks packets_offered).
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 2;
+// v3: the header loses its engine byte (one World engine) and the config
+// text its event-queue key.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
 
 struct WorldSnapshot {
   std::uint32_t version = kSnapshotSchemaVersion;
   std::string config_text;           // full config dump, round-trippable
-  std::uint8_t engine = 0;           // WorldEngine at capture time
   double now = 0.0;                  // simulated seconds at capture
   std::uint64_t events_processed = 0;
   std::string state;                 // opaque binary body (SnapshotAccess)

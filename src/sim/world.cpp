@@ -1,7 +1,6 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "activity/erp.hpp"
@@ -29,18 +28,8 @@ const std::array<std::string, kNumEventKinds>& popped_counter_names() {
 }
 }  // namespace
 
-WorldEngine world_default_engine() {
-  const char* env = std::getenv("WRSN_REFERENCE_WORLD");
-  const bool reference =
-      env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return reference ? WorldEngine::kReference : WorldEngine::kIncremental;
-}
-
-World::World(const SimConfig& config) : World(config, world_default_engine()) {}
-
-World::World(const SimConfig& config, WorldEngine engine)
+World::World(const SimConfig& config)
     : config_(config),
-      engine_(engine),
       streams_(config.seed),
       target_rng_(streams_.stream("targets")),
       sched_rng_(streams_.stream("scheduler")),
@@ -52,10 +41,6 @@ World::World(const SimConfig& config, WorldEngine engine)
       }()),
       traffic_(config.num_sensors) {
   end_ = config_.sim_duration.value();
-  // Re-seat the queue on the configured implementation (the default member
-  // construction already consulted WRSN_EVENT_QUEUE; an explicit config key
-  // overrides it). Nothing has been pushed yet, so this is a plain swap.
-  queue_ = EventQueue(event_queue_impl_from_name(config_.event_queue));
 
   if (config_.fault.enabled) fault_ = std::make_unique<FaultInjector>(config_);
   uplink_epoch_.assign(config_.num_sensors, 0);
@@ -76,8 +61,8 @@ World::World(const SimConfig& config, WorldEngine engine)
   soa_.init(net_);
   covered_.assign(config_.num_targets, false);
   alive_members_.assign(config_.num_targets, 0);
-  // Both engines collect dirty marks (cleared by either refresh flavour) so
-  // switching engines never changes the traffic model's behaviour.
+  // Dirty marks are collected whichever way the drain refresh runs (marks
+  // or full scan, both clear them), so the traffic model behaves the same.
   drain_marks_.reset(config_.num_sensors);
   traffic_.set_touch_log(&drain_marks_);
   // Install the link-quality model before any source registration (the
@@ -321,9 +306,7 @@ void World::advance_to(double t) {
   WRSN_ASSERT(t + 1e-9 >= now_, "time went backwards");
   if (t <= now_) return;
   const double dt = t - now_;
-  metrics_.advance(Second{dt}, engine_ == WorldEngine::kReference
-                                   ? snapshot_scan()
-                                   : snapshot_counters());
+  metrics_.advance(Second{dt}, derived_state());
   now_ = t;
 }
 
@@ -352,39 +335,9 @@ void World::settle_all_sensors() {
   for (SensorId s = 0; s < soa_.last_settle.size(); ++s) settle_sensor(s);
 }
 
-StateSnapshot World::snapshot() const {
-  return engine_ == WorldEngine::kReference ? snapshot_scan()
-                                            : snapshot_counters();
-}
+StateSnapshot World::snapshot() const { return derived_state(); }
 
-StateSnapshot World::snapshot_scan() const {
-  StateSnapshot snap;
-  snap.total_sensors = net_.num_sensors();
-  snap.alive_sensors = net_.alive_count();
-  snap.delivery_rate_pps = traffic_.delivery_rate();
-  snap.offered_rate_pps = traffic_.offered_rate();
-  snap.avg_delivery_hops = traffic_.average_delivery_hops();
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    if (!coverable_[t]) continue;
-    ++snap.coverable_targets;
-    bool covered = false;
-    if (config_.activation == ActivationPolicy::kRoundRobin) {
-      const SensorId m = active_monitor_[t];
-      covered = m != kInvalidId && operational(m);
-    } else {
-      for (SensorId s : clusters_.members[t]) {
-        if (operational(s)) {
-          covered = true;
-          break;
-        }
-      }
-    }
-    if (covered) ++snap.covered_targets;
-  }
-  return snap;
-}
-
-StateSnapshot World::snapshot_counters() const {
+StateSnapshot World::derived_state() const {
   StateSnapshot snap;
   snap.total_sensors = net_.num_sensors();
   snap.alive_sensors = alive_count_;
@@ -446,22 +399,14 @@ void World::refresh_drains() {
   drain_marks_.clear();
 }
 
-void World::flush_drain_marks() {
-  // Ascending-id order matches the reference full scan, so equal-time
-  // crossings enqueue with identical tie-break sequence numbers. The set is
-  // already duplicate-free (DirtySet dedupes at insert), so a plain sort of
-  // the marked ids suffices.
+void World::request_drain_refresh() {
+  // Ascending-id order matches a full scan, so equal-time crossings enqueue
+  // with identical tie-break sequence numbers. The set is already
+  // duplicate-free (DirtySet dedupes at insert), so a plain sort of the
+  // marked ids suffices.
   drain_marks_.sort_ids();
   for (const SensorId s : drain_marks_.ids()) update_drain(s);
   drain_marks_.clear();
-}
-
-void World::request_drain_refresh() {
-  if (engine_ == WorldEngine::kReference) {
-    refresh_drains();
-  } else {
-    flush_drain_marks();
-  }
 }
 
 double World::crossing_prediction(SensorId s) const {
@@ -598,38 +543,7 @@ void World::recluster() {
     traffic_.clear_sources();
     for (Sensor& s : net_.sensors()) s.monitoring = false;
 
-    // Clusters plus each target's coverable bit (any sensor, alive or not,
-    // in range).
-    coverable_.assign(net_.num_targets(), false);
-    if (engine_ == WorldEngine::kReference) {
-      std::vector<bool> alive(net_.num_sensors());
-      for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
-      // Sensor positions are static for the whole run, so the SoA block
-      // doubles as the clustering input without a per-recluster copy.
-      clusters_ = balanced_clustering(soa_.pos, current_target_positions(),
-                                      config_.sensing_range.value(), alive);
-      for (TargetId t = 0; t < net_.num_targets(); ++t) {
-        coverable_[t] = net_.any_covering_scan(net_.target(t).pos);
-      }
-    } else {
-      // Same candidate sets from one sensing-grid query per target: the
-      // covering sensors, alive ones only, ascending. The buffers persist
-      // across reclusters, so teleport motion allocates nothing O(N) here.
-      recluster_cand_.resize(net_.num_targets());
-      for (TargetId t = 0; t < net_.num_targets(); ++t) {
-        std::vector<SensorId>& list = recluster_cand_[t];
-        list.clear();
-        bool coverable = false;
-        net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
-          coverable = true;
-          if (soa_.alive(s)) list.push_back(s);
-        });
-        coverable_[t] = coverable;
-        std::sort(list.begin(), list.end());
-      }
-      balanced_clustering(recluster_cand_, net_.num_sensors(), clusters_,
-                          admission_scratch_);
-    }
+    cluster_all_targets();
     for (SensorId s = 0; s < net_.num_sensors(); ++s) {
       net_.sensor(s).assigned_target = clusters_.assignment[s];
     }
@@ -656,64 +570,44 @@ void World::recluster() {
     }
 
     rebuild_counters();
-    refresh_drains();  // full scan in both engines; clears pending marks
+    refresh_drains();  // every drain may have changed; clears pending marks
     for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
   }
   dispatch();
 }
 
+void World::cluster_all_targets() {
+  // Each target's candidates from one sensing-grid query: the covering
+  // sensors, alive ones only, ascending; a target is coverable when any
+  // sensor, alive or not, is in range. The buffers persist across
+  // reclusters, so teleport motion allocates nothing O(N) here.
+  coverable_.assign(net_.num_targets(), false);
+  recluster_cand_.resize(net_.num_targets());
+  for (TargetId t = 0; t < net_.num_targets(); ++t) {
+    std::vector<SensorId>& list = recluster_cand_[t];
+    list.clear();
+    bool coverable = false;
+    net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
+      coverable = true;
+      if (soa_.alive(s)) list.push_back(s);
+    });
+    coverable_[t] = coverable;
+    std::sort(list.begin(), list.end());
+  }
+  balanced_clustering(recluster_cand_, net_.num_sensors(), clusters_,
+                      admission_scratch_);
+}
+
 void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
   const Vec2 new_pos = net_.target(t).pos;
-  // Mirror the step into the target grid (maintained under both engines so
-  // the index is always current; only the incremental engine queries it).
-  target_index_.move(t, new_pos);
+  target_index_.move(t, new_pos);  // the grid rebalance() queries
 
   // Dirty region: alive sensors within sensing range of either endpoint of
   // the step. Only their candidate sets can change — and only target t's
   // coverable bit, since sensor positions are static.
-  std::vector<SensorId> dirty;
-  if (engine_ == WorldEngine::kReference) {
-    const double range = config_.sensing_range.value();
-    const double r2 = range * range;
-    for (SensorId s = 0; s < net_.num_sensors(); ++s) {
-      if (!soa_.alive(s)) continue;
-      if (squared_distance(soa_.pos[s], old_pos) <= r2 ||
-          squared_distance(soa_.pos[s], new_pos) <= r2) {
-        dirty.push_back(s);
-      }
-    }
-  } else {
-    net_.for_each_covering(old_pos, [&](SensorId s) {
-      if (soa_.alive(s)) dirty.push_back(s);
-    });
-    net_.for_each_covering(new_pos, [&](SensorId s) {
-      if (soa_.alive(s)) dirty.push_back(s);
-    });
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  }
-
-  set_coverable(t, engine_ == WorldEngine::kReference
-                       ? net_.any_covering_scan(new_pos)
-                       : net_.any_covering(new_pos));
-
-  // Reference engine: candidate sets by full target scan (the original
-  // code path, kept as the oracle). Incremental engine: same sets from the
-  // target grid — the equivalence suite checks the runs stay byte-identical.
-  RebalanceResult res;
-  if (engine_ == WorldEngine::kReference) {
-    const std::vector<Vec2> target_pos = current_target_positions();
-    res = rebalance_dirty(
-        clusters_, [this](SensorId s) { return soa_.pos[s]; }, target_pos,
-        config_.sensing_range.value(), dirty);
-  } else {
-    cand_scratch_.resize(dirty.size());
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      target_index_.candidates(soa_.pos[dirty[i]],
-                               config_.sensing_range.value(), cand_scratch_[i]);
-    }
-    res = rebalance_dirty(clusters_, cand_scratch_, dirty);
-  }
+  const StepRegion region = step_region(old_pos, new_pos);
+  set_coverable(t, region.coverable);
+  const RebalanceResult res = rebalance(region.dirty);
   for (const RebalanceResult::Move& mv : res.moves) {
     net_.sensor(mv.sensor).assigned_target = mv.to;
   }
@@ -786,19 +680,32 @@ void World::apply_rebalance(const RebalanceResult& res,
   for (const TargetId a : affected) evaluate_cluster_requests(a);
 }
 
-void World::revive_membership(SensorId s) {
-  RebalanceResult res;
-  if (engine_ == WorldEngine::kReference) {
-    const std::vector<Vec2> target_pos = current_target_positions();
-    res = rebalance_dirty(
-        clusters_, [this](SensorId id) { return soa_.pos[id]; }, target_pos,
-        config_.sensing_range.value(), {s});
-  } else {
-    cand_scratch_.resize(1);
-    target_index_.candidates(soa_.pos[s], config_.sensing_range.value(),
-                             cand_scratch_[0]);
-    res = rebalance_dirty(clusters_, cand_scratch_, {s});
+World::StepRegion World::step_region(Vec2 from, Vec2 to) const {
+  StepRegion region;
+  net_.for_each_covering(from, [&](SensorId s) {
+    if (soa_.alive(s)) region.dirty.push_back(s);
+  });
+  net_.for_each_covering(to, [&](SensorId s) {
+    if (soa_.alive(s)) region.dirty.push_back(s);
+  });
+  std::sort(region.dirty.begin(), region.dirty.end());
+  region.dirty.erase(std::unique(region.dirty.begin(), region.dirty.end()),
+                     region.dirty.end());
+  region.coverable = net_.any_covering(to);
+  return region;
+}
+
+RebalanceResult World::rebalance(const std::vector<SensorId>& dirty) {
+  cand_scratch_.resize(dirty.size());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    target_index_.candidates(soa_.pos[dirty[i]], config_.sensing_range.value(),
+                             cand_scratch_[i]);
   }
+  return rebalance_dirty(clusters_, cand_scratch_, dirty);
+}
+
+void World::revive_membership(SensorId s) {
+  const RebalanceResult res = rebalance({s});
   for (const RebalanceResult::Move& mv : res.moves) {
     net_.sensor(mv.sensor).assigned_target = mv.to;
   }

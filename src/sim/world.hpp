@@ -11,16 +11,15 @@
 // decision point reads its level; run_until() settles everyone at its
 // horizon so public accessors always see current levels.
 //
-// Two engines share this physics core and differ only in how derived state
-// is maintained (see docs/ARCHITECTURE.md, "Event loop"):
-//  - kIncremental: alive/coverable/covered counters, drain dirty-marks and
-//    grid-backed dirty-region discovery keep per-event cost independent of
-//    the network size.
-//  - kReference: full O(N) rescans recover the same derived state from
-//    first principles each time. Identical operation sequences make the two
-//    engines bit-identical, so any divergence in reports, traces or battery
-//    vectors pinpoints a stale counter or missed invalidation
-//    (tests/test_world_equivalence.cpp).
+// Derived state (alive/coverable/covered counters, drain dirty-marks,
+// cluster candidate sets) is maintained incrementally: grid queries and
+// dirty marks keep per-event cost independent of the network size. The
+// code that derives it sits behind protected virtual hooks (see
+// "derived-state hooks" below); tests/support/reference_world.hpp
+// overrides them with full O(N) rescans that recover the same state from
+// first principles, and the equivalence suites require the two to stay
+// bit-identical (tests/test_world_equivalence.cpp, docs/ARCHITECTURE.md,
+// "Event loop").
 
 #include <array>
 #include <cstdint>
@@ -56,26 +55,20 @@ namespace wrsn {
 struct WorldSnapshot;   // sim/snapshot.hpp
 struct SnapshotAccess;  // sim/snapshot.cpp — the one friend that walks members
 
-enum class WorldEngine {
-  kIncremental,  // counters + dirty marks + grid queries (the default)
-  kReference,    // full-rescan maintenance of the same state (cross-check)
-};
-
-// Engine picked by the default World constructor: kReference when
-// WRSN_REFERENCE_WORLD is set to a non-empty value other than "0" (the
-// WRSN_REFERENCE_PLANNERS pattern), else kIncremental. Read per call so
-// tests can toggle the environment between constructions.
-[[nodiscard]] WorldEngine world_default_engine();
-
 class World {
  public:
   explicit World(const SimConfig& config);
-  World(const SimConfig& config, WorldEngine engine);
   // Restore: rebuilds the static substrate from the snapshot's embedded
   // config (deployment, comm graph, sensing grid are seed-derived), then
   // overwrites every piece of mutable state so that continuing the run is
   // byte-identical to never having stopped (tests/test_snapshot_equivalence).
   explicit World(const WorldSnapshot& snap);
+  // traffic_ keeps a pointer to drain_marks_, so a World never moves.
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+  World(World&&) = delete;
+  World& operator=(World&&) = delete;
+  virtual ~World() = default;
 
   // Runs the whole horizon and returns the metrics report.
   MetricsReport run();
@@ -171,7 +164,6 @@ class World {
   // --- introspection (tests, examples) ----------------------------------
   [[nodiscard]] Second now() const { return Second{now_}; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] WorldEngine engine() const { return engine_; }
   [[nodiscard]] const Network& network() const { return net_; }
   [[nodiscard]] const ClusterSet& clusters() const { return clusters_; }
   [[nodiscard]] const RechargeNodeList& recharge_list() const { return requests_; }
@@ -197,7 +189,42 @@ class World {
     return Joule{sensor_energy_consumed_};
   }
 
- private:
+ protected:
+  // --- derived-state hooks ------------------------------------------------
+  // Where derived state is (re)computed: metrics/snapshot state, the drain
+  // refresh, the global recluster and the scoped rebalance. Each body is
+  // the incremental code; the full-rescan oracle (tests/support/
+  // reference_world.hpp) overrides them to recover the same state from
+  // first principles. Identical operation sequences keep the two
+  // bit-identical, so any divergence pinpoints a stale counter, a missed
+  // dirty mark or a grid-query bug. The constructor's recluster() runs these
+  // bodies (no override exists yet); the oracle checks t=0 itself.
+  //
+  // Alive/coverage state for metrics integration and snapshot(): the O(1)
+  // counters.
+  [[nodiscard]] virtual StateSnapshot derived_state() const;
+  // Drain refresh after an event: update_drain over the dirty-marked
+  // sensors in ascending id order (the order a full scan visits them).
+  virtual void request_drain_refresh();
+  // Global recluster: clusters_ and every target's coverable_ bit, from one
+  // sensing-grid query per target.
+  virtual void cluster_all_targets();
+  // Scoped-rebalance inputs. step_region: the alive sensors within sensing
+  // range of either end of a target step (ascending, unique) and whether
+  // any sensor, alive or not, covers the new end; both from the sensing
+  // grid. rebalance: re-balances `dirty` with candidate targets from the
+  // target grid.
+  struct StepRegion {
+    std::vector<SensorId> dirty;
+    bool coverable = false;
+  };
+  [[nodiscard]] virtual StepRegion step_region(Vec2 from, Vec2 to) const;
+  [[nodiscard]] virtual RebalanceResult rebalance(const std::vector<SensorId>& dirty);
+
+  // Everything below is the implementation. It is protected rather than
+  // private so the oracle subclass can read and re-derive the state the
+  // hooks maintain.
+
   // Snapshot codec (sim/snapshot.cpp). SnapshotAccess::io is one templated
   // member walk shared by save and load, so the two field lists cannot
   // drift; load_state overwrites the mutable state of a freshly-constructed
@@ -231,9 +258,7 @@ class World {
   // the crossing. Sensors whose death event is still pending are left
   // untouched so the crossing fires and handle_death runs exactly once.
   bool update_drain(SensorId s);
-  void refresh_drains();       // update_drain over all sensors (full scan)
-  void flush_drain_marks();    // update_drain over marked sensors only
-  void request_drain_refresh();  // engine dispatch: full scan vs marks
+  void refresh_drains();  // update_drain over all sensors (full scan)
   void mark_drain_dirty(SensorId s) { drain_marks_.add(s); }
   // Predicted threshold/death crossing time under the current level and
   // drain, or kNoCrossing when none will fire inside the horizon.
@@ -249,16 +274,14 @@ class World {
   void schedule_crossing(SensorId s);
 
   // --- derived-state accounting ------------------------------------------
-  // Counters are maintained by both engines at every transition; the
-  // reference engine simply ignores them and rescans, which is what the
-  // equivalence suite exploits to validate them.
+  // Counters are maintained at every transition; the oracle's derived_state
+  // ignores them and rescans, which is what the equivalence suite exploits
+  // to validate them.
   void on_sensor_alive_changed(SensorId s, bool alive_now);
   void set_covered(TargetId t, bool v);
   void set_coverable(TargetId t, bool v);
   void recompute_covered(TargetId t);
   void rebuild_counters();  // O(N+M), after a global recluster
-  [[nodiscard]] StateSnapshot snapshot_scan() const;      // full rescan
-  [[nodiscard]] StateSnapshot snapshot_counters() const;  // O(1)
 
   // --- activity management ---------------------------------------------
   void recluster();  // global: construction + teleport motion
@@ -325,7 +348,6 @@ class World {
   void record_sample();
 
   SimConfig config_;
-  WorldEngine engine_;
   RngStreams streams_;
   Xoshiro256 target_rng_;
   Xoshiro256 sched_rng_;
@@ -384,19 +406,19 @@ class World {
   DirtySet drain_marks_;                         // pending update_drain targets
 
   // Incremental target bucket grid: answers "targets within sensing range
-  // of this sensor" for the scoped rebalances without the O(M) scan the
-  // reference engine uses (see sim/target_index.hpp). Maintained on every
+  // of this sensor" for the scoped rebalances without an O(M) scan (see
+  // sim/target_index.hpp). Maintained on every
   // target waypoint step; cand_scratch_ is the reusable query buffer for
   // rebalance_dirty's candidate-set input.
   TargetIndex target_index_;
   std::vector<std::vector<TargetId>> cand_scratch_;
-  // Global-recluster scratch (incremental engine): per-target candidate
+  // Global-recluster scratch: per-target candidate
   // lists from the sensing grid and the admission core's working storage.
   std::vector<std::vector<SensorId>> recluster_cand_;
   AdmissionScratch admission_scratch_;
 
-  // Derived-state counters (kIncremental snapshots; validated against the
-  // kReference rescans by the equivalence suite).
+  // Derived-state counters (derived_state(); validated against the
+  // oracle's rescans by the equivalence suite).
   std::size_t alive_count_ = 0;
   std::size_t coverable_count_ = 0;
   std::size_t covered_count_ = 0;                // coverable AND covered

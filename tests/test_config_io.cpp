@@ -63,6 +63,7 @@ TEST(ConfigIo, RejectsBadInput) {
   EXPECT_THROW(config_set(cfg, "link.enabled", "maybe"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "link.max_retx", "several"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "parallel_threshold", "1"), InvalidArgument);  // removed
+  EXPECT_THROW(config_set(cfg, "event_queue", "heap"), InvalidArgument);      // removed
   EXPECT_THROW((void)config_get(cfg, "no_such_key"), InvalidArgument);
 }
 

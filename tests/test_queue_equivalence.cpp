@@ -1,20 +1,25 @@
-// Queue-equivalence suite: the calendar queue must be indistinguishable from
-// the binary heap. The pinned total order is strict — (time, then push
+// Queue-equivalence suite: the calendar EventQueue must be
+// indistinguishable from the binary-heap reference (HeapQueue,
+// tests/support/). The pinned total order is strict — (time, then push
 // sequence number) with no equal keys — so ANY correct implementation pops
 // the exact same Event stream for the same push/pop interleaving; this suite
-// checks that property directly (randomized interleavings, equal-time FIFO
-// batches, epoch-stale discard emulation) and end-to-end (full simulations
-// under both queues x both world engines x faults must produce bit-identical
-// reports, traces and battery vectors).
+// checks that property on synthetic interleavings (randomized, equal-time
+// FIFO batches, epoch-stale discard emulation) and on the pending events of
+// real runs, and pins full simulations of the World against its full-rescan
+// oracle with faults on and off.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/error.hpp"
 #include "core/rng.hpp"
+#include "heap_queue.hpp"
+#include "reference_world.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/world.hpp"
 
 namespace wrsn {
@@ -39,8 +44,8 @@ std::string event_str(const Event& e) {
 // discarded by the same rule on both sides.
 void drive_interleaved(std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  EventQueue heap(EventQueueImpl::kHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapQueue heap;
+  EventQueue cal;
   std::vector<std::uint64_t> epoch(16, 0);
 
   double now = 0.0;
@@ -116,8 +121,8 @@ TEST(QueueEquivalence, RandomInterleavingsPopIdentically) {
 // timestamps must come back in exact push order (FIFO) from both queues,
 // even across calendar resizes triggered by the growth.
 TEST(QueueEquivalence, EqualTimeBatchesPreservePushOrder) {
-  EventQueue heap(EventQueueImpl::kHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapQueue heap;
+  EventQueue cal;
   const double times[] = {10.0, 10.0, 3.0, 3.0, 3.0, 777.0};
   std::size_t id = 0;
   for (int round = 0; round < 500; ++round) {
@@ -147,8 +152,8 @@ TEST(QueueEquivalence, EqualTimeBatchesPreservePushOrder) {
 // after the most recent pop time, across a wide dynamic range of horizons.
 TEST(QueueEquivalence, HoldModelMatchesAcrossResizes) {
   Xoshiro256 rng(0xca1e0d1eULL);
-  EventQueue heap(EventQueueImpl::kHeap);
-  EventQueue cal(EventQueueImpl::kCalendar);
+  HeapQueue heap;
+  EventQueue cal;
   for (std::size_t i = 0; i < 64; ++i) {
     const double t = rng.uniform(0.0, 100.0);
     heap.push(t, EventKind::kTargetMove, i, 0);
@@ -176,7 +181,106 @@ TEST(QueueEquivalence, HoldModelMatchesAcrossResizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-simulation pins: queue choice must never change physics.
+// Real event sets: the pending events of real runs, not synthetic ones.
+// ---------------------------------------------------------------------------
+
+// Loads `pending` (seqs preserved) into both queues and drains them under a
+// hold model: each of the first pending.size() pops pushes 0-2 follow-up
+// events whose hold times are drawn from the set's own offsets past `now`,
+// so the pushes land where the simulator's do. The popped (time, seq)
+// streams must match down to empty.
+void drain_real_event_set(const std::vector<Event>& pending,
+                          std::uint64_t next_seq, double now, std::uint64_t seed,
+                          const std::string& what) {
+  ASSERT_FALSE(pending.empty()) << what;
+  HeapQueue heap;
+  EventQueue cal;
+  heap.restore(pending, next_seq);
+  cal.restore(pending, next_seq);
+  std::vector<double> holds;
+  holds.reserve(pending.size());
+  for (const Event& e : pending) holds.push_back(std::max(e.time - now, 0.0));
+
+  Xoshiro256 rng(seed);
+  double last = now;
+  std::size_t pops = 0;
+  while (!heap.empty()) {
+    ASSERT_EQ(heap.size(), cal.size()) << what;
+    const Event a = heap.pop();
+    const Event b = cal.pop();
+    ASSERT_TRUE(same_event(a, b))
+        << what << " at pop " << pops << "\n  heap: " << event_str(a)
+        << "\n  cal:  " << event_str(b);
+    ASSERT_GE(a.time, last) << what << " time went backwards";
+    last = a.time;
+    if (pops++ < pending.size()) {
+      const std::uint64_t pushes = rng.uniform_int(3);
+      for (std::uint64_t p = 0; p < pushes; ++p) {
+        const double t = a.time + holds[rng.uniform_int(holds.size())];
+        heap.push(t, a.kind, a.subject, a.epoch + 1);
+        cal.push(t, a.kind, a.subject, a.epoch + 1);
+      }
+    }
+  }
+  EXPECT_TRUE(cal.empty()) << what;
+  EXPECT_GT(pops, pending.size()) << what;
+}
+
+// n=10000 at the paper's sensor density, random-waypoint targets every
+// minute and small batteries (bench_world_hotpath's scenario): thousands of
+// pending crossings spread over the horizon.
+SimConfig large_config() {
+  SimConfig cfg;
+  cfg.num_sensors = 10000;
+  cfg.num_targets = 100;
+  cfg.num_rvs = 2;
+  cfg.field_side = meters(200.0 * std::sqrt(10000.0 / 500.0));
+  cfg.sim_duration = hours(1.8);
+  cfg.seed = 0x9e0a11ULL;
+  cfg.target_motion = TargetMotion::kRandomWaypoint;
+  cfg.target_period = minutes(1.0);
+  cfg.target_speed = MeterPerSecond{1.0};
+  cfg.activation_slot = Second{30.0};
+  cfg.battery.capacity = Joule{200.0};
+  cfg.radio.listen_duty_cycle = 0.3;
+  cfg.rv.speed = MeterPerSecond{5.0};
+  cfg.rv.charge_power = watts(10.0);
+  return cfg;
+}
+
+// Checkpoints the paper's Table II run (n=500) and the n=10000 run at three
+// instants each; every snapshot goes through the file codec and is restored
+// into a ReferenceWorld, whose queue hands over the pending events.
+TEST(QueueEquivalence, RealEventSetsPopIdentically) {
+  struct Case {
+    std::string label;
+    SimConfig cfg;
+    std::vector<Second> at;
+    std::size_t min_pending;  // the sets must be of the run's real size
+  };
+  const std::vector<Case> cases = {
+      {"paper_table2", SimConfig::paper_defaults(),
+       {days(1.0), days(10.0), days(30.0)}, 300},
+      {"n=10000", large_config(), {hours(0.3), hours(0.9), hours(1.5)}, 2000},
+  };
+  for (const Case& c : cases) {
+    World w(c.cfg);
+    for (std::size_t i = 0; i < c.at.size(); ++i) {
+      w.run_until(c.at[i]);
+      const ReferenceWorld restored(
+          deserialize_snapshot(serialize_snapshot(w.checkpoint())));
+      const std::string what = c.label + " t=" + std::to_string(c.at[i].value());
+      const std::vector<Event> pending = restored.pending_events();
+      EXPECT_GE(pending.size(), c.min_pending) << what;
+      drain_real_event_set(pending, restored.next_event_seq(), w.now().value(),
+                           0x5eedULL + i, what);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Full-simulation pins: the World against its full-rescan oracle.
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -186,20 +290,18 @@ struct RunResult {
   std::uint64_t events = 0;
 };
 
-RunResult run_sim(SimConfig cfg, const std::string& queue, WorldEngine engine) {
-  cfg.event_queue = queue;
-  World w(cfg, engine);
+RunResult run_sim(const SimConfig& cfg, Engine engine) {
+  const std::unique_ptr<World> w = make_world(cfg, engine);
   RunResult out;
-  w.set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
-  w.run_until(cfg.sim_duration);
-  out.report_json = to_json(w.report());
-  for (const Sensor& s : w.network().sensors()) {
+  w->set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
+  w->run_until(cfg.sim_duration);
+  out.report_json = to_json(w->report());
+  for (const Sensor& s : w->network().sensors()) {
     out.battery_levels.push_back(s.battery.level().value());
   }
-  out.events = w.events_processed();
+  out.events = w->events_processed();
   return out;
 }
-
 SimConfig pin_config(std::uint64_t seed, bool faults) {
   SimConfig cfg;
   cfg.num_sensors = 50;
@@ -246,52 +348,19 @@ void expect_same_run(const RunResult& a, const RunResult& b,
   ASSERT_EQ(a.battery_levels, b.battery_levels) << what;
 }
 
-// 2 queues x 2 engines x faults on/off: all four (queue, engine) runs of a
-// scenario must be bit-identical — the heap/reference pair anchors, every
-// other combination is compared against it.
-TEST(QueueEquivalence, FullSimsAreByteIdenticalAcrossQueuesAndEngines) {
+// Faults on/off: the World and ReferenceWorld runs of a scenario must be
+// bit-identical.
+TEST(QueueEquivalence, FullSimsAreByteIdenticalAcrossEngines) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     for (const bool faults : {false, true}) {
       const SimConfig cfg = pin_config(seed, faults);
       const std::string tag = "seed=" + std::to_string(seed) +
                               (faults ? " faults=on" : " faults=off");
-      const RunResult anchor = run_sim(cfg, "heap", WorldEngine::kReference);
-      expect_same_run(anchor, run_sim(cfg, "heap", WorldEngine::kIncremental),
-                      tag + " heap/inc");
-      expect_same_run(anchor,
-                      run_sim(cfg, "calendar", WorldEngine::kReference),
-                      tag + " calendar/ref");
-      expect_same_run(anchor,
-                      run_sim(cfg, "calendar", WorldEngine::kIncremental),
-                      tag + " calendar/inc");
+      expect_same_run(run_sim(cfg, Engine::kReference),
+                      run_sim(cfg, Engine::kIncremental), tag);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-}
-
-// WRSN_EVENT_QUEUE drives the default-constructed queue and the "auto"
-// config value; explicit config names win over the environment.
-TEST(QueueEquivalence, EnvironmentAndConfigSelectImplementation) {
-  ::unsetenv("WRSN_EVENT_QUEUE");
-  EXPECT_EQ(event_queue_default_impl(), EventQueueImpl::kCalendar);
-  EXPECT_EQ(EventQueue().impl(), EventQueueImpl::kCalendar);
-
-  ::setenv("WRSN_EVENT_QUEUE", "heap", 1);
-  EXPECT_EQ(event_queue_default_impl(), EventQueueImpl::kHeap);
-  EXPECT_EQ(event_queue_impl_from_name("auto"), EventQueueImpl::kHeap);
-  EXPECT_EQ(event_queue_impl_from_name(""), EventQueueImpl::kHeap);
-  // Explicit names ignore the environment.
-  EXPECT_EQ(event_queue_impl_from_name("calendar"), EventQueueImpl::kCalendar);
-
-  ::setenv("WRSN_EVENT_QUEUE", "calendar", 1);
-  EXPECT_EQ(event_queue_default_impl(), EventQueueImpl::kCalendar);
-  EXPECT_EQ(event_queue_impl_from_name("heap"), EventQueueImpl::kHeap);
-
-  ::setenv("WRSN_EVENT_QUEUE", "bogus", 1);
-  EXPECT_THROW((void)event_queue_default_impl(), InvalidArgument);
-  ::unsetenv("WRSN_EVENT_QUEUE");
-
-  EXPECT_THROW((void)event_queue_impl_from_name("bogus"), InvalidArgument);
 }
 
 }  // namespace

@@ -1,19 +1,22 @@
 // Routing-policy equivalence suite. For every non-default routing policy
 // (and with the lossy link layer both off and on):
-//  - the incremental and reference world engines must stay bit-identical
-//    (same report JSON, trace, battery bit patterns), proving the pluggable
-//    routing layer feeds both engines the same forests and drains;
+//  - the World and its full-rescan oracle (ReferenceWorld, tests/support/)
+//    must stay bit-identical (same report JSON, trace, battery bit
+//    patterns), proving the pluggable routing layer feeds both the same
+//    forests and drains;
 //  - a checkpoint taken mid-run must restore byte-identically, proving the
 //    snapshot codec carries the routing knob and the link-layer flow state
 //    (per-hop ETX/success captures, offered-rate accumulator) in full.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "reference_world.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/world.hpp"
 
@@ -78,12 +81,12 @@ void harvest(World& w, RunResult& out) {
   out.events = w.events_processed();
 }
 
-RunResult run_engine(const SimConfig& cfg, WorldEngine engine) {
+RunResult run_engine(const SimConfig& cfg, Engine engine) {
   RunResult out;
-  World w(cfg, engine);
-  w.set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
-  w.run_until(cfg.sim_duration);
-  harvest(w, out);
+  const std::unique_ptr<World> w = make_world(cfg, engine);
+  w->set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
+  w->run_until(cfg.sim_duration);
+  harvest(*w, out);
   return out;
 }
 
@@ -106,8 +109,8 @@ class RoutingEquivalence : public testing::TestWithParam<Scenario> {};
 TEST_P(RoutingEquivalence, EnginesAgreeBitForBit) {
   const Scenario& sc = GetParam();
   const SimConfig cfg = eq_config(sc);
-  const RunResult inc = run_engine(cfg, WorldEngine::kIncremental);
-  const RunResult ref = run_engine(cfg, WorldEngine::kReference);
+  const RunResult inc = run_engine(cfg, Engine::kIncremental);
+  const RunResult ref = run_engine(cfg, Engine::kReference);
   ASSERT_GT(inc.events, 2u) << describe(sc);
   expect_same(inc, ref, describe(sc));
 }
@@ -116,7 +119,7 @@ TEST_P(RoutingEquivalence, MidRunCheckpointRestoresByteIdentically) {
   const Scenario& sc = GetParam();
   const std::string what = describe(sc);
   const SimConfig cfg = eq_config(sc);
-  const RunResult golden = run_engine(cfg, WorldEngine::kIncremental);
+  const RunResult golden = run_engine(cfg, Engine::kIncremental);
   ASSERT_GT(golden.events, 2u) << what;
 
   Xoshiro256 pick = RngStreams(cfg.seed ^ 0x7A7A).stream("snapshot-index");
@@ -125,7 +128,7 @@ TEST_P(RoutingEquivalence, MidRunCheckpointRestoresByteIdentically) {
   RunResult stitched;
   WorldSnapshot snap;
   {
-    World w(cfg, WorldEngine::kIncremental);
+    World w(cfg);
     w.set_tracer(
         [&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
     w.set_checkpoint_hook(

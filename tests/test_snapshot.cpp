@@ -7,16 +7,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/atomic_file.hpp"
 #include "core/binio.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "heap_queue.hpp"
 #include "sim/events.hpp"
 #include "sim/snapshot.hpp"
 
@@ -109,6 +113,37 @@ TEST(BinIo, TruncationThrows) {
   BinReader r(std::string_view(bytes).substr(0, 4));
   std::uint64_t v = 0;
   EXPECT_THROW(r.u64(v), InvalidArgument);
+}
+
+// Lengths are checked against the bytes left before anything is sized
+// from them, and the bound check cannot wrap.
+TEST(BinIo, HugeLengthsThrowBeforeAllocating) {
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, ~std::uint64_t{0},
+                                ~std::uint64_t{0} - 3}) {
+    BinWriter w;
+    w.u64(n);
+    w.u64(std::uint64_t{7});
+    const std::string bytes = w.bytes();
+    {
+      BinReader r(bytes);
+      std::string s;
+      EXPECT_THROW(r.str(s), InvalidArgument) << n;
+    }
+    {
+      BinReader r(bytes);
+      std::vector<std::uint64_t> v;
+      EXPECT_THROW(r.vec(v), InvalidArgument) << n;
+    }
+    {
+      BinReader r(bytes);
+      EXPECT_THROW((void)r.count(1), InvalidArgument) << n;
+    }
+  }
+  BinWriter w;
+  w.u64(std::uint64_t{1});
+  w.u64(std::uint64_t{7});
+  BinReader r(w.bytes());
+  EXPECT_EQ(r.count(8), 1u);  // exactly one 8-byte element left
 }
 
 TEST(BinIo, TrailingBytesThrow) {
@@ -205,44 +240,45 @@ TEST(JournalWriter, AppendsLines) {
 }
 
 TEST(EventQueueSnapshot, SortedEventsIsNonDestructive) {
-  for (const EventQueueImpl impl : {EventQueueImpl::kCalendar, EventQueueImpl::kHeap}) {
-    EventQueue q(impl);
-    q.push(5.0, EventKind::kSlotRotation);
-    q.push(1.0, EventKind::kTargetMove, 3);
-    q.push(1.0, EventKind::kSensorCrossing, 7, 2);
-    const std::vector<Event> events = q.sorted_events();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(q.size(), 3u);  // export worked on a copy
-    EXPECT_DOUBLE_EQ(events[0].time, 1.0);
-    EXPECT_EQ(events[0].subject, 3u);  // seq tie-break preserved
-    EXPECT_EQ(events[1].subject, 7u);
-    EXPECT_DOUBLE_EQ(events[2].time, 5.0);
-  }
+  EventQueue q;
+  q.push(5.0, EventKind::kSlotRotation);
+  q.push(1.0, EventKind::kTargetMove, 3);
+  q.push(1.0, EventKind::kSensorCrossing, 7, 2);
+  const std::vector<Event> events = q.sorted_events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(q.size(), 3u);  // export worked on a copy
+  EXPECT_DOUBLE_EQ(events[0].time, 1.0);
+  EXPECT_EQ(events[0].subject, 3u);  // seq tie-break preserved
+  EXPECT_EQ(events[1].subject, 7u);
+  EXPECT_DOUBLE_EQ(events[2].time, 5.0);
+}
+
+template <typename Queue>
+void expect_restore_preserves_seq_order(const std::vector<Event>& events,
+                                        std::uint64_t next_seq) {
+  Queue dst;
+  dst.push(99.0, EventKind::kSimEnd);  // restore clears pre-existing state
+  dst.restore(events, next_seq);
+  EXPECT_EQ(dst.size(), 3u);
+  EXPECT_EQ(dst.next_seq(), next_seq);
+  EXPECT_EQ(dst.pop().subject, 4u);
+  EXPECT_EQ(dst.pop().subject, 0u);
+  EXPECT_EQ(dst.pop().subject, 1u);
+  // New pushes continue the sequence without colliding with restored seqs.
+  dst.push(1.0, EventKind::kSimEnd);
+  EXPECT_EQ(dst.pop().seq, next_seq);
 }
 
 TEST(EventQueueSnapshot, RestorePreservesSeqOrder) {
-  // Export from one impl, restore into the other: pop order must match,
-  // including the FIFO tie-break at equal times.
-  EventQueue src(EventQueueImpl::kCalendar);
+  // Export from the calendar queue, restore into it and into the heap
+  // reference: pop order must match, including the FIFO tie-break at equal
+  // times.
+  EventQueue src;
   src.push(2.0, EventKind::kTargetMove, 0);
   src.push(2.0, EventKind::kTargetMove, 1);
   src.push(1.0, EventKind::kRvArrival, 4, 9);
-  const std::vector<Event> events = src.sorted_events();
-  const std::uint64_t next_seq = src.next_seq();
-
-  for (const EventQueueImpl impl : {EventQueueImpl::kCalendar, EventQueueImpl::kHeap}) {
-    EventQueue dst(impl);
-    dst.push(99.0, EventKind::kSimEnd);  // restore clears pre-existing state
-    dst.restore(events, next_seq);
-    EXPECT_EQ(dst.size(), 3u);
-    EXPECT_EQ(dst.next_seq(), next_seq);
-    EXPECT_EQ(dst.pop().subject, 4u);
-    EXPECT_EQ(dst.pop().subject, 0u);
-    EXPECT_EQ(dst.pop().subject, 1u);
-    // New pushes continue the sequence without colliding with restored seqs.
-    dst.push(1.0, EventKind::kSimEnd);
-    EXPECT_EQ(dst.pop().seq, next_seq);
-  }
+  expect_restore_preserves_seq_order<EventQueue>(src.sorted_events(), src.next_seq());
+  expect_restore_preserves_seq_order<HeapQueue>(src.sorted_events(), src.next_seq());
 }
 
 TEST(EventQueueSnapshot, RestoreRejectsSeqAboveNextSeq) {
@@ -253,7 +289,7 @@ TEST(EventQueueSnapshot, RestoreRejectsSeqAboveNextSeq) {
   EXPECT_THROW(q.restore(events, 5), InvalidArgument);
 }
 
-WorldSnapshot tiny_snapshot() {
+SimConfig tiny_config() {
   SimConfig cfg;
   cfg.num_sensors = 20;
   cfg.num_targets = 3;
@@ -261,7 +297,11 @@ WorldSnapshot tiny_snapshot() {
   cfg.field_side = meters(60.0);
   cfg.sim_duration = hours(1.0);
   cfg.seed = 77;
-  World world(cfg, WorldEngine::kIncremental);
+  return cfg;
+}
+
+WorldSnapshot tiny_snapshot() {
+  World world(tiny_config());
   world.run_until(minutes(20.0));
   return world.checkpoint();
 }
@@ -273,7 +313,6 @@ TEST(SnapshotFile, SerializeDeserializeRoundTrip) {
   const WorldSnapshot back = deserialize_snapshot(bytes);
   EXPECT_EQ(back.version, snap.version);
   EXPECT_EQ(back.config_text, snap.config_text);
-  EXPECT_EQ(back.engine, snap.engine);
   EXPECT_EQ(back.now, snap.now);
   EXPECT_EQ(back.events_processed, snap.events_processed);
   EXPECT_EQ(back.state, snap.state);
@@ -320,6 +359,239 @@ TEST(SnapshotFile, RemovedConfigKeyFailsRestoreLoudly) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'parallel_threshold'"), std::string::npos) << what;
     EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile payloads: snapshots whose FNV trailer is valid but whose body is
+// not. Restore must reject each with one InvalidArgument line and never
+// index, allocate or resize from an unchecked value.
+// ---------------------------------------------------------------------------
+
+// World with its protected state reachable, to plant hostile values that
+// checkpoint() then writes out under a valid checksum.
+struct PlantableWorld : World {
+  using World::World;
+  using World::active_monitor_;
+  using World::claimed_;
+  using World::clusters_;
+  using World::net_;
+  using World::queue_;
+  using World::requests_;
+  using World::rvs_;
+  using World::series_;
+  using World::soa_;
+  using World::uplink_pending_;
+  using World::UplinkPending;
+};
+
+// next_seq value planted to find the event section in the body: the u64
+// right after it is the event count, then the events, then the drain marks.
+constexpr std::uint64_t kSeqMarker = 0x5EC0DE5EC0DE5EC0ULL;
+
+WorldSnapshot planted(const std::function<void(PlantableWorld&)>& plant) {
+  PlantableWorld w(tiny_config());
+  w.run_until(minutes(20.0));
+  plant(w);
+  return w.checkpoint();
+}
+
+std::string le64(std::uint64_t v) {
+  BinWriter w;
+  w.u64(v);
+  return w.take();
+}
+
+std::uint64_t get_u64(const std::string& s, std::size_t at) {
+  BinReader r(std::string_view(s).substr(at, 8));
+  std::uint64_t v = 0;
+  r.u64(v);
+  return v;
+}
+
+void put_u64(std::string& s, std::size_t at, std::uint64_t v) {
+  s.replace(at, 8, le64(v));
+}
+
+// Offset of the only occurrence of `v`'s encoding in `state`.
+std::size_t find_u64(const std::string& state, std::uint64_t v) {
+  const std::size_t at = state.find(le64(v));
+  EXPECT_NE(at, std::string::npos) << "marker not found";
+  EXPECT_EQ(state.find(le64(v), at + 1), std::string::npos) << "marker not unique";
+  return at;
+}
+
+// A snapshot whose queue's next_seq is kSeqMarker, and the offset of its
+// event count in the body.
+std::pair<WorldSnapshot, std::size_t> with_event_section() {
+  WorldSnapshot snap = planted([](PlantableWorld& w) {
+    w.queue_.restore(w.queue_.sorted_events(), kSeqMarker);
+  });
+  const std::size_t at = find_u64(snap.state, kSeqMarker) + 8;
+  return {snap, at};
+}
+
+// Serializes `snap` (a fresh FNV trailer), reads it back and restores it:
+// the restore must fail with one InvalidArgument line containing `expect`.
+void expect_rejected(const WorldSnapshot& snap, const std::string& expect) {
+  const std::string bytes = serialize_snapshot(snap);
+  try {
+    const World restored(deserialize_snapshot(bytes));
+    ADD_FAILURE() << "restored a snapshot that should fail with: " << expect;
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(expect), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
+TEST(SnapshotHostile, UnpatchedSnapshotRestores) {
+  const auto [snap, at] = with_event_section();
+  EXPECT_GT(get_u64(snap.state, at), 0u);  // the run has pending events
+  const World restored(deserialize_snapshot(serialize_snapshot(snap)));
+  EXPECT_EQ(restored.checkpoint().state, snap.state);
+}
+
+TEST(SnapshotHostile, RejectsOutOfRangeDrainMark) {
+  auto [snap, at] = with_event_section();
+  const std::size_t marks = at + 8 + get_u64(snap.state, at) * (8 + 8 + 1 + 8 + 8);
+  const std::uint64_t n = get_u64(snap.state, marks);
+  put_u64(snap.state, marks, n + 1);
+  snap.state.insert(marks + 8, le64(27));  // num_sensors = 20
+  expect_rejected(snap, "drain mark 27 out of range (limit 20)");
+}
+
+TEST(SnapshotHostile, RejectsOutOfRangeEventKindAndSubject) {
+  {
+    auto [snap, at] = with_event_section();
+    snap.state[at + 8 + 16] = static_cast<char>(kNumEventKinds);
+    expect_rejected(snap, "event kind 13 out of range (limit 13)");
+  }
+  {
+    // A target move naming target 3 of 3.
+    auto [snap, at] = with_event_section();
+    const std::size_t n = get_u64(snap.state, at);
+    bool patched = false;
+    for (std::size_t i = 0; i < n && !patched; ++i) {
+      const std::size_t ev = at + 8 + i * 33;
+      if (snap.state[ev + 16] == static_cast<char>(EventKind::kTargetMove)) {
+        put_u64(snap.state, ev + 17, 3);
+        patched = true;
+      }
+    }
+    ASSERT_TRUE(patched) << "no target-move event pending";
+    expect_rejected(snap, "event subject 3 out of range (limit 3)");
+  }
+  // A fault event in a run without faults would dereference the absent
+  // fault plan.
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.push_event_for_test(w.now().value() + 1.0,
+                                          EventKind::kRvBreakdown, 0, 0);
+                  }),
+                  "event kind rv-breakdown in a run without faults");
+}
+
+TEST(SnapshotHostile, RejectsOutOfRangeIds) {
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.net_.sensor(0).assigned_target = 5;
+                  }),
+                  "target id 5 out of range (limit 3)");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.clusters_.members[0].push_back(20);
+                  }),
+                  "sensor id 20 out of range (limit 20)");
+  expect_rejected(planted([](PlantableWorld& w) { w.active_monitor_[1] = 21; }),
+                  "active monitor 21 out of range (limit 20)");
+  expect_rejected(planted([](PlantableWorld& w) { w.claimed_.insert(40); }),
+                  "claimed sensor 40 out of range (limit 20)");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.rvs_[0].service_queue.push_back(99);
+                  }),
+                  "service-queue sensor 99 out of range (limit 20)");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    RechargeRequest req;
+                    req.sensor = 22;
+                    w.requests_.add(req);
+                  }),
+                  "request sensor 22 out of range (limit 20)");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    RechargeRequest req;
+                    req.sensor = 0;
+                    req.cluster = 7;
+                    if (!w.requests_.contains(0)) w.requests_.add(req);
+                  }),
+                  "request cluster 7 out of range (limit 3)");
+}
+
+TEST(SnapshotHostile, RejectsOutOfRangeEnums) {
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.rvs_[0].state = static_cast<Rv::State>(6);
+                  }),
+                  "RV state 6 out of range (limit 6)");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.uplink_pending_[3] = static_cast<PlantableWorld::UplinkPending>(3);
+                  }),
+                  "uplink state 3 out of range (limit 3)");
+}
+
+TEST(SnapshotHostile, RejectsImpossibleTimesAndLevels) {
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.push_event_for_test(w.now().value() - 60.0,
+                                          EventKind::kMetricsSample, 0, 0);
+                  }),
+                  "event at t=1140.000000 precedes the snapshot time 1200.000000");
+  expect_rejected(planted([](PlantableWorld& w) { w.soa_.level[4] = -1.0; }),
+                  "sensor battery level -1.000000 outside [0, ");
+  expect_rejected(planted([](PlantableWorld& w) {
+                    w.rvs_[0].battery.set_level(Joule{1e30});
+                  }),
+                  "RV battery level");
+}
+
+TEST(SnapshotHostile, RejectsLengthsBeyondThePayload) {
+  // Event count.
+  {
+    auto [snap, at] = with_event_section();
+    put_u64(snap.state, at, std::uint64_t{1} << 60);
+    expect_rejected(snap, "exceeds the");
+  }
+  // Cluster count, found through a planted first member: the body holds the
+  // cluster count, then cluster 0's length, then its members.
+  {
+    constexpr std::uint64_t kMember = 0x00C1C1C1C1C1C1C1ULL;
+    WorldSnapshot snap =
+        planted([](PlantableWorld& w) { w.clusters_.members[0] = {kMember}; });
+    const std::size_t count = find_u64(snap.state, kMember) - 16;
+    ASSERT_EQ(get_u64(snap.state, count), 3u);
+    put_u64(snap.state, count, ~std::uint64_t{0});
+    expect_rejected(snap, "exceeds the");
+  }
+  // Time-series count, found through a planted first sample time.
+  {
+    constexpr double kStamp = 12345.678;
+    WorldSnapshot snap = planted([](PlantableWorld& w) {
+      w.series_.assign(1, TimeSeriesPoint{});
+      w.series_[0].t = kStamp;
+    });
+    const std::size_t count =
+        find_u64(snap.state, std::bit_cast<std::uint64_t>(kStamp)) - 8;
+    ASSERT_EQ(get_u64(snap.state, count), 1u);
+    put_u64(snap.state, count, std::uint64_t{1} << 58);
+    expect_rejected(snap, "exceeds the");
+  }
+}
+
+// Version 2 was the last schema with an engine byte in the header; such a
+// file is refused by its version, with one line.
+TEST(SnapshotHostile, RejectsVersion2Snapshots) {
+  WorldSnapshot snap = tiny_snapshot();
+  snap.version = 2;
+  const std::string bytes = serialize_snapshot(snap);
+  try {
+    (void)deserialize_snapshot(bytes);
+    FAIL() << "a version-2 snapshot was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "unsupported snapshot schema version 2 (this build reads 3)");
   }
 }
 

@@ -1,21 +1,25 @@
 // Checkpoint/restore equivalence: save-at-t then restore-and-run must be
 // BYTE-IDENTICAL to an uninterrupted run — report JSON, event trace, final
-// battery bit patterns, span files — across both world engines, both event
-// queue implementations, with and without fault injection, under the
-// combined and the partition scheduler (whose grouping memo is never
-// serialized, so a restored World starts without it), with the snapshot
-// taken at a pseudo-random event index of each run. Any divergence pinpoints
+// battery bit patterns, span files — for the World and its full-rescan
+// oracle (ReferenceWorld, tests/support/), with and without fault injection,
+// under every registered scheduler (the partition scheduler's grouping memo
+// is never serialized, so a restored World starts without it), with the
+// snapshot taken at a pseudo-random event index of each run. Any divergence pinpoints
 // a member missing from SnapshotAccess::io or a restore that recomputes
 // state instead of reinstating it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "obs/spans.hpp"
+#include "reference_world.hpp"
+#include "sched/policy.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/world.hpp"
 
@@ -24,8 +28,7 @@ namespace {
 
 struct Scenario {
   std::uint64_t seed = 0;
-  WorldEngine engine = WorldEngine::kIncremental;
-  std::string queue = "calendar";
+  Engine engine = Engine::kIncremental;
   bool faults = false;
   std::string scheduler = "combined";
 };
@@ -33,8 +36,8 @@ struct Scenario {
 std::string describe(const Scenario& sc) {
   std::ostringstream os;
   os << "seed=" << sc.seed
-     << " engine=" << (sc.engine == WorldEngine::kIncremental ? "incremental" : "reference")
-     << " queue=" << sc.queue << " faults=" << (sc.faults ? "on" : "off")
+     << " engine=" << engine_name(sc.engine)
+     << " faults=" << (sc.faults ? "on" : "off")
      << " scheduler=" << sc.scheduler;
   return os.str();
 }
@@ -57,7 +60,6 @@ SimConfig eq_config(const Scenario& sc) {
   cfg.scheduler = sc.scheduler;
   cfg.battery.capacity = Joule{150.0};
   cfg.radio.listen_duty_cycle = 0.2;
-  cfg.event_queue = sc.queue;
   if (sc.faults) {
     cfg.fault.enabled = true;
     cfg.fault.request_loss_prob = 0.2;
@@ -92,17 +94,17 @@ void harvest(World& w, RunResult& out) {
 }
 
 // Uninterrupted golden run.
-RunResult run_golden(const SimConfig& cfg, WorldEngine engine) {
+RunResult run_golden(const SimConfig& cfg, Engine engine) {
   RunResult out;
   std::ostringstream span_out;
   obs::JsonlSpanSink sink(span_out);
   obs::SpanLog spans(&sink);
-  World w(cfg, engine);
-  w.set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
-  w.set_span_log(&spans);
-  w.run_until(cfg.sim_duration);
-  spans.finish(w.now().value());
-  harvest(w, out);
+  const std::unique_ptr<World> w = make_world(cfg, engine);
+  w->set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
+  w->set_span_log(&spans);
+  w->run_until(cfg.sim_duration);
+  spans.finish(w->now().value());
+  harvest(*w, out);
   out.span_jsonl = span_out.str();
   return out;
 }
@@ -150,23 +152,24 @@ void expect_checkpoint_equivalent(const Scenario& sc) {
   {
     obs::JsonlSpanSink sink(span_part1);
     obs::SpanLog spans(&sink);
-    World w(cfg, sc.engine);
-    w.set_tracer([&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
-    w.set_span_log(&spans);
-    w.set_checkpoint_hook(
+    const std::unique_ptr<World> w = make_world(cfg, sc.engine);
+    w->set_tracer(
+        [&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
+    w->set_span_log(&spans);
+    w->set_checkpoint_hook(
         [stop_at](const World& world) { return world.events_processed() >= stop_at; });
-    w.run_until(cfg.sim_duration);
-    ASSERT_FALSE(w.finished()) << what;
-    ASSERT_EQ(w.events_processed(), stop_at) << what;
-    snap = deserialize_snapshot(serialize_snapshot(w.checkpoint()));
+    w->run_until(cfg.sim_duration);
+    ASSERT_FALSE(w->finished()) << what;
+    ASSERT_EQ(w->events_processed(), stop_at) << what;
+    snap = deserialize_snapshot(serialize_snapshot(w->checkpoint()));
     sink.finish();
   }
 
   // Restore → re-checkpoint must be a fixed point (proves load reinstates
   // exactly what save captured, with nothing recomputed differently).
   {
-    World restored(snap);
-    const WorldSnapshot again = restored.checkpoint();
+    const std::unique_ptr<World> restored = restore_world(snap, sc.engine);
+    const WorldSnapshot again = restored->checkpoint();
     EXPECT_EQ(again.state, snap.state) << what << " (restore is not a fixed point)";
     EXPECT_EQ(again.now, snap.now) << what;
     EXPECT_EQ(again.config_text, snap.config_text) << what;
@@ -183,13 +186,14 @@ void expect_checkpoint_equivalent(const Scenario& sc) {
       spans.deserialize(r);
       r.expect_end();
     }
-    World w(snap);
-    w.set_tracer([&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
-    w.set_span_log(&spans);
-    w.run_until(cfg.sim_duration);
-    EXPECT_TRUE(w.finished()) << what;
-    spans.finish(w.now().value());
-    harvest(w, stitched);
+    const std::unique_ptr<World> w = restore_world(snap, sc.engine);
+    w->set_tracer(
+        [&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
+    w->set_span_log(&spans);
+    w->run_until(cfg.sim_duration);
+    EXPECT_TRUE(w->finished()) << what;
+    spans.finish(w->now().value());
+    harvest(*w, stitched);
   }
   stitched.span_jsonl = span_part1.str() + strip_meta_line(span_part2.str());
   expect_same(golden, stitched, what);
@@ -203,18 +207,16 @@ TEST_P(SnapshotEquivalence, RestoredRunIsByteIdentical) {
 
 std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
-  for (const std::string& scheduler : {std::string("combined"), std::string("partition")}) {
-    for (const WorldEngine engine : {WorldEngine::kIncremental, WorldEngine::kReference}) {
-      for (const std::string& queue : {std::string("calendar"), std::string("heap")}) {
-        for (const bool faults : {false, true}) {
-          for (std::uint64_t seed = 0; seed < 5; ++seed) {
-            out.push_back({seed, engine, queue, faults, scheduler});
-          }
+  for (const std::string& scheduler : scheduler_names()) {
+    for (const Engine engine : {Engine::kIncremental, Engine::kReference}) {
+      for (const bool faults : {false, true}) {
+        for (std::uint64_t seed = 0; seed < 5; ++seed) {
+          out.push_back({seed, engine, faults, scheduler});
         }
       }
     }
   }
-  return out;  // 2 x 2 x 2 x 2 x 5 = 80 instances
+  return out;  // schedulers x 2 engines x 2 fault modes x 5 seeds (6 x 20 = 120)
 }
 
 std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
@@ -222,18 +224,20 @@ std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
   std::ostringstream os;
   // The combined instances keep their original, scheduler-less names.
   if (sc.scheduler != "combined") os << sc.scheduler << "_";
-  os << (sc.engine == WorldEngine::kIncremental ? "inc" : "ref") << "_"
-     << sc.queue << "_" << (sc.faults ? "faults" : "clean") << "_s" << sc.seed;
-  return os.str();
+  os << (sc.engine == Engine::kIncremental ? "inc" : "ref") << "_"
+     << (sc.faults ? "faults" : "clean") << "_s" << sc.seed;
+  std::string name = os.str();
+  std::replace(name.begin(), name.end(), '-', '_');  // gtest names: [A-Za-z0-9_]
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEnginesQueuesFaults, SnapshotEquivalence,
+INSTANTIATE_TEST_SUITE_P(EnginesAndFaults, SnapshotEquivalence,
                          testing::ValuesIn(scenarios()), scenario_name);
 
 // Resuming the SAME world object after a hook stop (hook cleared) must also
 // match the golden run: checkpoint capture is observational.
 TEST(SnapshotEquivalence, InProcessResumeAfterHookStop) {
-  const Scenario sc{3, WorldEngine::kIncremental, "calendar", true};
+  const Scenario sc{3, Engine::kIncremental, true};
   const SimConfig cfg = eq_config(sc);
   const RunResult golden = run_golden(cfg, sc.engine);
   ASSERT_GT(golden.events, 2u);
@@ -242,7 +246,7 @@ TEST(SnapshotEquivalence, InProcessResumeAfterHookStop) {
   std::ostringstream span_out;
   obs::JsonlSpanSink sink(span_out);
   obs::SpanLog spans(&sink);
-  World w(cfg, sc.engine);
+  World w(cfg);
   w.set_tracer([&resumed](const World::TraceEvent& ev) { resumed.trace.push_back(ev); });
   w.set_span_log(&spans);
   const std::uint64_t stop_at = golden.events / 2;
@@ -267,11 +271,11 @@ TEST(SnapshotEquivalence, InProcessResumeAfterHookStop) {
 // run_until(3h) — a pre-existing property of horizon settlement, orthogonal
 // to checkpointing. Snapshotting must add no divergence on top of it.
 TEST(SnapshotEquivalence, QuiescentSnapshotBetweenRuns) {
-  const Scenario sc{1, WorldEngine::kIncremental, "calendar", false};
+  const Scenario sc{1, Engine::kIncremental, false};
   const SimConfig cfg = eq_config(sc);
   RunResult golden;
   {
-    World w(cfg, sc.engine);
+    World w(cfg);
     w.run_until(hours(1.0));
     w.run_until(cfg.sim_duration);
     harvest(w, golden);
@@ -280,7 +284,7 @@ TEST(SnapshotEquivalence, QuiescentSnapshotBetweenRuns) {
   std::ostringstream span_dummy;
   obs::JsonlSpanSink sink(span_dummy);
   obs::SpanLog spans(&sink);
-  World w(cfg, sc.engine);
+  World w(cfg);
   w.set_span_log(&spans);
   w.run_until(hours(1.0));
   const WorldSnapshot snap =

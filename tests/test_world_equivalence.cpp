@@ -1,17 +1,18 @@
-// Engine-equivalence suite: the incremental event-loop engine (lazy battery
+// Engine-equivalence suite: the World's incremental event loop (lazy battery
 // settlement, O(1) coverage counters, dirty-marked drain refreshes, scoped
-// reclustering) must be BIT-IDENTICAL to the reference engine, which derives
-// the same state by full rescans. Both engines share the physics core and
-// settle batteries at the same points, so any divergence in the metrics
+// reclustering) must be BIT-IDENTICAL to ReferenceWorld (tests/support/),
+// which derives the same state by full rescans. Both share the physics core
+// and settle batteries at the same points, so any divergence in the metrics
 // report, the event trace or the final battery vector pinpoints a stale
 // counter, a missed dirty mark or a spatial-grid bug.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "reference_world.hpp"
 #include "sim/world.hpp"
 
 namespace wrsn {
@@ -64,8 +65,9 @@ struct RunResult {
   std::uint64_t events = 0;
 };
 
-RunResult run_engine(const SimConfig& cfg, WorldEngine engine) {
-  World w(cfg, engine);
+RunResult run_engine(const SimConfig& cfg, Engine engine) {
+  const std::unique_ptr<World> world = make_world(cfg, engine);
+  World& w = *world;
   RunResult out;
   w.set_tracer([&out](const World::TraceEvent& ev) { out.trace.push_back(ev); });
   w.run_until(cfg.sim_duration);
@@ -83,8 +85,8 @@ RunResult run_engine(const SimConfig& cfg, WorldEngine engine) {
 }
 
 void expect_identical(const SimConfig& cfg, const std::string& what) {
-  const RunResult inc = run_engine(cfg, WorldEngine::kIncremental);
-  const RunResult ref = run_engine(cfg, WorldEngine::kReference);
+  const RunResult inc = run_engine(cfg, Engine::kIncremental);
+  const RunResult ref = run_engine(cfg, Engine::kReference);
 
   EXPECT_GT(inc.events, 0u) << what;
   EXPECT_EQ(inc.report_json, ref.report_json) << what;
@@ -191,8 +193,8 @@ TEST(WorldEquivalence, FaultRunsAreReproducible) {
   Scenario sc;
   sc.seed = 3;
   const SimConfig cfg = fault_eq_config(sc);
-  const RunResult a = run_engine(cfg, WorldEngine::kIncremental);
-  const RunResult b = run_engine(cfg, WorldEngine::kIncremental);
+  const RunResult a = run_engine(cfg, Engine::kIncremental);
+  const RunResult b = run_engine(cfg, Engine::kIncremental);
   EXPECT_EQ(a.report_json, b.report_json);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.battery_levels, b.battery_levels);
@@ -206,8 +208,8 @@ TEST(WorldEquivalence, InjectedMonitorDeathMatchesAcrossEngines) {
   sc.seed = 11;
   const SimConfig cfg = eq_config(sc);
 
-  World inc(cfg, WorldEngine::kIncremental);
-  World ref(cfg, WorldEngine::kReference);
+  World inc(cfg);
+  ReferenceWorld ref(cfg);
   inc.run_until(hours(1.0));
   ref.run_until(hours(1.0));
 
@@ -244,25 +246,6 @@ TEST(WorldEquivalence, InjectedMonitorDeathMatchesAcrossEngines) {
               ref.network().sensor(s).battery.level().value())
         << "battery diverges at sensor " << s;
   }
-}
-
-// WRSN_REFERENCE_WORLD picks the engine for the default constructor, read
-// per construction (not cached) so tests can toggle it.
-TEST(WorldEquivalence, EnvironmentVariableSelectsEngine) {
-  Scenario sc;
-  const SimConfig cfg = eq_config(sc);
-
-  ::unsetenv("WRSN_REFERENCE_WORLD");
-  EXPECT_EQ(World(cfg).engine(), WorldEngine::kIncremental);
-
-  ::setenv("WRSN_REFERENCE_WORLD", "1", 1);
-  EXPECT_EQ(World(cfg).engine(), WorldEngine::kReference);
-
-  ::setenv("WRSN_REFERENCE_WORLD", "0", 1);
-  EXPECT_EQ(World(cfg).engine(), WorldEngine::kIncremental);
-
-  ::unsetenv("WRSN_REFERENCE_WORLD");
-  EXPECT_EQ(World(cfg).engine(), WorldEngine::kIncremental);
 }
 
 }  // namespace
