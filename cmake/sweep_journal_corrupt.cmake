@@ -1,5 +1,6 @@
-# Writes a sweep journal, damages one record, and expects --resume to refuse
-# it with exit 1 and one stderr line matching EXPECT_STDERR:
+# Writes a sweep journal, damages one record (or the manifest), and expects
+# --resume to refuse it with exit 1 and one stderr line matching
+# EXPECT_STDERR:
 #
 #   cmake -DSWEEP=/path/to/wrsn_sweep -DDIR=work_dir -DCASE=token
 #         -DEXPECT_STDERR=regex -P sweep_journal_corrupt.cmake
@@ -11,12 +12,14 @@
 #   order  a repeated id
 #   seed   a seed that is not the point seed + replica
 #   twice  one cell recorded a second time
+#   campaign  a manifest campaign hash of another campaign
 foreach(var SWEEP DIR CASE EXPECT_STDERR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "sweep_journal_corrupt.cmake: ${var} is required")
   endif()
 endforeach()
 
+set(file journal.jsonl)
 if(CASE STREQUAL "token")
   set(from "\"id\":1,\"point\":0,")
   set(to "\"id\":-1,\"point\":0.9,")
@@ -29,6 +32,10 @@ elseif(CASE STREQUAL "seed")
 elseif(CASE STREQUAL "twice")
   set(from "\"id\":3,\"point\":1,\"replica\":0,")
   set(to "\"id\":3,\"point\":0,\"replica\":0,")
+elseif(CASE STREQUAL "campaign")
+  set(file manifest.json)
+  set(from "\"campaign_hash\":[0-9]+")
+  set(to "\"campaign_hash\":1")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()
@@ -41,12 +48,12 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "journaled sweep failed (${rc}): ${err}")
 endif()
 
-file(READ "${DIR}/journal.jsonl" journal)
-string(REPLACE "${from}" "${to}" damaged "${journal}")
+file(READ "${DIR}/${file}" journal)
+string(REGEX REPLACE "${from}" "${to}" damaged "${journal}")
 if(damaged STREQUAL journal)
-  message(FATAL_ERROR "'${from}' not found in the journal:\n${journal}")
+  message(FATAL_ERROR "'${from}' not found in ${file}:\n${journal}")
 endif()
-file(WRITE "${DIR}/journal.jsonl" "${damaged}")
+file(WRITE "${DIR}/${file}" "${damaged}")
 
 execute_process(COMMAND "${SWEEP}" ${args} --resume "${DIR}"
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)

@@ -17,23 +17,16 @@ FailureHook set_failure_hook(FailureHook hook) {
 
 namespace wrsn::detail {
 
-namespace {
-std::string format(const char* kind, const char* expr, const char* file, int line,
-                   const std::string& msg) {
-  std::ostringstream os;
-  os << kind << ": " << msg << " [" << expr << "] at " << file << ":" << line;
-  return os.str();
-}
-}  // namespace
-
-void throw_invalid_argument(const char* expr, const char* file, int line,
-                            const std::string& msg) {
-  throw InvalidArgument(format("invalid argument", expr, file, line, msg));
+void throw_invalid_argument(const std::string& msg) {
+  throw InvalidArgument("invalid argument: " + msg);
 }
 
 void throw_logic_error(const char* expr, const char* file, int line,
                        const std::string& msg) {
-  const std::string what = format("invariant violated", expr, file, line, msg);
+  std::ostringstream os;
+  os << "invariant violated: " << msg << " [" << expr << "] at " << file << ":"
+     << line;
+  const std::string what = os.str();
   if (const FailureHook hook = g_failure_hook.load()) hook(what.c_str());
   throw LogicError(what);
 }

@@ -2,9 +2,11 @@
 // Precondition / invariant checking.
 //
 // Public API entry points validate arguments with WRSN_REQUIRE (throws
-// wrsn::InvalidArgument, always on). Internal invariants use WRSN_ASSERT,
-// which throws wrsn::LogicError and stays enabled in release builds — the
-// simulator is cheap enough that we keep our own guard rails on.
+// wrsn::InvalidArgument, always on). Its message is what the tools print for
+// bad input ("invalid argument: <msg>"), so it carries no source location.
+// Internal invariants use WRSN_ASSERT, which throws wrsn::LogicError with the
+// failed expression and its file:line, and stays enabled in release builds —
+// the simulator is cheap enough that we keep our own guard rails on.
 
 #include <stdexcept>
 #include <string>
@@ -32,19 +34,18 @@ using FailureHook = void (*)(const char* message);
 FailureHook set_failure_hook(FailureHook hook);
 
 namespace detail {
-[[noreturn]] void throw_invalid_argument(const char* expr, const char* file, int line,
-                                         const std::string& msg);
+[[noreturn]] void throw_invalid_argument(const std::string& msg);
 [[noreturn]] void throw_logic_error(const char* expr, const char* file, int line,
                                     const std::string& msg);
 }  // namespace detail
 
 }  // namespace wrsn
 
-#define WRSN_REQUIRE(expr, msg)                                                  \
-  do {                                                                           \
-    if (!(expr)) {                                                               \
-      ::wrsn::detail::throw_invalid_argument(#expr, __FILE__, __LINE__, (msg));  \
-    }                                                                            \
+#define WRSN_REQUIRE(expr, msg)                    \
+  do {                                             \
+    if (!(expr)) {                                 \
+      ::wrsn::detail::throw_invalid_argument(msg); \
+    }                                              \
   } while (false)
 
 #define WRSN_ASSERT(expr, msg)                                               \

@@ -401,12 +401,9 @@ void World::refresh_drains() {
 
 void World::request_drain_refresh() {
   // Ascending-id order matches a full scan, so equal-time crossings enqueue
-  // with identical tie-break sequence numbers. The set is already
-  // duplicate-free (DirtySet dedupes at insert), so a plain sort of the
-  // marked ids suffices.
-  drain_marks_.sort_ids();
-  for (const SensorId s : drain_marks_.ids()) update_drain(s);
-  drain_marks_.clear();
+  // with identical tie-break sequence numbers; the flush walks the marks'
+  // bitmap in that order.
+  drain_marks_.flush([this](SensorId s) { update_drain(s); });
 }
 
 double World::crossing_prediction(SensorId s) const {

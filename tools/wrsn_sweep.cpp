@@ -345,7 +345,8 @@ int sweep_main(const std::vector<std::string>& args) {
       buf << manifest_in.rdbuf();
       WRSN_REQUIRE(find_json_u64(buf.str(), "campaign_hash") == hash,
                    "journal '" + journal_dir +
-                       "' records a different campaign (config/grid/seeds mismatch)");
+                       "' belongs to another campaign (its config, grid or seeds "
+                       "differ)");
     } else {
       WRSN_REQUIRE(!resume, "nothing to resume: no manifest in '" + journal_dir + "'");
       JsonWriter w;
