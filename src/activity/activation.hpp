@@ -22,6 +22,15 @@ class ClusterRotor {
     std::sort(members_.begin(), members_.end());
   }
 
+  // Re-initializes the rotor in place as ClusterRotor(members) would: the
+  // members sorted, the cursor at the first. Reuses the member storage, so
+  // a global recluster rebuilds every rotor without allocating.
+  void reset(const std::vector<SensorId>& members) {
+    members_.assign(members.begin(), members.end());
+    std::sort(members_.begin(), members_.end());
+    cursor_ = 0;
+  }
+
   [[nodiscard]] const std::vector<SensorId>& members() const { return members_; }
   [[nodiscard]] bool empty() const { return members_.empty(); }
   [[nodiscard]] SensorId current() const {

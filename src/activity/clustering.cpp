@@ -75,41 +75,57 @@ ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
 void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
                          std::size_t num_sensors, ClusterSet& out,
                          AdmissionScratch& scratch) {
+  // Reset. A clustering of the same sensor count is reset through its own
+  // members: by the membership invariant (clustering.hpp) no other sensor
+  // holds a load or an assignment, so a recluster costs what it admits, not
+  // O(N). Any other `out` is reset densely.
+  if (out.assignment.size() == num_sensors && out.loads.size() == num_sensors) {
+    for (const auto& members : out.members) {
+      for (const SensorId s : members) {
+        out.assignment[s] = kInvalidId;
+        out.loads[s] = 0;
+      }
+    }
+  } else {
+    out.assignment.assign(num_sensors, kInvalidId);
+    out.loads.assign(num_sensors, 0);
+  }
   const std::size_t num_targets = candidates.size();
   out.members.resize(num_targets);
   for (auto& m : out.members) m.clear();
-  out.assignment.assign(num_sensors, kInvalidId);
-  out.loads.assign(num_sensors, 0);
+
+  // Loads, and the pool A: each candidate sensor once, at its first sight.
+  auto& pool = scratch.pool;
+  pool.clear();
   for (const auto& list : candidates) {
     for (const SensorId s : list) {
       WRSN_DEBUG_ASSERT(s < num_sensors, "candidate sensor id out of range");
-      ++out.loads[s];
+      if (out.loads[s]++ == 0) pool.push_back(s);
     }
   }
-
-  // Sensor -> candidate targets as CSR. Filling in ascending target order
-  // keeps each sensor's slice ascending; `first[s]` serves as the fill
-  // cursor and is shifted back to the slice start afterwards.
-  auto& first = scratch.first;
-  first.assign(num_sensors + 1, 0);
-  for (SensorId s = 0; s < num_sensors; ++s) first[s + 1] = first[s] + out.loads[s];
-  scratch.targets.resize(first[num_sensors]);
-  for (TargetId t = 0; t < num_targets; ++t) {
-    for (const SensorId s : candidates[t]) scratch.targets[first[s]++] = t;
-  }
-  for (std::size_t s = num_sensors; s > 0; --s) first[s] = first[s - 1];
-  first[0] = 0;
-
   // A ascending by load, ties by id. The (load, id) keys are distinct, so
   // the unstable sort is deterministic and needs no temporary buffer.
-  auto& pool = scratch.pool;
-  pool.clear();
-  for (SensorId s = 0; s < num_sensors; ++s) {
-    if (out.loads[s] > 0) pool.push_back(s);
-  }
   std::sort(pool.begin(), pool.end(), [&](SensorId a, SensorId b) {
     return out.loads[a] != out.loads[b] ? out.loads[a] < out.loads[b] : a < b;
   });
+
+  // Sensor -> candidate targets as CSR over the pool: sensor s's slice is
+  // targets[first[s], first[s] + loads[s]). Filling in ascending target
+  // order keeps each slice ascending; `first[s]` serves as the fill cursor
+  // and is shifted back to the slice start afterwards. Entries of sensors
+  // outside the pool are never read.
+  auto& first = scratch.first;
+  first.resize(num_sensors);
+  std::size_t offset = 0;
+  for (const SensorId s : pool) {
+    first[s] = offset;
+    offset += out.loads[s];
+  }
+  scratch.targets.resize(offset);
+  for (TargetId t = 0; t < num_targets; ++t) {
+    for (const SensorId s : candidates[t]) scratch.targets[first[s]++] = t;
+  }
+  for (const SensorId s : pool) first[s] -= out.loads[s];
 
   // Re-sorting all clusters stably by size before every admission leaves
   // equal-size clusters in the order they last grew, most recent first
@@ -125,7 +141,7 @@ void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
 
   for (const SensorId s : pool) {
     TargetId best = scratch.targets[first[s]];
-    for (std::size_t k = first[s] + 1; k < first[s + 1]; ++k) {
+    for (std::size_t k = first[s] + 1; k < first[s] + out.loads[s]; ++k) {
       const TargetId t = scratch.targets[k];
       const std::size_t size = out.members[t].size();
       const std::size_t best_size = out.members[best].size();

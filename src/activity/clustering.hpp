@@ -15,6 +15,11 @@
 
 namespace wrsn {
 
+// Membership invariant, kept by balanced_clustering and rebalance_dirty
+// alike: members and assignment mirror each other (s is in members[t]
+// exactly when assignment[s] == t, and in at most one cluster), and a sensor
+// with a nonzero load or an assignment is a member. The global recluster
+// relies on it to reset a reused ClusterSet through its members only.
 struct ClusterSet {
   // members[t] = sensors assigned to target t, in assignment order.
   std::vector<std::vector<SensorId>> members;
@@ -51,7 +56,7 @@ struct ClusterSet {
 // Reusable working storage for the admission core: a caller that reclusters
 // repeatedly allocates nothing O(N) per call once the buffers have grown.
 struct AdmissionScratch {
-  std::vector<std::size_t> first;     // per sensor + 1: CSR offsets into targets
+  std::vector<std::size_t> first;     // per sensor: CSR slice start in targets
   std::vector<TargetId> targets;      // sensor -> candidate targets, ascending
   std::vector<SensorId> pool;         // A, in admission order
   std::vector<std::ptrdiff_t> stamp;  // per target: tie key, lower wins
@@ -61,9 +66,15 @@ struct AdmissionScratch {
 // the eligible sensors within sensing range of target t, ascending by id,
 // and must contain exactly the sensors the O(M*N) scan would find. Writes
 // the clustering of `num_sensors` sensors into `out`, reusing its storage.
-// Runs in O(N + M + C + |A| log |A|) for C = total candidate pairs: each
-// admission takes a minimum over the sensor's own candidates instead of
-// re-sorting all M clusters.
+//
+// Reuse contract: when `out` already holds a clustering of `num_sensors`
+// sensors that keeps the membership invariant above (the previous result of
+// this function, possibly edited by rebalance_dirty since), only its old
+// members are reset, and the call runs in O(M + C + |A| log |A| + old
+// members) for C = total candidate pairs; any other `out` is reset densely
+// in O(N) first. Either way each admission takes a minimum over the
+// sensor's own candidates instead of re-sorting all M clusters, and the
+// result is the same.
 void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
                          std::size_t num_sensors, ClusterSet& out,
                          AdmissionScratch& scratch);

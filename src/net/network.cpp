@@ -72,11 +72,18 @@ void Network::build_routes(const std::vector<bool>& alive_mask) {
 }
 
 bool Network::rebuild_routing() {
-  std::vector<bool> alive(sensors_.size());
-  for (std::size_t i = 0; i < sensors_.size(); ++i) alive[i] = sensors_[i].alive();
-  if (routing_.built() && alive == last_alive_mask_) return false;
-  build_routes(alive);
-  last_alive_mask_ = std::move(alive);
+  // Compared and rewritten in place, with no allocation. An unchanged mask
+  // must still report false: a rebuild makes the caller reroute every flow.
+  bool changed = !routing_.built() || last_alive_mask_.size() != sensors_.size();
+  for (std::size_t i = 0; !changed && i < sensors_.size(); ++i) {
+    changed = last_alive_mask_[i] != sensors_[i].alive();
+  }
+  if (!changed) return false;
+  last_alive_mask_.resize(sensors_.size());
+  for (std::size_t i = 0; i < sensors_.size(); ++i) {
+    last_alive_mask_[i] = sensors_[i].alive();
+  }
+  build_routes(last_alive_mask_);
   return true;
 }
 

@@ -335,6 +335,7 @@ struct SnapshotAccess {
     io_index_vec(ar, w.clusters_.assignment, &target_or_none);
     sized(w.clusters_.assignment, num_sensors, "cluster assignment");
     io_index_vec(ar, w.clusters_.loads);
+    sized(w.clusters_.loads, num_sensors, "cluster loads");
     if constexpr (kLoad) {
       w.rotors_.assign(ar.count(16), ClusterRotor{});
       check_size(w.rotors_, num_targets, "rotors");
@@ -357,6 +358,7 @@ struct SnapshotAccess {
       io_index_vec(ar, w.active_monitor_, &monitor);
     }
     sized(w.active_monitor_, num_targets, "active monitors");
+    if constexpr (kLoad) check_clusters(w);
     io_bool_vec(ar, w.coverable_);
     sized(w.coverable_, num_targets, "coverable flags");
     io_bool_vec(ar, w.covered_);
@@ -549,6 +551,59 @@ struct SnapshotAccess {
     }
   }
 
+  // Cross-field consistency of the clustering, past the per-field range
+  // checks: the membership invariant of activity/clustering.hpp (which the
+  // global recluster's sparse reset relies on), each rotor holding its
+  // cluster's members sorted, the sensors' target mirrors, and monitors on
+  // members only.
+  static void check_clusters(const World& w) {
+    const ClusterSet& c = w.clusters_;
+    std::vector<TargetId> seen(c.assignment.size(), kInvalidId);
+    std::vector<SensorId> sorted;
+    for (TargetId t = 0; t < c.members.size(); ++t) {
+      for (const SensorId s : c.members[t]) {
+        if (seen[s] != kInvalidId) {
+          reject("sensor " + std::to_string(s) + " is in clusters " +
+                 std::to_string(seen[s]) + " and " + std::to_string(t));
+        }
+        seen[s] = t;
+        if (c.assignment[s] != t) {
+          reject("sensor " + std::to_string(s) + " is in cluster " +
+                 std::to_string(t) + " but not assigned to it");
+        }
+      }
+      sorted.assign(c.members[t].begin(), c.members[t].end());
+      std::sort(sorted.begin(), sorted.end());
+      if (w.rotors_[t].members() != sorted) {
+        reject("rotor " + std::to_string(t) + " members differ from its cluster");
+      }
+      const SensorId m = w.active_monitor_[t];
+      if (m != kInvalidId && seen[m] != t) {
+        reject("active monitor " + std::to_string(m) + " of target " +
+               std::to_string(t) + " is not a member of its cluster");
+      }
+    }
+    for (SensorId s = 0; s < c.assignment.size(); ++s) {
+      const Sensor& sensor = w.net_.sensor(s);
+      if (c.assignment[s] != seen[s]) {
+        reject("sensor " + std::to_string(s) + " is assigned to cluster " +
+               std::to_string(c.assignment[s]) + " but not among its members");
+      }
+      if (seen[s] == kInvalidId && c.loads[s] > 0) {
+        reject("sensor " + std::to_string(s) + " has load " +
+               std::to_string(c.loads[s]) + " but is in no cluster");
+      }
+      if (sensor.assigned_target != seen[s]) {
+        reject("sensor " + std::to_string(s) + " targets " +
+               std::to_string(sensor.assigned_target) +
+               " but its cluster assignment differs");
+      }
+      if (sensor.monitoring && seen[s] == kInvalidId) {
+        reject("sensor " + std::to_string(s) + " monitors but is in no cluster");
+      }
+    }
+  }
+
   // Fault events only exist when the config enables faults (their handlers
   // read the fault plan), and each RV's pending breakdowns plus the ones
   // already consumed cannot outnumber its plan's windows.
@@ -609,6 +664,10 @@ void World::load_state(const WorldSnapshot& snap) {
   BinReader r(snap.state);
   SnapshotAccess::io(*this, r);
   r.expect_end();
+  // The restored alive flags may differ from the ones the routing mask was
+  // built from (a death crossing may be pending), so the next recluster
+  // must compare them.
+  routing_stale_ = true;
 }
 
 std::string serialize_snapshot(const WorldSnapshot& snap) {

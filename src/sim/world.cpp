@@ -59,11 +59,17 @@ World::World(const SimConfig& config)
   leg_began_.assign(config_.num_rvs, 0.0);
   charge_began_.assign(config_.num_rvs, 0.0);
   soa_.init(net_);
+  for (SensorId s = 0; s < config_.num_sensors; ++s) {
+    if (soa_.alive(s)) ++alive_count_;
+  }
   covered_.assign(config_.num_targets, false);
   alive_members_.assign(config_.num_targets, 0);
   // Dirty marks are collected whichever way the drain refresh runs (marks
   // or full scan, both clear them), so the traffic model behaves the same.
+  // Every drain starts at zero, so the initial recluster's flush visits
+  // every sensor, exactly as a full scan would.
   drain_marks_.reset(config_.num_sensors);
+  for (SensorId s = 0; s < config_.num_sensors; ++s) mark_drain_dirty(s);
   traffic_.set_touch_log(&drain_marks_);
   // Install the link-quality model before any source registration (the
   // initial recluster below captures per-hop loss with each flow).
@@ -361,17 +367,18 @@ Watt World::sensor_drain(SensorId s) const {
   return total;
 }
 
+bool World::drain_held(SensorId s) const {
+  // A depleted — or depleting-within-this-instant — sensor whose death
+  // crossing has not fired yet keeps its drain and epoch, so the pending
+  // crossing stays valid and handle_death runs exactly once.
+  if (soa_.death_processed[s] != 0) return false;
+  if (!soa_.alive(s)) return true;
+  return soa_.drain[s] > 0.0 &&
+         soa_.drain[s] * (now_ - soa_.last_settle[s]) >= soa_.level[s];
+}
+
 bool World::update_drain(SensorId s) {
-  if (soa_.death_processed[s] == 0) {
-    // A depleted — or depleting-within-this-instant — sensor whose death
-    // crossing has not fired yet keeps its drain and epoch, so the pending
-    // crossing stays valid and handle_death runs exactly once.
-    if (!soa_.alive(s)) return false;
-    if (soa_.drain[s] > 0.0 &&
-        soa_.drain[s] * (now_ - soa_.last_settle[s]) >= soa_.level[s]) {
-      return false;
-    }
-  }
+  if (drain_held(s)) return false;
   const double d = sensor_drain(s).value();
   if (d == soa_.drain[s]) return false;
   settle_sensor(s);  // integrate the old drain up to now before switching
@@ -392,11 +399,6 @@ bool World::update_drain(SensorId s) {
   }
   if (drain_update_counter_ != nullptr) drain_update_counter_->add();
   return true;
-}
-
-void World::refresh_drains() {
-  for (SensorId s = 0; s < soa_.drain.size(); ++s) update_drain(s);
-  drain_marks_.clear();
 }
 
 void World::request_drain_refresh() {
@@ -433,6 +435,7 @@ void World::schedule_crossing(SensorId s) {
 // ---------------------------------------------------------------------------
 
 void World::on_sensor_alive_changed(SensorId s, bool alive_now) {
+  routing_stale_ = true;
   if (alive_now) {
     ++alive_count_;
   } else {
@@ -488,14 +491,13 @@ void World::recompute_covered(TargetId t) {
 }
 
 void World::rebuild_counters() {
-  alive_count_ = 0;
-  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
-    if (soa_.alive(s)) ++alive_count_;
-  }
+  // alive_count_ follows every alive transition and needs no recount
+  // (recluster_consistent checks it under WRSN_DEBUG_ASSERT).
   alive_members_.assign(net_.num_targets(), 0);
-  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
-    const TargetId t = clusters_.assignment[s];
-    if (t != kInvalidId && operational(s)) ++alive_members_[t];
+  for (TargetId t = 0; t < net_.num_targets(); ++t) {
+    for (const SensorId s : clusters_.members[t]) {
+      if (operational(s)) ++alive_members_[t];
+    }
   }
   coverable_count_ = 0;
   covered_count_ = 0;
@@ -509,6 +511,26 @@ void World::rebuild_counters() {
     }
     if (coverable_[t] && covered_[t]) ++covered_count_;
   }
+}
+
+bool World::refresh_routing() {
+  // No alive flip since the last rebuild means the mask is unchanged, and
+  // Network::rebuild_routing would return false anyway.
+  if (!routing_stale_) return false;
+  routing_stale_ = false;
+  return net_.rebuild_routing();
+}
+
+bool World::recluster_consistent() const {
+  std::size_t alive = 0;
+  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+    if (soa_.alive(s)) ++alive;
+    const Sensor& sensor = net_.sensor(s);
+    if (sensor.assigned_target != clusters_.assignment[s]) return false;
+    if (sensor.monitoring && sensor.assigned_target == kInvalidId) return false;
+    if (!drain_held(s) && soa_.drain[s] != sensor_drain(s).value()) return false;
+  }
+  return alive == alive_count_;
 }
 
 // ---------------------------------------------------------------------------
@@ -535,39 +557,72 @@ void World::recluster() {
   {
     // Timed apart from the dispatch below, whose planners have their own
     // scopes; the routing rebuild and traffic reroute count as recluster.
+    // The sub-scopes split it into its phases.
     WRSN_OBS_SCOPE("activity/recluster");
-    // Tear down the previous activation state.
+    // Tear down the previous activation state. Only members monitor or
+    // carry a target (recluster_consistent), so the old clusters' members
+    // are all there is to clear; each monitoring flip marks the drain.
     traffic_.clear_sources();
-    for (Sensor& s : net_.sensors()) s.monitoring = false;
-
-    cluster_all_targets();
-    for (SensorId s = 0; s < net_.num_sensors(); ++s) {
-      net_.sensor(s).assigned_target = clusters_.assignment[s];
-    }
-
-    rotors_.assign(net_.num_targets(), ClusterRotor{});
-    active_monitor_.assign(net_.num_targets(), kInvalidId);
-
-    net_.rebuild_routing();
-
-    const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
-    for (TargetId t = 0; t < net_.num_targets(); ++t) {
-      rotors_[t] = ClusterRotor(clusters_.members[t]);
-      if (config_.activation == ActivationPolicy::kRoundRobin) {
-        const SensorId first =
-            rotors_[t].select_first([&](SensorId s) { return operational(s); });
-        if (first != kInvalidId) {
-          net_.sensor(first).monitoring = true;
-          active_monitor_[t] = first;
-          traffic_.add_source(net_.routing(), first, rate_pps);
+    for (const auto& members : clusters_.members) {
+      for (const SensorId s : members) {
+        Sensor& sensor = net_.sensor(s);
+        sensor.assigned_target = kInvalidId;
+        if (sensor.monitoring) {
+          sensor.monitoring = false;
+          mark_drain_dirty(s);
         }
-      } else {
-        apply_full_time_activation(t);
       }
     }
 
-    rebuild_counters();
-    refresh_drains();  // every drain may have changed; clears pending marks
+    {
+      WRSN_OBS_SCOPE("activity/recluster/cluster");
+      cluster_all_targets();
+    }
+    for (TargetId t = 0; t < net_.num_targets(); ++t) {
+      for (const SensorId s : clusters_.members[t]) {
+        net_.sensor(s).assigned_target = t;
+      }
+    }
+    active_monitor_.assign(net_.num_targets(), kInvalidId);
+
+    {
+      WRSN_OBS_SCOPE("activity/recluster/routing");
+      refresh_routing();  // the flows are re-added below: no reroute
+    }
+
+    {
+      WRSN_OBS_SCOPE("activity/recluster/traffic");
+      const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
+      rotors_.resize(net_.num_targets());
+      for (TargetId t = 0; t < net_.num_targets(); ++t) {
+        rotors_[t].reset(clusters_.members[t]);
+        if (config_.activation == ActivationPolicy::kRoundRobin) {
+          const SensorId first =
+              rotors_[t].select_first([&](SensorId s) { return operational(s); });
+          if (first != kInvalidId) {
+            net_.sensor(first).monitoring = true;
+            mark_drain_dirty(first);
+            active_monitor_[t] = first;
+            traffic_.add_source(net_.routing(), first, rate_pps);
+          }
+        } else {
+          apply_full_time_activation(t);
+        }
+      }
+    }
+
+    {
+      WRSN_OBS_SCOPE("activity/recluster/counters");
+      rebuild_counters();
+    }
+    {
+      // Every drain that can have changed is marked: the monitoring flips
+      // above and the relays the traffic model touched.
+      WRSN_OBS_SCOPE("activity/recluster/drains");
+      request_drain_refresh();
+    }
+    WRSN_DEBUG_ASSERT(recluster_consistent(),
+                      "recluster left a stale drain, counter or monitor");
     for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
   }
   dispatch();
@@ -729,6 +784,7 @@ void World::apply_full_time_activation(TargetId t) {
   for (SensorId s : clusters_.members[t]) {
     if (!operational(s)) continue;
     net_.sensor(s).monitoring = true;
+    mark_drain_dirty(s);
     traffic_.add_source(net_.routing(), s, rate_pps);
   }
 }
@@ -1056,7 +1112,7 @@ void World::handle_death(SensorId s) {
   }
 
   // A dead relay changes the topology for everyone.
-  if (net_.rebuild_routing()) traffic_.reroute(net_.routing());
+  if (refresh_routing()) traffic_.reroute(net_.routing());
 
   if (t == kInvalidId) {
     add_request(s);

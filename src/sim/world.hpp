@@ -256,9 +256,13 @@ class World {
   void settle_all_sensors();
   // Recomputes soa_.drain[s]; on change settles, bumps the epoch and re-predicts
   // the crossing. Sensors whose death event is still pending are left
-  // untouched so the crossing fires and handle_death runs exactly once.
+  // untouched (drain_held) so the crossing fires and handle_death runs
+  // exactly once.
   bool update_drain(SensorId s);
-  void refresh_drains();  // update_drain over all sensors (full scan)
+  [[nodiscard]] bool drain_held(SensorId s) const;
+  // A drain depends on alive, monitoring, the traffic rates and the constant
+  // fault noise: every alive or monitoring change marks the sensor here, and
+  // the traffic model's touch log marks every rate change.
   void mark_drain_dirty(SensorId s) { drain_marks_.add(s); }
   // Predicted threshold/death crossing time under the current level and
   // drain, or kNoCrossing when none will fire inside the horizon.
@@ -281,7 +285,15 @@ class World {
   void set_covered(TargetId t, bool v);
   void set_coverable(TargetId t, bool v);
   void recompute_covered(TargetId t);
-  void rebuild_counters();  // O(N+M), after a global recluster
+  // After a global recluster: alive members from the clusters, coverage
+  // from the targets; O(members + M).
+  void rebuild_counters();
+  // Network::rebuild_routing, skipped while no alive flip happened since
+  // the last call (routing_stale_). Returns whether the forest changed.
+  bool refresh_routing();
+  // Debug check after a recluster: every drain current (drain_held excepted),
+  // target mirrors and monitors on members only, alive_count_ exact.
+  [[nodiscard]] bool recluster_consistent() const;
 
   // --- activity management ---------------------------------------------
   void recluster();  // global: construction + teleport motion
@@ -424,6 +436,9 @@ class World {
   std::size_t covered_count_ = 0;                // coverable AND covered
   std::vector<bool> covered_;                    // per target
   std::vector<std::size_t> alive_members_;       // per target, alive members
+  // Set by every alive flip, cleared by refresh_routing; restored worlds
+  // start with it set.
+  bool routing_stale_ = true;
 
   // Dispatch-round scratch: the arena backs PlanContext's per-RV tables,
   // the vectors are reused across rounds to avoid reallocating the item /

@@ -66,7 +66,10 @@ StateSnapshot ReferenceWorld::derived_state() const {
   return snap;
 }
 
-void ReferenceWorld::request_drain_refresh() { refresh_drains(); }
+void ReferenceWorld::request_drain_refresh() {
+  for (SensorId s = 0; s < soa_.drain.size(); ++s) update_drain(s);
+  drain_marks_.clear();
+}
 
 void ReferenceWorld::cluster_all_targets() {
   clusters_ = clusters_by_scan();

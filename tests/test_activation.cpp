@@ -19,6 +19,28 @@ TEST(ClusterRotor, MembersSortedAscending) {
   EXPECT_EQ(rotor.members(), (std::vector<SensorId>{3, 7, 9}));
 }
 
+// reset() rebuilds a rotor in place; whatever its previous members and
+// rotation position, it must equal a freshly constructed rotor.
+TEST(ClusterRotor, ResetMatchesFreshRotor) {
+  ClusterRotor rotor({4, 1, 9});
+  rotor.select_first([](SensorId s) { return s == 9; });
+  rotor.add_member(6);
+  ASSERT_EQ(rotor.current(), 9u);
+  const std::vector<SensorId> members = {12, 3, 7, 5};
+  rotor.reset(members);
+  const ClusterRotor fresh(members);
+  EXPECT_EQ(rotor.members(), fresh.members());
+  EXPECT_EQ(rotor.cursor(), fresh.cursor());
+  EXPECT_EQ(rotor.current(), fresh.current());
+
+  rotor.select_first([](SensorId s) { return s == 12; });
+  rotor.reset({});
+  const ClusterRotor empty;
+  EXPECT_TRUE(rotor.empty());
+  EXPECT_EQ(rotor.cursor(), empty.cursor());
+  EXPECT_EQ(rotor.current(), kInvalidId);
+}
+
 TEST(ClusterRotor, SelectFirstPicksLowestAliveId) {
   ClusterRotor rotor({5, 2, 8});
   EXPECT_EQ(rotor.select_first([](SensorId) { return true; }), 2u);

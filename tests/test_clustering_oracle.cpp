@@ -181,6 +181,56 @@ TEST_P(AdmissionOracle, CoreMatchesStableSortReference) {
   }
 }
 
+// The simulator's pattern: one ClusterSet and one AdmissionScratch of a
+// fixed sensor count reused across many global reclusterings, which then
+// reset only the previous members, with scoped rebalance_dirty edits and
+// eligibility flips (deaths, revivals) in between. Every reclustering must
+// equal a fresh dense run on fresh storage.
+TEST_P(AdmissionOracle, SameSizeReuseMatchesFreshDenseRun) {
+  Xoshiro256 rng(0x5e05eULL + GetParam());
+  const Instance in = make_instance(static_cast<int>(GetParam() % 5), rng);
+  const std::size_t n = in.sensors.size();
+  std::vector<Vec2> targets = in.targets;
+  std::vector<bool> eligible = in.eligible;
+  if (eligible.empty()) eligible.assign(n, true);
+  const auto pos = [&](SensorId s) { return in.sensors[s]; };
+  const double r2 = in.range * in.range;
+
+  ClusterSet reused;
+  AdmissionScratch scratch;
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE(round);
+    // Teleport one target and flip a few sensors' eligibility, then
+    // recluster globally.
+    targets[rng.uniform_int(targets.size())] = random_location(in.side, rng);
+    for (int k = 0; k < 3; ++k) {
+      const std::size_t s = rng.uniform_int(n);
+      eligible[s] = !eligible[s];
+    }
+    const auto cand = grid_candidates(in.sensors, targets, in.side, in.range, eligible);
+    balanced_clustering(cand, n, reused, scratch);
+    ClusterSet fresh;
+    AdmissionScratch fresh_scratch;
+    balanced_clustering(cand, n, fresh, fresh_scratch);
+    expect_same(reused, fresh);
+    if (::testing::Test::HasFailure()) return;
+
+    // Scoped edits before the next reclustering: a target steps, and the
+    // eligible sensors in range of either end are re-balanced.
+    const TargetId t = static_cast<TargetId>(rng.uniform_int(targets.size()));
+    const Vec2 from = targets[t];
+    targets[t] = random_location(in.side, rng);
+    std::vector<SensorId> dirty;
+    for (SensorId s = 0; s < n; ++s) {
+      if (eligible[s] && (squared_distance(in.sensors[s], from) <= r2 ||
+                          squared_distance(in.sensors[s], targets[t]) <= r2)) {
+        dirty.push_back(s);
+      }
+    }
+    (void)rebalance_dirty(reused, pos, targets, in.range, dirty);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, AdmissionOracle,
                          ::testing::Range<std::uint64_t>(0, 40));
 

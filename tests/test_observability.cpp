@@ -110,6 +110,26 @@ TEST(Observability, TelemetryRegistryDoesNotPerturb) {
   EXPECT_GT(registry.timer("planner/greedy").count(), 0u);
 }
 
+// The recluster timer's sub-phases each time every global recluster once.
+// Teleport motion (obs_config's default) reclusters on every target move;
+// the constructor's recluster runs before the registry is attached.
+TEST(Observability, ReclusterPhasesTimeEveryTeleportRecluster) {
+  World w(obs_config());
+  ASSERT_EQ(w.config().target_motion, TargetMotion::kTeleport);
+  obs::TelemetryRegistry registry;
+  w.set_telemetry(&registry);
+  w.run();
+  const std::uint64_t reclusters = registry.timer("activity/recluster").count();
+  EXPECT_GT(reclusters, 0u);
+  EXPECT_EQ(reclusters, registry.counter("events/popped/target-move").value());
+  for (const char* phase :
+       {"activity/recluster/cluster", "activity/recluster/routing",
+        "activity/recluster/traffic", "activity/recluster/drains",
+        "activity/recluster/counters"}) {
+    EXPECT_EQ(registry.timer(phase).count(), reclusters) << phase;
+  }
+}
+
 TEST(Observability, TraceSinkDoesNotPerturb) {
   World plain(obs_config());
   World traced(obs_config());

@@ -378,6 +378,7 @@ struct PlantableWorld : World {
   using World::net_;
   using World::queue_;
   using World::requests_;
+  using World::rotors_;
   using World::rvs_;
   using World::series_;
   using World::soa_;
@@ -579,6 +580,122 @@ TEST(SnapshotHostile, RejectsLengthsBeyondThePayload) {
     put_u64(snap.state, count, std::uint64_t{1} << 58);
     expect_rejected(snap, "exceeds the");
   }
+}
+
+// Cross-field consistency of the clustering: each planted state below keeps
+// every id in range, so only the consistency checks can refuse it. The world
+// is the tiny one with more sensors, so every target has a member and some
+// sensors have none.
+
+SimConfig cluster_config() {
+  SimConfig cfg = tiny_config();
+  cfg.num_sensors = 90;
+  return cfg;
+}
+
+WorldSnapshot planted_clusters(const std::function<void(PlantableWorld&)>& plant) {
+  PlantableWorld w(cluster_config());
+  w.run_until(minutes(20.0));
+  plant(w);
+  return w.checkpoint();
+}
+
+// The first sensor outside every cluster.
+SensorId first_non_member(const PlantableWorld& w) {
+  for (SensorId s = 0; s < w.clusters_.assignment.size(); ++s) {
+    if (w.clusters_.assignment[s] == kInvalidId) return s;
+  }
+  ADD_FAILURE() << "every sensor is a member";
+  return 0;
+}
+
+// Target 0's first member.
+SensorId member_of_target0(const PlantableWorld& w) {
+  EXPECT_FALSE(w.clusters_.members[0].empty());
+  return w.clusters_.members[0].empty() ? 0 : w.clusters_.members[0].front();
+}
+
+TEST(SnapshotHostile, ClusteredSnapshotRestores) {
+  const WorldSnapshot snap = planted_clusters([](PlantableWorld& w) {
+    for (TargetId t = 0; t < w.clusters_.members.size(); ++t) {
+      EXPECT_FALSE(w.clusters_.members[t].empty()) << "target " << t;
+    }
+    EXPECT_NE(first_non_member(w), kInvalidId);
+  });
+  const World restored(deserialize_snapshot(serialize_snapshot(snap)));
+  EXPECT_EQ(restored.checkpoint().state, snap.state);
+}
+
+TEST(SnapshotHostile, RejectsAssignmentThatDisagreesWithMembers) {
+  SensorId s = 0;
+  WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    s = first_non_member(w);
+    w.clusters_.assignment[s] = 1;
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) +
+                            " is assigned to cluster 1 but not among its members");
+  snap = planted_clusters([&](PlantableWorld& w) {
+    s = member_of_target0(w);
+    w.clusters_.assignment[s] = kInvalidId;
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) +
+                            " is in cluster 0 but not assigned to it");
+}
+
+TEST(SnapshotHostile, RejectsSensorInTwoClusters) {
+  SensorId s = 0;
+  const WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    s = member_of_target0(w);
+    w.clusters_.members[2].push_back(s);
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) + " is in clusters 0 and 2");
+}
+
+TEST(SnapshotHostile, RejectsLoadOnNonMember) {
+  SensorId s = 0;
+  const WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    s = first_non_member(w);
+    w.clusters_.loads[s] = 2;
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) +
+                            " has load 2 but is in no cluster");
+}
+
+TEST(SnapshotHostile, RejectsRotorThatDisagreesWithItsCluster) {
+  const WorldSnapshot snap = planted_clusters([](PlantableWorld& w) {
+    std::vector<SensorId> members = w.rotors_[1].members();
+    members.pop_back();
+    w.rotors_[1].restore(members, 0);
+  });
+  expect_rejected(snap, "rotor 1 members differ from its cluster");
+}
+
+TEST(SnapshotHostile, RejectsMonitorOutsideItsCluster) {
+  SensorId s = 0;
+  const WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    s = member_of_target0(w);
+    w.active_monitor_[1] = s;
+  });
+  expect_rejected(snap, "active monitor " + std::to_string(s) +
+                            " of target 1 is not a member of its cluster");
+}
+
+// The sensors' mirrors of the clustering: the target each carries and its
+// monitoring flag, which the global recluster clears on members only.
+TEST(SnapshotHostile, RejectsSensorMirrorsThatDisagreeWithClusters) {
+  SensorId s = 0;
+  WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    s = member_of_target0(w);
+    w.net_.sensor(s).assigned_target = 2;
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) +
+                            " targets 2 but its cluster assignment differs");
+  snap = planted_clusters([&](PlantableWorld& w) {
+    s = first_non_member(w);
+    w.net_.sensor(s).monitoring = true;
+  });
+  expect_rejected(snap, "sensor " + std::to_string(s) +
+                            " monitors but is in no cluster");
 }
 
 // Version 2 was the last schema with an engine byte in the header; such a

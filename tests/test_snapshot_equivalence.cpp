@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "obs/spans.hpp"
 #include "reference_world.hpp"
@@ -233,6 +234,38 @@ std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
 
 INSTANTIATE_TEST_SUITE_P(EnginesAndFaults, SnapshotEquivalence,
                          testing::ValuesIn(scenarios()), scenario_name);
+
+// Restore's cross-field checks (clusters against rotors, monitors and the
+// sensors' target mirrors) must accept every valid state: a checkpoint after
+// every event of runs under both motions, both activation policies and
+// faults on and off restores without a complaint.
+TEST(SnapshotEquivalence, EveryCheckpointOfARunRestores) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    for (const bool faults : {false, true}) {
+      for (const ActivationPolicy activation :
+           {ActivationPolicy::kRoundRobin, ActivationPolicy::kFullTime}) {
+        SimConfig cfg = eq_config({seed, Engine::kIncremental, faults});
+        cfg.activation = activation;
+        World w(cfg);
+        std::size_t restored = 0;
+        w.set_checkpoint_hook([&](const World& world) {
+          try {
+            const World back(world.checkpoint());
+            ++restored;
+          } catch (const InvalidArgument& e) {
+            ADD_FAILURE() << "seed=" << seed << " faults=" << faults
+                          << " activation=" << to_string(activation) << " at t="
+                          << world.now().value() << ": " << e.what();
+            return true;
+          }
+          return false;
+        });
+        w.run_until(cfg.sim_duration);
+        EXPECT_EQ(restored, w.events_processed());
+      }
+    }
+  }
+}
 
 // Resuming the SAME world object after a hook stop (hook cleared) must also
 // match the golden run: checkpoint capture is observational.

@@ -153,16 +153,22 @@ SimConfig fault_eq_config(const Scenario& sc) {
   return cfg;
 }
 
+// Both motions: random waypoint drives the scoped rebalance, teleport the
+// global recluster, and hardware faults, deaths and revivals meet both.
 TEST(WorldEquivalence, FaultEnabledInstancesMatchBitForBit) {
+  const TargetMotion motions[] = {TargetMotion::kRandomWaypoint,
+                                  TargetMotion::kTeleport};
   const ActivationPolicy activations[] = {ActivationPolicy::kRoundRobin,
                                           ActivationPolicy::kFullTime};
   const std::string schedulers[] = {"combined", "greedy"};
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    for (const ActivationPolicy activation : activations) {
-      for (const std::string& scheduler : schedulers) {
-        Scenario sc{seed, TargetMotion::kRandomWaypoint, activation, scheduler};
-        expect_identical(fault_eq_config(sc), "faults on, " + describe(sc));
-        if (::testing::Test::HasFatalFailure()) return;
+    for (const TargetMotion motion : motions) {
+      for (const ActivationPolicy activation : activations) {
+        for (const std::string& scheduler : schedulers) {
+          Scenario sc{seed, motion, activation, scheduler};
+          expect_identical(fault_eq_config(sc), "faults on, " + describe(sc));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
   }
