@@ -3,7 +3,6 @@
 // coverage at that density.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "geom/coverage.hpp"
@@ -12,8 +11,8 @@
 
 int main() {
   using namespace wrsn;
-  bench::print_header("Eq. (1) - minimum sensors for full coverage",
-                      "Section II-B, Eq. (1)");
+  std::cout << "Eq. (1) - minimum sensors for full coverage "
+               "(paper reference: Section II-B, Eq. (1))\n";
 
   const double side = 200.0;
   Table t({"sensing range r (m)", "N_min (Eq. 1)", "expected degree at N_min",

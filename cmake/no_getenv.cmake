@@ -1,14 +1,21 @@
-# Fails if any C++ source under src/ or tools/ calls getenv: the simulator's
-# behaviour is chosen by configs and command-line flags, never by the
-# environment.
+# Fails if any C++ source under src/, tools/, bench/ or examples/ calls
+# getenv: the simulator, its benchmarks and its examples are driven by
+# configs and command-line flags, never by the environment.
 #
 #   cmake -DROOT=/path/to/repo -P no_getenv.cmake
 if(NOT DEFINED ROOT)
   message(FATAL_ERROR "no_getenv.cmake: ROOT is required")
 endif()
 
-file(GLOB_RECURSE sources
-  ${ROOT}/src/*.cpp ${ROOT}/src/*.hpp ${ROOT}/tools/*.cpp ${ROOT}/tools/*.hpp)
+set(dirs src tools bench examples)
+set(sources "")
+foreach(dir IN LISTS dirs)
+  file(GLOB_RECURSE found ${ROOT}/${dir}/*.cpp ${ROOT}/${dir}/*.hpp)
+  if(NOT found)
+    message(FATAL_ERROR "no sources found under ${ROOT}/${dir}")
+  endif()
+  list(APPEND sources ${found})
+endforeach()
 set(offenders "")
 foreach(path IN LISTS sources)
   file(STRINGS ${path} hits REGEX "getenv")
@@ -18,9 +25,6 @@ foreach(path IN LISTS sources)
   endif()
 endforeach()
 list(LENGTH sources count)
-if(count EQUAL 0)
-  message(FATAL_ERROR "no sources found under ${ROOT}/src and ${ROOT}/tools")
-endif()
 if(offenders)
   message(FATAL_ERROR "getenv called in: ${offenders}")
 endif()

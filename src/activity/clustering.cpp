@@ -50,8 +50,8 @@ std::size_t ClusterSet::imbalance() const {
   std::size_t hi = 0;
   bool any = false;
   for (const auto& cluster : members) {
-    // Clusters that could never receive a sensor (no candidates) do not
-    // count against balance quality.
+    // Memberless clusters are skipped, whether or not their target had
+    // candidates.
     if (cluster.empty()) continue;
     any = true;
     lo = std::min(lo, cluster.size());

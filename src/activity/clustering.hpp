@@ -30,8 +30,10 @@ struct ClusterSet {
 
   [[nodiscard]] std::size_t num_clusters() const { return members.size(); }
   [[nodiscard]] std::size_t cluster_size(TargetId t) const { return members[t].size(); }
-  // Max minus min size over non-empty-candidate clusters; the balance
-  // quality metric used by tests.
+  // Max minus min size over the clusters that received at least one member;
+  // the balance quality metric used by tests. A cluster left empty counts
+  // for nothing even when its target had candidate sensors, so an
+  // assignment that starves coverable targets can score lower.
   [[nodiscard]] std::size_t imbalance() const;
 };
 

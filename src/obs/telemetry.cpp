@@ -32,13 +32,11 @@ void atomic_max(std::atomic<double>& a, double v) noexcept {
   }
 }
 
-thread_local TelemetryRegistry* t_registry = nullptr;
-
 // Epoch of the current thread-local registry installation. Bumped on every
 // TelemetryScope construction AND destruction, so an unchanged epoch proves
-// t_registry has not been swapped since — which is what makes the timer
-// handle cache below safe: a cached Histogram* is only trusted while the
-// installation that created it is still the active one (the scope holder
+// detail::t_registry has not been swapped since — which is what makes the
+// timer handle cache below safe: a cached Histogram* is only trusted while
+// the installation that created it is still the active one (the scope holder
 // keeps that registry alive).
 thread_local std::uint64_t t_epoch = 0;
 
@@ -280,16 +278,14 @@ void require_writable(const std::string& path) {
 // Thread-local installation
 // ---------------------------------------------------------------------------
 
-TelemetryRegistry* current_registry() noexcept { return t_registry; }
-
 TelemetryScope::TelemetryScope(TelemetryRegistry* registry) noexcept
-    : prev_(t_registry) {
-  t_registry = registry;
+    : prev_(detail::t_registry) {
+  detail::t_registry = registry;
   ++t_epoch;
 }
 
 TelemetryScope::~TelemetryScope() {
-  t_registry = prev_;
+  detail::t_registry = prev_;
   ++t_epoch;
 }
 
@@ -308,7 +304,7 @@ void ScopedTimer::record(double seconds) {
   // Only cache when the captured registry is still the installed one — a
   // timer whose scope outlived a nested TelemetryScope must not publish its
   // (different-registry) handle under the current epoch.
-  if (registry_ == t_registry) {
+  if (registry_ == detail::t_registry) {
     t_timer_cache[t_timer_cache_next] = TimerCacheEntry{t_epoch, name_, &h};
     t_timer_cache_next = (t_timer_cache_next + 1) % kTimerCacheSlots;
   }

@@ -156,8 +156,17 @@ void require_writable(const std::string& path);
 // installed on *their* thread, so concurrent replicas never share state by
 // accident and a site in a pure function (the planners) needs no plumbing.
 
+namespace detail {
+// The current thread's installation; written only by TelemetryScope.
+// Defined here, constant-initialized, so every read inlines to one
+// thread-local load.
+inline thread_local TelemetryRegistry* t_registry = nullptr;
+}  // namespace detail
+
 // Registry installed on the current thread, or nullptr (telemetry off).
-[[nodiscard]] TelemetryRegistry* current_registry() noexcept;
+[[nodiscard]] inline TelemetryRegistry* current_registry() noexcept {
+  return detail::t_registry;
+}
 
 // RAII: installs `registry` (may be nullptr) for the current thread and
 // restores the previous installation on destruction.

@@ -112,6 +112,32 @@ TEST(Clustering, BalancedBeatsNaiveOnOverlap) {
   EXPECT_LE(balanced.imbalance(), naive.imbalance());
 }
 
+// imbalance() skips memberless clusters, so naive first-come assignment can
+// score lower by starving targets that had candidates. This Table II-sized
+// instance is the fifth M=10 draw of the balanced-vs-naive ablation in
+// test_claims (Xoshiro256(4096), after its thirty M=5 draws): naive leaves
+// targets 6 and 9 empty although balanced gives each a sensor.
+TEST(Clustering, NaiveCanScoreLowerByStarvingTargets) {
+  Xoshiro256 rng(4096);
+  for (int i = 0; i < 30; ++i) {
+    (void)deploy_uniform(500, 200.0, rng);
+    (void)deploy_uniform(5, 200.0, rng);
+  }
+  std::vector<Vec2> sensors, targets;
+  for (int i = 0; i < 5; ++i) {
+    sensors = deploy_uniform(500, 200.0, rng);
+    targets = deploy_uniform(10, 200.0, rng);
+  }
+  const ClusterSet balanced = balanced_clustering(sensors, targets, 8.0);
+  const ClusterSet naive = naive_clustering(sensors, targets, 8.0);
+  EXPECT_EQ(balanced.imbalance(), 5u);
+  EXPECT_EQ(naive.imbalance(), 4u);
+  for (TargetId t : {6u, 9u}) {
+    EXPECT_TRUE(naive.members[t].empty()) << "target " << t;
+    EXPECT_EQ(balanced.cluster_size(t), 1u) << "target " << t;
+  }
+}
+
 // Property sweep: on random instances, balanced clustering never loses to
 // naive clustering on the imbalance metric, and both assign the identical
 // sensor pool.
