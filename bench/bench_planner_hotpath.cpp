@@ -1,10 +1,11 @@
 // bench_planner_hotpath — old-vs-new timing for the grid-pruned planners.
 //
-// Measures ns/op for the reference linear-scan planners against the
-// PlanContext / grid-backed replacements at n in {100, 500, 2000, 10000}
-// (constant item density: the field side grows with sqrt(n)), plus one
-// dispatch round of the partition policy (`partition_round`), and writes a
-// machine-readable JSON report:
+// Measures ns/op for the reference linear scans against their pruned
+// replacements — PlanContext's greedy_next and insertion_sequence, the
+// Hamerly k-means — at n in {100, 500, 2000, 10000} (constant item density:
+// the field side grows with sqrt(n)), plus one dispatch round of the
+// partition policy (`partition_round`), and writes a machine-readable JSON
+// report:
 //
 //   bench_planner_hotpath [--quick] [--out FILE]
 //
@@ -25,7 +26,6 @@
 #include <numeric>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,7 +35,6 @@
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
 #include "sched/policy.hpp"
-#include "sched/tsp.hpp"
 
 namespace {
 
@@ -43,8 +42,7 @@ using namespace wrsn;
 
 using Clock = std::chrono::steady_clock;
 
-// Runs `fn` (which returns a double checksum) enough times to fill
-// ~`budget_ns`, repeated `reps` times, and reports the fastest rep.
+// One kernel's best time per call, and the checksum of one call.
 struct Timing {
   double ns_per_op = 0.0;
   double checksum = 0.0;
@@ -53,12 +51,14 @@ struct Timing {
 // Keeps the timed loops' results observable so they cannot be elided.
 volatile double g_sink = 0.0;
 
-// Interleaved variant for ref-vs-opt comparisons: reps alternate
-// ref,opt,ref,opt,... so slow clock-frequency / thermal drift biases both
-// sides equally instead of penalising whichever side ran second. Without
-// this, two timings of the IDENTICAL code path (e.g. nearest_neighbor_tour
-// below its small-n cutover, where the optimized entry point delegates to
-// the reference) can report a consistent few-percent "slowdown".
+// Runs each of `ref_fn` and `opt_fn` (which return a double checksum) enough
+// times to fill ~`budget_ns`, repeated `reps` times, and reports the fastest
+// rep of each. Reps alternate ref,opt,ref,opt,... so slow clock-frequency /
+// thermal drift biases both sides equally instead of penalising whichever
+// side ran second. Without this, two timings of the IDENTICAL code path (a
+// kernel below its small-n cutoff, where the optimized entry point
+// delegates to the reference) can report a consistent few-percent
+// "slowdown".
 template <typename RefFn, typename OptFn>
 std::pair<Timing, Timing> time_kernel_pair(RefFn&& ref_fn, OptFn&& opt_fn,
                                            double budget_ns = 5e7,
@@ -98,35 +98,6 @@ std::pair<Timing, Timing> time_kernel_pair(RefFn&& ref_fn, OptFn&& opt_fn,
   return {ref, opt};
 }
 
-template <typename Fn>
-Timing time_kernel(Fn&& fn, double budget_ns = 5e7, int reps = 3) {
-  Timing t;
-  // Calibration pass (also warms caches). Its result is the checksum — one
-  // call's worth, so reference and optimized kernels are comparable even
-  // though they calibrate to different iteration counts.
-  auto t0 = Clock::now();
-  t.checksum = fn();
-  auto t1 = Clock::now();
-  const double once =
-      std::max(1.0, std::chrono::duration<double, std::nano>(t1 - t0).count());
-  const auto iters =
-      static_cast<std::size_t>(std::clamp(budget_ns / once, 1.0, 1e6));
-  double best = once;
-  for (int rep = 0; rep < reps; ++rep) {
-    t0 = Clock::now();
-    double sink = 0.0;
-    for (std::size_t i = 0; i < iters; ++i) sink += fn();
-    t1 = Clock::now();
-    g_sink = sink;
-    const double per =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        static_cast<double>(iters);
-    best = std::min(best, per);
-  }
-  t.ns_per_op = best;
-  return t;
-}
-
 std::vector<RechargeItem> random_items(std::size_t n, double side,
                                        Xoshiro256& rng) {
   std::vector<RechargeItem> items;
@@ -146,7 +117,7 @@ std::vector<RechargeItem> random_items(std::size_t n, double side,
 struct Row {
   std::string kernel;
   std::size_t n = 0;
-  double ref_ns = -1.0;  // < 0 means "not measured at this size"
+  double ref_ns = 0.0;
   double opt_ns = 0.0;
 };
 
@@ -161,21 +132,17 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
   const std::vector<bool> untaken(n, false);
   const PlanContext ctx(items, params);
 
-  auto add = [&](const char* kernel, Timing ref, Timing opt, bool has_ref) {
-    if (has_ref && ref.checksum != opt.checksum) {
+  auto add = [&](const char* kernel, Timing ref, Timing opt) {
+    if (ref.checksum != opt.checksum) {
       std::cerr << "bench_planner_hotpath: checksum mismatch on " << kernel
                 << " at n=" << n << " (" << ref.checksum << " vs "
                 << opt.checksum << ")\n";
       std::exit(1);
     }
-    rows.push_back({kernel, n, has_ref ? ref.ns_per_op : -1.0, opt.ns_per_op});
-    std::cerr << "  " << kernel << " n=" << n << ": ";
-    if (has_ref) {
-      std::cerr << ref.ns_per_op << " -> " << opt.ns_per_op << " ns/op ("
-                << ref.ns_per_op / opt.ns_per_op << "x)\n";
-    } else {
-      std::cerr << opt.ns_per_op << " ns/op (reference skipped)\n";
-    }
+    rows.push_back({kernel, n, ref.ns_per_op, opt.ns_per_op});
+    std::cerr << "  " << kernel << " n=" << n << ": " << ref.ns_per_op << " -> "
+              << opt.ns_per_op << " ns/op (" << ref.ns_per_op / opt.ns_per_op
+              << "x)\n";
   };
 
   {
@@ -188,20 +155,7 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
           const auto pick = ctx.greedy_next(rv, untaken);
           return pick ? static_cast<double>(*pick) : -1.0;
         });
-    add("greedy_next", ref, opt, true);
-  }
-
-  {
-    const auto [ref, opt] = time_kernel_pair(
-        [&] {
-          const auto pick = nearest_next(rv, items, untaken, params);
-          return pick ? static_cast<double>(*pick) : -1.0;
-        },
-        [&] {
-          const auto pick = ctx.nearest_next(rv, untaken);
-          return pick ? static_cast<double>(*pick) : -1.0;
-        });
-    add("nearest_next", ref, opt, true);
+    add("greedy_next", ref, opt);
   }
 
   {
@@ -223,63 +177,12 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
           for (const std::size_t i : seq) sum += static_cast<double>(i) + 1.0;
           return sum;
         });
-    add("insertion_sequence", ref, opt, true);
+    add("insertion_sequence", ref, opt);
   }
 
   std::vector<Vec2> points;
   points.reserve(n);
   for (const RechargeItem& it : items) points.push_back(it.pos);
-
-  {
-    const auto [ref, opt] = time_kernel_pair(
-        [&] {
-          const auto order =
-              nearest_neighbor_tour_reference(params.base, points);
-          double sum = 0.0;
-          for (const std::size_t i : order) sum += static_cast<double>(i) + 1.0;
-          return sum;
-        },
-        [&] {
-          const auto order = nearest_neighbor_tour(params.base, points);
-          double sum = 0.0;
-          for (const std::size_t i : order) sum += static_cast<double>(i) + 1.0;
-          return sum;
-        });
-    add("nearest_neighbor_tour", ref, opt, true);
-  }
-
-  {
-    const auto base_order = nearest_neighbor_tour_reference(params.base, points);
-    auto tour_sum = [](const std::vector<std::size_t>& order) {
-      double sum = 0.0;
-      for (const std::size_t i : order) sum += static_cast<double>(i) + 1.0;
-      return sum;
-    };
-    // The reference 2-opt is O(n^2) per round; at n=10000 one call takes
-    // whole seconds, so only the optimized side is measured there.
-    const bool run_ref = n <= 2000;
-    Timing ref, opt;
-    if (run_ref) {
-      std::tie(ref, opt) = time_kernel_pair(
-          [&] {
-            auto order = base_order;
-            two_opt_reference(params.base, points, order);
-            return tour_sum(order);
-          },
-          [&] {
-            auto order = base_order;
-            two_opt(params.base, points, order);
-            return tour_sum(order);
-          });
-    } else {
-      opt = time_kernel([&] {
-        auto order = base_order;
-        two_opt(params.base, points, order);
-        return tour_sum(order);
-      });
-    }
-    add("two_opt", ref, opt, run_ref);
-  }
 
   {
     const std::size_t k = 16;
@@ -302,7 +205,7 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
           }
           return sum;
         });
-    add("kmeans_k16", ref, opt, true);
+    add("kmeans_k16", ref, opt);
   }
 }
 
@@ -399,21 +302,11 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     w.begin_object()
         .field("kernel", r.kernel)
-        .field("n", static_cast<std::uint64_t>(r.n));
-    if (r.ref_ns >= 0.0) {
-      w.field("ref_ns_per_op", r.ref_ns)
-          .field("opt_ns_per_op", r.opt_ns)
-          .field("speedup", r.ref_ns / r.opt_ns);
-    } else {
-      // The reference kernel was deliberately skipped (too slow at this
-      // size); say so explicitly so downstream gates can distinguish a
-      // capped row from a broken measurement.
-      w.field("ref_timeout", true);
-      w.key("ref_ns_per_op").null();
-      w.field("opt_ns_per_op", r.opt_ns);
-      w.key("speedup").null();
-    }
-    w.end_object();
+        .field("n", static_cast<std::uint64_t>(r.n))
+        .field("ref_ns_per_op", r.ref_ns)
+        .field("opt_ns_per_op", r.opt_ns)
+        .field("speedup", r.ref_ns / r.opt_ns)
+        .end_object();
   }
   w.end_array().end_object();
 

@@ -8,7 +8,7 @@ can gate on minimum speedups:
 
     scripts/bench_planner.py                       # full sizes
     scripts/bench_planner.py --quick               # n in {100, 500} only
-    scripts/bench_planner.py --check greedy_next:3 --check two_opt:3
+    scripts/bench_planner.py --check greedy_next:3 --check partition_round:3
                                                    # fail unless >= 3x at the
                                                    # largest measured n
 
@@ -34,7 +34,7 @@ def run(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true", help="small sizes only")
     ap.add_argument("--check", action="append", default=[], metavar="KERNEL:MIN",
                     help="fail unless KERNEL reaches MIN x speedup at the "
-                         "largest n where its reference ran (repeatable)")
+                         "largest measured n (repeatable)")
     args = ap.parse_args(argv)
 
     cmd = [args.bin, "--out", args.out]
@@ -59,32 +59,16 @@ def run(argv: list[str] | None = None) -> int:
     print(f"\ncores: {report.get('cores', '?')}")
     print(f"\n{'kernel':<22} {'n':>6} {'ref ns/op':>14} {'opt ns/op':>14} {'speedup':>9}")
     for r in rows:
-        ref = r["ref_ns_per_op"]
-        ref_s = f"{ref:14.0f}" if ref is not None else f"{'-':>14}"
-        spd = r["speedup"]
-        if spd is not None:
-            spd_s = f"{spd:8.2f}x"
-        elif r.get("ref_timeout"):
-            spd_s = f"{'(capped)':>9}"
-        else:
-            spd_s = f"{'-':>9}"
-        print(f"{r['kernel']:<22} {r['n']:>6} {ref_s} {r['opt_ns_per_op']:14.0f} {spd_s}")
+        print(f"{r['kernel']:<22} {r['n']:>6} {r['ref_ns_per_op']:14.0f} "
+              f"{r['opt_ns_per_op']:14.0f} {r['speedup']:8.2f}x")
 
     failures = []
     for spec in args.check:
         kernel, _, minimum = spec.partition(":")
         want = float(minimum) if minimum else 1.0
-        # Rows whose reference was deliberately capped (ref_timeout) carry no
-        # speedup and are excluded from the gate rather than treated as a
-        # missing measurement.
-        measured = [r for r in rows if r["kernel"] == kernel and r["speedup"] is not None]
-        capped = [r for r in rows if r["kernel"] == kernel and r.get("ref_timeout")]
+        measured = [r for r in rows if r["kernel"] == kernel]
         if not measured:
-            if capped:
-                print(f"note: {kernel} gate skipped — reference capped at "
-                      f"n={max(r['n'] for r in capped)}")
-                continue
-            failures.append(f"{kernel}: no measured speedup in report")
+            failures.append(f"{kernel}: no rows in report")
             continue
         best_n = max(measured, key=lambda r: r["n"])
         if best_n["speedup"] < want:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/error.hpp"
 
@@ -53,7 +52,10 @@ std::vector<std::size_t> SpatialGrid::query_radius(Vec2 q, double radius) const 
   const int hi_y = cell_coord(q.y + radius);
   std::size_t occupancy = 0;
   for (int cy = lo_y; cy <= hi_y; ++cy) {
-    for (int cx = lo_x; cx <= hi_x; ++cx) occupancy += cell_count(cx, cy);
+    for (int cx = lo_x; cx <= hi_x; ++cx) {
+      const std::size_t cell = cell_index(cx, cy);
+      occupancy += starts_[cell + 1] - starts_[cell];
+    }
   }
   std::vector<std::size_t> result;
   result.reserve(occupancy);
@@ -83,52 +85,6 @@ bool SpatialGrid::any_in_radius(Vec2 q, double radius) const {
     }
   }
   return false;
-}
-
-std::size_t SpatialGrid::nearest(Vec2 q) const {
-  WRSN_REQUIRE(!points_.empty(), "nearest() on an empty grid");
-  const int qx = cell_coord(q.x);
-  const int qy = cell_coord(q.y);
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best = 0;
-  bool found = false;
-  auto visit_cell = [&](int cx, int cy) {
-    if (cx < 0 || cx >= cells_per_side_ || cy < 0 || cy >= cells_per_side_) return;
-    const std::size_t cell = cell_index(cx, cy);
-    for (std::size_t k = starts_[cell]; k < starts_[cell + 1]; ++k) {
-      const std::size_t id = ids_[k];
-      const double d2 = squared_distance(points_[id], q);
-      if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
-        best_d2 = d2;
-        best = id;
-        found = true;
-      }
-    }
-  };
-  // A point in a cell at Chebyshev ring r lies at distance > (r-1)*cell_size
-  // from q (clamped out-of-field points only move cells inward, which keeps
-  // the bound valid). The tiny shave guards against the product rounding up
-  // past a true distance on the ring boundary.
-  for (int ring = 0; ring < cells_per_side_ + 1; ++ring) {
-    if (found && ring > 0) {
-      const double lb = static_cast<double>(ring - 1) * cell_size_ *
-                        (1.0 - 1e-12);
-      if (lb * lb > best_d2) break;
-    }
-    if (ring == 0) {
-      visit_cell(qx, qy);
-      continue;
-    }
-    for (int cx = qx - ring; cx <= qx + ring; ++cx) {
-      visit_cell(cx, qy - ring);
-      visit_cell(cx, qy + ring);
-    }
-    for (int cy = qy - ring + 1; cy <= qy + ring - 1; ++cy) {
-      visit_cell(qx - ring, cy);
-      visit_cell(qx + ring, cy);
-    }
-  }
-  return best;
 }
 
 }  // namespace wrsn

@@ -5,13 +5,12 @@
 // neighbouring cells) instead of O(N):
 //   * all points within radius r of a query point (which sensors cover a
 //     target; which sensors are communication neighbours),
-//   * count / existence of points within radius r (allocation-free),
-//   * the nearest point to a query point (ring-expanding search).
+//   * count / existence of points within radius r (allocation-free).
 //
 // The cell layer (cell coordinates, per-cell id slices, exact point-to-cell
-// distance lower bounds) is public so branch-and-bound searches — the
-// planner's PlanContext, the grid-pruned 2-opt — can traverse cells in
-// expanding rings and prune whole cells against an incumbent.
+// distance lower bounds) is public so the planner's PlanContext can
+// traverse cells in expanding rings and prune whole cells against an
+// incumbent.
 
 #include <cstddef>
 #include <vector>
@@ -41,10 +40,6 @@ class SpatialGrid {
   // Grid coordinate of a world coordinate, clamped to [0, cells_per_side).
   [[nodiscard]] int cell_coord(double v) const;
   [[nodiscard]] std::size_t cell_index(int cx, int cy) const;
-  [[nodiscard]] std::size_t cell_count(int cx, int cy) const {
-    const std::size_t cell = cell_index(cx, cy);
-    return starts_[cell + 1] - starts_[cell];
-  }
 
   // Visits every id whose point hashed into cell (cx, cy).
   template <typename Fn>
@@ -105,12 +100,6 @@ class SpatialGrid {
       }
     }
   }
-
-  // Id of the nearest point to q (lowest id on exact ties); size() must be
-  // > 0. Expands Chebyshev cell rings outward from q's cell and stops as
-  // soon as the next ring provably cannot beat the incumbent, so sparse
-  // grids no longer degrade to repeated full-rectangle scans.
-  [[nodiscard]] std::size_t nearest(Vec2 q) const;
 
  private:
   double field_side_;

@@ -181,93 +181,6 @@ std::optional<std::size_t> PlanContext::greedy_next(
   return best_i;
 }
 
-std::optional<std::size_t> PlanContext::nearest_next(
-    const RvPlanState& rv, const std::vector<bool>& taken) const {
-  if (size() < kSmallN) {
-    return wrsn::nearest_next(rv, *items_, taken, params_);
-  }
-  WRSN_OBS_SCOPE("planner/ctx_nearest");
-  WRSN_REQUIRE(taken.size() == size(), "taken mask size mismatch");
-  const auto& items = *items_;
-  auto serve = [&](std::size_t i) {
-    return params_.em * Meter{distance(rv.pos, items[i].pos) + base_dist_[i]} +
-           items[i].demand;
-  };
-
-  {
-    std::optional<std::size_t> best;
-    double best_d2 = kInf;
-    for (std::size_t i : critical_) {
-      if (taken[i]) continue;
-      if (serve(i) > rv.available) continue;
-      const double d2 = squared_distance(rv.pos, items[i].pos);
-      if (!best || d2 < best_d2) {
-        best = i;
-        best_d2 = d2;
-      }
-    }
-    if (best) return best;
-  }
-
-  // Nearest affordable non-critical item; plain geometric ring search with
-  // the affordability filter applied inside the cells. The incumbent only
-  // advances on affordable items, so the bound stays sound.
-  std::size_t best_i = kInvalidId;
-  double best_d2 = kInf;
-  bool have = false;
-  const int qx = grid_.cell_coord(rv.pos.x);
-  const int qy = grid_.cell_coord(rv.pos.y);
-  const int cps = grid_.cells_per_side();
-
-  auto visit_cell = [&](int cx, int cy) {
-    if (cx < 0 || cx >= cps || cy < 0 || cy >= cps) return;
-    const std::size_t cell = grid_.cell_index(cx, cy);
-    if (cell_max_demand_noncrit_[cell] == -kInf) return;
-    if (have &&
-        grid_.cell_distance_lower_bound_sq(rv.pos, cx, cy) * kLbShave > best_d2) {
-      return;
-    }
-    grid_.for_each_in_cell(cx, cy, [&](std::size_t i) {
-      if (items[i].critical || taken[i]) return;
-      if (serve(i) > rv.available) return;
-      const double d2 = squared_distance(rv.pos, items[i].pos);
-      if (!have || d2 < best_d2 || (d2 == best_d2 && i < best_i)) {
-        have = true;
-        best_d2 = d2;
-        best_i = i;
-      }
-    });
-  };
-
-  for (int ring = 0; ring < cps; ++ring) {
-    if (ring > 0 && have) {
-      const double ring_lb = static_cast<double>(ring - 1) * grid_.cell_size() * kLbShave;
-      if (ring_lb * ring_lb > best_d2) break;
-    }
-    if (ring == 0) {
-      visit_cell(qx, qy);
-      continue;
-    }
-    for (int cx = qx - ring; cx <= qx + ring; ++cx) {
-      visit_cell(cx, qy - ring);
-      visit_cell(cx, qy + ring);
-    }
-    for (int cy = qy - ring + 1; cy <= qy + ring - 1; ++cy) {
-      visit_cell(qx - ring, cy);
-      visit_cell(qx + ring, cy);
-    }
-  }
-  if (!have) return std::nullopt;
-  return best_i;
-}
-
-std::optional<std::size_t> PlanContext::edf_next(
-    const RvPlanState& rv, const std::vector<bool>& taken) const {
-  // The EDF key is the battery fraction, not a spatial quantity — nothing
-  // for the grid to prune on.
-  return wrsn::edf_next(rv, *items_, taken, params_);
-}
-
 void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
                                          Joule spent, Joule available,
                                          const std::vector<bool>& taken,

@@ -1,5 +1,10 @@
 #pragma once
-// PlanContext — spatial acceleration for the recharge planners (hot path).
+// PlanContext — spatial acceleration for Algorithms 2 and 3 (hot path).
+//
+// It serves Algorithm 3's insertion sequence (Combined over the global
+// item list, Partition per group) and the greedy destination pick that
+// seeds it, whose item lists reach tens of thousands at scale. Nearest-first
+// and EDF call the linear scans of sched/planner.hpp directly.
 //
 // Per planning round the context precomputes, once over the item list:
 //   * a SpatialGrid over item positions,
@@ -19,8 +24,9 @@
 // the bit-identical result of the corresponding linear-scan reference in
 // sched/planner.hpp (ties included — lowest index wins, exactly like an
 // ascending reference scan with strict comparisons). Rounds below kSmallN
-// items run the reference scans directly; tests/test_planner_equivalence.cpp
-// calls the references itself to pin the grid paths against them.
+// (16) items run the reference scans directly;
+// tests/test_planner_equivalence.cpp calls the references itself to pin the
+// grid paths against them.
 
 #include <optional>
 #include <vector>
@@ -50,16 +56,6 @@ class PlanContext {
 
   // Algorithm 2 destination selection; bit-identical to wrsn::greedy_next.
   [[nodiscard]] std::optional<std::size_t> greedy_next(
-      const RvPlanState& rv, const std::vector<bool>& taken) const;
-
-  // Nearest affordable item (critical first); bit-identical to
-  // wrsn::nearest_next.
-  [[nodiscard]] std::optional<std::size_t> nearest_next(
-      const RvPlanState& rv, const std::vector<bool>& taken) const;
-
-  // Earliest-deadline item. No spatial structure to exploit (the key is the
-  // battery fraction), so this simply forwards to the reference scan.
-  [[nodiscard]] std::optional<std::size_t> edf_next(
       const RvPlanState& rv, const std::vector<bool>& taken) const;
 
   // Algorithm 3 with grid-pruned insertion scans; bit-identical to

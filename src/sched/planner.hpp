@@ -16,11 +16,12 @@
 // (clusters with members near depletion) are prioritized for destination
 // selection per Section III-C.
 //
-// The free functions below are the O(n) linear-scan REFERENCE
-// implementations. The production hot path is sched/plan_context.hpp, which
-// answers the same queries with grid-pruned branch-and-bound search and is
-// bit-identical to these scans on every input (enforced by the
-// planner-equivalence property tests).
+// The free functions below are the O(n) linear scans. For greedy_next and
+// insertion_sequence they are the REFERENCE: the production hot path is
+// sched/plan_context.hpp, which answers those two with grid-pruned
+// branch-and-bound search and is bit-identical to these scans on every
+// input (enforced by the planner-equivalence property tests). nearest_next
+// and edf_next have only these scans.
 
 #include <optional>
 #include <vector>

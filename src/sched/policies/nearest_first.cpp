@@ -2,7 +2,7 @@
 #include <memory>
 #include <vector>
 
-#include "sched/plan_context.hpp"
+#include "sched/planner.hpp"
 #include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
@@ -12,9 +12,8 @@ namespace {
 class NearestFirstPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
-    const PlanContext plan(ctx.items(), ctx.params(), ctx.arena());
     std::vector<bool> taken(ctx.items().size(), false);
-    if (const auto next = plan.nearest_next(ctx.rv(), taken)) {
+    if (const auto next = nearest_next(ctx.rv(), ctx.items(), taken, ctx.params())) {
       return DispatchDecision::plan(ctx.items(), {*next});
     }
     return fallback_single_node(ctx);

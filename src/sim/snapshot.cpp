@@ -368,6 +368,7 @@ struct SnapshotAccess {
     ar.size(w.alive_count_);
     ar.size(w.coverable_count_);
     ar.size(w.covered_count_);
+    if constexpr (kLoad) check_counters(w);
 
     // --- recharge requests & claims --------------------------------------
     const IdBound request_sensor{"request sensor", num_sensors};
@@ -601,6 +602,41 @@ struct SnapshotAccess {
       if (sensor.monitoring && seen[s] == kInvalidId) {
         reject("sensor " + std::to_string(s) + " monitors but is in no cluster");
       }
+    }
+  }
+
+  // The derived-state counters against the flags they count: alive battery
+  // levels, coverable and coverable-and-covered targets, and each target's
+  // operational members.
+  static void check_counters(const World& w) {
+    const auto check = [](const char* what, std::size_t stored, std::size_t counted,
+                          TargetId t = kInvalidId) {
+      if (stored == counted) return;
+      const std::string target =
+          t == kInvalidId ? "" : "target " + std::to_string(t) + " ";
+      reject(target + what + " " + std::to_string(stored) +
+             " disagrees with its flags (" + std::to_string(counted) + ")");
+    };
+    std::size_t alive = 0;
+    for (SensorId s = 0; s < w.soa_.level.size(); ++s) {
+      if (w.soa_.alive(s)) ++alive;
+    }
+    check("alive count", w.alive_count_, alive);
+    std::size_t coverable = 0;
+    std::size_t covered = 0;
+    for (TargetId t = 0; t < w.coverable_.size(); ++t) {
+      if (!w.coverable_[t]) continue;
+      ++coverable;
+      if (w.covered_[t]) ++covered;
+    }
+    check("coverable count", w.coverable_count_, coverable);
+    check("covered count", w.covered_count_, covered);
+    for (TargetId t = 0; t < w.clusters_.members.size(); ++t) {
+      std::size_t operational = 0;
+      for (const SensorId s : w.clusters_.members[t]) {
+        if (w.operational(s)) ++operational;
+      }
+      check("alive-member count", w.alive_members_[t], operational, t);
     }
   }
 

@@ -2,7 +2,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "sched/exact.hpp"
+#include "exact.hpp"
 #include "sched/profit.hpp"
 
 namespace wrsn {

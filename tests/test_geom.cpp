@@ -67,39 +67,19 @@ TEST_F(SpatialGridTest, RadiusQueryMatchesBruteForce) {
   }
 }
 
-TEST_F(SpatialGridTest, NearestMatchesBruteForce) {
-  SpatialGrid grid(200.0, 8.0);
-  grid.build(points_);
-  Xoshiro256 rng(13);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Vec2 q{rng.uniform(-10.0, 210.0), rng.uniform(-10.0, 210.0)};
-    const std::size_t got = grid.nearest(q);
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t want = 0;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      const double d = squared_distance(points_[i], q);
-      if (d < best) {
-        best = d;
-        want = i;
-      }
-    }
-    EXPECT_DOUBLE_EQ(squared_distance(points_[got], q), best) << "trial " << trial;
-    EXPECT_EQ(got, want);
-  }
-}
-
 TEST(SpatialGrid, EmptyGridQueriesAreEmpty) {
   SpatialGrid grid(100.0, 10.0);
   grid.build({});
   EXPECT_TRUE(grid.query_radius({50, 50}, 30.0).empty());
-  EXPECT_THROW((void)grid.nearest({50, 50}), InvalidArgument);
+  EXPECT_EQ(grid.count_in_radius({50, 50}, 200.0), 0u);
+  EXPECT_FALSE(grid.any_in_radius({50, 50}, 200.0));
 }
 
 TEST(SpatialGrid, SinglePoint) {
   SpatialGrid grid(100.0, 10.0);
   grid.build({{5.0, 5.0}});
-  EXPECT_EQ(grid.nearest({99.0, 99.0}), 0u);
   EXPECT_EQ(grid.query_radius({5.0, 5.0}, 0.1).size(), 1u);
+  EXPECT_EQ(grid.query_radius({99.0, 99.0}, 200.0), std::vector<std::size_t>{0});
 }
 
 TEST(SpatialGrid, PointsOnBoundary) {
@@ -118,33 +98,6 @@ TEST(SpatialGrid, DuplicatePointsAllReturned) {
   SpatialGrid grid(10.0, 2.0);
   grid.build({{3.0, 3.0}, {3.0, 3.0}, {3.0, 3.0}});
   EXPECT_EQ(grid.query_radius({3.0, 3.0}, 0.5).size(), 3u);
-}
-
-TEST(SpatialGrid, NearestOnSparseGridMatchesBruteForce) {
-  // A handful of points in a big field: the ring expansion has to cross
-  // many empty rings and must not stop early on the first hit when a closer
-  // point can still live in the next ring's corner.
-  Xoshiro256 rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<Vec2> points;
-    const std::size_t n = 1 + rng.uniform_int(6);
-    for (std::size_t i = 0; i < n; ++i) {
-      points.push_back({rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)});
-    }
-    SpatialGrid grid(5000.0, 50.0);
-    grid.build(points);
-    const Vec2 q{rng.uniform(-100.0, 5100.0), rng.uniform(-100.0, 5100.0)};
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t want = 0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const double d = squared_distance(points[i], q);
-      if (d < best) {
-        best = d;
-        want = i;
-      }
-    }
-    EXPECT_EQ(grid.nearest(q), want) << "trial " << trial;
-  }
 }
 
 TEST_F(SpatialGridTest, CountAndAnyMatchQueryRadius) {

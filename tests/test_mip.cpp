@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
-#include "sched/exact.hpp"
-#include "sched/mip.hpp"
+#include "exact.hpp"
+#include "mip.hpp"
 
 namespace wrsn {
 namespace {

@@ -1,9 +1,9 @@
-// Property tests: the grid-pruned planners (sched/plan_context.hpp, the
-// grid paths in sched/tsp.cpp and sched/kmeans.cpp) must be bit-identical
-// to the linear-scan reference implementations on every input — same picks,
-// same sequences, same tours, same clusterings. Instances are sized past
-// the small-n reference dispatch thresholds so the pruned code paths are
-// what actually runs.
+// Property tests: the grid-pruned planners (sched/plan_context.hpp) and the
+// Hamerly-pruned k-means (sched/kmeans.cpp) must be bit-identical to the
+// linear-scan reference implementations on every input — same picks, same
+// sequences, same clusterings. Instances are sized past the small-n
+// reference dispatch thresholds so the pruned code paths are what actually
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "sched/kmeans.hpp"
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
-#include "sched/tsp.hpp"
 
 namespace {
 
@@ -27,8 +26,8 @@ struct Instance {
 };
 
 // A random planning instance. Sizes span the small-n dispatch thresholds
-// (16 for PlanContext, 128 for tours, 64 for k-means); fields vary from
-// dense to sparse; some draws are all-critical or zero-budget.
+// (16 for PlanContext, 64 for k-means); fields vary from dense to sparse;
+// some draws are all-critical or zero-budget.
 Instance random_instance(Xoshiro256& rng) {
   Instance inst;
   const std::size_t n = 5 + rng.uniform_int(400);
@@ -73,20 +72,6 @@ TEST(PlannerEquivalence, GreedyNextMatchesReference) {
   }
 }
 
-TEST(PlannerEquivalence, NearestNextMatchesReference) {
-  Xoshiro256 rng(2002);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    const PlanContext ctx(inst.items, inst.params);
-    const auto ref = nearest_next(inst.rv, inst.items, inst.taken, inst.params);
-    const auto opt = ctx.nearest_next(inst.rv, inst.taken);
-    ASSERT_EQ(ref.has_value(), opt.has_value()) << "trial " << t;
-    if (ref) {
-      ASSERT_EQ(*ref, *opt) << "trial " << t;
-    }
-  }
-}
-
 TEST(PlannerEquivalence, InsertionSequenceMatchesReference) {
   Xoshiro256 rng(3003);
   for (int t = 0; t < kTrials; ++t) {
@@ -99,61 +84,6 @@ TEST(PlannerEquivalence, InsertionSequenceMatchesReference) {
     const auto opt = ctx.insertion_sequence(inst.rv, taken_opt);
     ASSERT_EQ(ref, opt) << "trial " << t;
     ASSERT_EQ(taken_ref, taken_opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, NearestNeighborTourMatchesReference) {
-  Xoshiro256 rng(4004);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    const auto ref = nearest_neighbor_tour_reference(inst.rv.pos, points);
-    const auto opt = nearest_neighbor_tour(inst.rv.pos, points);
-    ASSERT_EQ(ref, opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, TwoOptMatchesReference) {
-  Xoshiro256 rng(5005);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    auto order_ref = nearest_neighbor_tour_reference(inst.rv.pos, points);
-    auto order_opt = order_ref;
-    two_opt_reference(inst.rv.pos, points, order_ref);
-    two_opt(inst.rv.pos, points, order_opt);
-    ASSERT_EQ(order_ref, order_opt) << "trial " << t;
-    ASSERT_NEAR(open_tour_length(inst.rv.pos, points, order_ref),
-                open_tour_length(inst.rv.pos, points, order_opt), 1e-9);
-  }
-}
-
-TEST(PlannerEquivalence, TwoOptMatchesReferenceOnSubsetTours) {
-  // `order` may index only a subset of `points` (the world plans tours over
-  // served items while the grid sees every point).
-  Xoshiro256 rng(6006);
-  for (int t = 0; t < 50; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (rng.uniform() < 0.7) order.push_back(i);
-    }
-    // Shuffle so the tour is not already nearest-neighbour shaped.
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.uniform_int(i)]);
-    }
-    auto order_ref = order;
-    auto order_opt = order;
-    two_opt_reference(inst.rv.pos, points, order_ref);
-    two_opt(inst.rv.pos, points, order_opt);
-    ASSERT_EQ(order_ref, order_opt) << "trial " << t;
   }
 }
 
@@ -206,9 +136,6 @@ TEST(PlannerEquivalence, AllCriticalAndZeroBudgetEdgeCases) {
       const auto g_ref = greedy_next(rv, items, untaken, params);
       const auto g_opt = ctx.greedy_next(rv, untaken);
       ASSERT_EQ(g_ref, g_opt);
-      const auto n_ref = nearest_next(rv, items, untaken, params);
-      const auto n_opt = ctx.nearest_next(rv, untaken);
-      ASSERT_EQ(n_ref, n_opt);
       std::vector<bool> taken_ref = untaken;
       std::vector<bool> taken_opt = untaken;
       ASSERT_EQ(insertion_sequence(rv, items, taken_ref, params),

@@ -59,6 +59,38 @@ TEST(NearestNext, RespectsBudgetAndTaken) {
   EXPECT_FALSE(nearest_next(broke, items, taken, params()).has_value());
 }
 
+// Twenty-one items: near critical items the RV cannot afford, a taken one,
+// two affordable ones, and non-critical items nearer than all of them, two
+// at exactly the same distance.
+TEST(NearestNext, ManyItemsMixingCriticalAndUnaffordable) {
+  std::vector<RechargeItem> items;
+  for (int i = 0; i < 10; ++i) {  // non-critical, 3..12 m away
+    items.push_back(item_at({103.0 + i, 100}, 100.0));
+  }
+  for (int i = 0; i < 5; ++i) {  // critical but unaffordable, 2..6 m away
+    items.push_back(item_at({100, 102.0 + i}, 1e4, true));
+  }
+  items.push_back(item_at({100, 140}, 100.0, true));  // 15: 40 m, 548 J
+  items.push_back(item_at({130, 100}, 100.0, true));  // 16: 30 m, taken
+  items.push_back(item_at({100, 40}, 100.0, true));   // 17: 60 m, 772 J
+  items.push_back(item_at({65, 100}, 4700.0, true));  // 18: 35 m, 5092 J
+  items.push_back(item_at({101, 100}, 100.0));        // 19: 1 m
+  items.push_back(item_at({99, 100}, 100.0));         // 20: 1 m, tie with 19
+  // At the base, serving an item costs 2 * 5.6 J/m * distance + demand.
+  const RvPlanState rv{{100, 100}, Joule{5000.0}};
+  std::vector<bool> taken(items.size(), false);
+  taken[16] = true;
+  EXPECT_EQ(nearest_next(rv, items, taken, params()), std::optional<std::size_t>{15});
+  taken[15] = true;
+  EXPECT_EQ(nearest_next(rv, items, taken, params()), std::optional<std::size_t>{17});
+  taken[17] = true;
+  // No affordable critical item left: the nearest non-critical one, lowest
+  // index on the tie.
+  EXPECT_EQ(nearest_next(rv, items, taken, params()), std::optional<std::size_t>{19});
+  taken[19] = true;
+  EXPECT_EQ(nearest_next(rv, items, taken, params()), std::optional<std::size_t>{20});
+}
+
 TEST(EdfNext, PicksLowestFractionRegardlessOfGeometry) {
   std::vector<RechargeItem> items = {
       item_at({105, 100}, 100.0),  // near

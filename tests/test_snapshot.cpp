@@ -373,8 +373,12 @@ TEST(SnapshotFile, RemovedConfigKeyFailsRestoreLoudly) {
 struct PlantableWorld : World {
   using World::World;
   using World::active_monitor_;
+  using World::alive_count_;
+  using World::alive_members_;
   using World::claimed_;
   using World::clusters_;
+  using World::coverable_count_;
+  using World::covered_count_;
   using World::net_;
   using World::queue_;
   using World::requests_;
@@ -696,6 +700,41 @@ TEST(SnapshotHostile, RejectsSensorMirrorsThatDisagreeWithClusters) {
   });
   expect_rejected(snap, "sensor " + std::to_string(s) +
                             " monitors but is in no cluster");
+}
+
+// The derived-state counters, each one off from the flags it counts.
+
+std::string counter_error(const std::string& what, std::size_t stored) {
+  return what + " " + std::to_string(stored) + " disagrees with its flags (" +
+         std::to_string(stored - 1) + ")";
+}
+
+TEST(SnapshotHostile, RejectsAliveCountThatDisagreesWithLevels) {
+  std::size_t stored = 0;
+  const WorldSnapshot snap =
+      planted([&](PlantableWorld& w) { stored = ++w.alive_count_; });
+  expect_rejected(snap, counter_error("alive count", stored));
+}
+
+TEST(SnapshotHostile, RejectsCoverableCountThatDisagreesWithFlags) {
+  std::size_t stored = 0;
+  const WorldSnapshot snap =
+      planted([&](PlantableWorld& w) { stored = ++w.coverable_count_; });
+  expect_rejected(snap, counter_error("coverable count", stored));
+}
+
+TEST(SnapshotHostile, RejectsCoveredCountThatDisagreesWithFlags) {
+  std::size_t stored = 0;
+  const WorldSnapshot snap =
+      planted([&](PlantableWorld& w) { stored = ++w.covered_count_; });
+  expect_rejected(snap, counter_error("covered count", stored));
+}
+
+TEST(SnapshotHostile, RejectsAliveMembersThatDisagreeWithClusters) {
+  std::size_t stored = 0;
+  const WorldSnapshot snap =
+      planted_clusters([&](PlantableWorld& w) { stored = ++w.alive_members_[1]; });
+  expect_rejected(snap, counter_error("target 1 alive-member count", stored));
 }
 
 // Version 2 was the last schema with an engine byte in the header; such a

@@ -94,6 +94,65 @@ TEST_P(TourQuality, NearOptimalAtClusterScale) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, TourQuality,
                          ::testing::Range<std::uint64_t>(100, 125));
 
+// Whether some reversal of order[i..j] passes two_opt's acceptance test.
+bool has_improving_exchange(Vec2 start, const std::vector<Vec2>& pts,
+                            const std::vector<std::size_t>& order) {
+  const std::size_t n = order.size();
+  auto at = [&](std::size_t k) { return k == 0 ? start : pts[order[k - 1]]; };
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const bool has_next = j + 1 < n;
+      const double before =
+          distance(at(i), at(i + 1)) + (has_next ? distance(at(j + 1), at(j + 2)) : 0.0);
+      const double after =
+          distance(at(i), at(j + 1)) + (has_next ? distance(at(i + 1), at(j + 2)) : 0.0);
+      if (after + 1e-12 < before) return true;
+    }
+  }
+  return false;
+}
+
+// Far past cluster scale: 300 stops, and a shuffled tour over a subset of
+// them. Run to convergence, 2-opt must leave a 2-opt local optimum that is
+// no longer than its input and visits the same stops.
+TEST(Tsp, LargeToursReachATwoOptLocalOptimum) {
+  Xoshiro256 rng(11);
+  const auto pts = deploy_uniform(300, 200.0, rng);
+  const Vec2 start{100, 100};
+  constexpr int kUntilConverged = 10000;
+
+  auto order = nearest_neighbor_tour(start, pts);
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::size_t> all(pts.size());
+  std::iota(all.begin(), all.end(), 0);
+  ASSERT_EQ(sorted, all);
+  const double nn_len = open_tour_length(start, pts, order);
+  two_opt(start, pts, order, kUntilConverged);
+  EXPECT_LE(open_tour_length(start, pts, order), nn_len);
+  sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, all);
+  EXPECT_FALSE(has_improving_exchange(start, pts, order));
+
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (rng.uniform() < 0.6) subset.push_back(i);
+  }
+  for (std::size_t i = subset.size(); i > 1; --i) {
+    std::swap(subset[i - 1], subset[rng.uniform_int(i)]);
+  }
+  auto sub_order = subset;
+  two_opt(start, pts, sub_order, kUntilConverged);
+  EXPECT_LE(open_tour_length(start, pts, sub_order),
+            open_tour_length(start, pts, subset));
+  std::sort(subset.begin(), subset.end());
+  sorted = sub_order;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, subset);
+  EXPECT_FALSE(has_improving_exchange(start, pts, sub_order));
+}
+
 TEST(Tsp, TourLengthIndexValidation) {
   const std::vector<Vec2> pts = {{1, 1}};
   EXPECT_THROW((void)open_tour_length({0, 0}, pts, {5}), InvalidArgument);
