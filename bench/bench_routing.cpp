@@ -5,9 +5,9 @@
 //
 //   build    RoutingPolicy::build() over a fresh RouteTable — what every
 //            topology change (death / revival) pays to rebuild the forest.
-//   reroute  TrafficModel::reroute() against the built table with one source
-//            per ten nodes — the path re-capture and rate re-application
-//            that follows every rebuild.
+//   reroute  TrafficModel::reroute() from the built table onto itself with
+//            one source per ten nodes — the retraction and re-application
+//            of every flow that follows every rebuild.
 //
 // Deployment density is held constant across sizes (the field grows with
 // sqrt(n)), so per-node neighbourhood work stays comparable and the scaling
@@ -105,13 +105,13 @@ Timing run_policy(const std::string& name, const Instance& inst,
   t.build_ms = std::chrono::duration<double, std::milli>(b1 - b0).count() /
                static_cast<double>(reps);
 
-  TrafficModel traffic(n);
+  TrafficModel traffic(n, 0.2);
   for (std::size_t s = 1; s < n; s += 10) {
-    traffic.add_source(table, s, 0.2);
+    traffic.add_source(table, s);
     ++t.sources;
   }
   const auto r0 = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) traffic.reroute(table);
+  for (std::size_t r = 0; r < reps; ++r) traffic.reroute(table, table);
   const auto r1 = Clock::now();
   t.reroute_ms = std::chrono::duration<double, std::milli>(r1 - r0).count() /
                  static_cast<double>(reps);

@@ -1,16 +1,22 @@
 // bench_traffic — cost of one monitor swap in TrafficModel.
 //
 // The paper's round-robin activation keeps one monitor per cluster and
-// rotates it every slot: the old monitor's flow is removed and the new
-// one's added along its current route. This bench replays that swap on a
-// built shortest-path forest with a touch log attached (the world marks
-// every touched relay's drain dirty), and reports ns per swap, where one
-// swap = remove_source + add_source + clearing the touch log.
+// rotates it every slot, handing the old monitor's flow to the new one.
+// This bench replays that hand-off on a built shortest-path forest with a
+// touch log attached (the world marks every touched relay's drain dirty),
+// and reports ns per swap, where one swap = TrafficModel::swap_source (or,
+// built against a tree without it, remove_source + add_source) + clearing
+// the touch log.
 //
 // Deployment density is held constant across sizes (the field grows with
 // sqrt(n), 14 m range), so paths lengthen with n: ~10 hops at n=500, ~100
-// at n=50000. One monitor is kept per block of 25 consecutive sensor ids;
-// each swap moves a random block's monitor to another sensor of the block.
+// at n=50000. One monitor is kept per block, in two layouts:
+//   id-block  a block is 25 consecutive sensor ids, scattered over the
+//             field, so old and new routes rarely share more than the trunk
+//   spatial   a block is the sensors within 8 m (the paper's sensing range)
+//             of every 25th sensor, like a cluster around its target, so
+//             the routes meet a few hops up
+// Each swap moves a random block's monitor to another sensor of the block.
 //
 //   bench_traffic [--quick] [--label NAME] [--out FILE] [--append]
 //
@@ -20,8 +26,9 @@
 //   --append  add this run to an existing report at --out instead of
 //             replacing it
 //
-// The bench uses only TrafficModel::add_source/remove_source/set_touch_log
-// and DirtySet::clear, so the same source builds against older trees: a
+// The Flows shim below picks swap_source and the one-rate model when the
+// tree has them, and remove_source + add_source with a per-source rate when
+// it does not, so the same source builds against older trees: a
 // before/after report is this file built in each tree and run with
 // `--label parent` and then `--label change --append`. The final tx-rate sum
 // is recorded bit for bit; runs of different builds must agree on it.
@@ -35,6 +42,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -53,63 +62,127 @@ using namespace wrsn;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kBlock = 25;
+constexpr double kClusterRadius = 8.0;
 constexpr int kRepeats = 5;
-constexpr const char* kHead = "{\"schema\":\"wrsn.bench_traffic.v1\",\"runs\":[\n";
+constexpr const char* kHead = "{\"schema\":\"wrsn.bench_traffic.v2\",\"runs\":[\n";
 constexpr const char* kTail = "\n]}\n";
 
-RouteTable shortest_path_forest(std::size_t n, std::uint64_t seed) {
+struct Forest {
+  std::vector<Vec2> positions;  // sensors, then the base station
+  RouteTable table;
+};
+
+Forest shortest_path_forest(std::size_t n, std::uint64_t seed) {
   const double side = std::sqrt(static_cast<double>(n) * 100.0);
   const Vec2 bs{side / 2.0, side / 2.0};
   Xoshiro256 rng(seed);
-  std::vector<Vec2> positions = deploy_uniform(n, side, rng);
-  const CommGraph graph(positions, bs, 14.0);
-  positions.push_back(bs);
+  Forest f;
+  f.positions = deploy_uniform(n, side, rng);
+  const CommGraph graph(f.positions, bs, 14.0);
+  f.positions.push_back(bs);
   const std::vector<bool> usable(n, true);
-  RouteTable table;
-  const RoutingBuildInput in{&graph, &positions, &usable};
-  RoutingRegistry::instance().create("shortest_path")->build(in, table);
-  return table;
+  const RoutingBuildInput in{&graph, &f.positions, &usable};
+  RoutingRegistry::instance().create("shortest_path")->build(in, f.table);
+  return f;
 }
+
+// The traffic calls of either API generation.
+template <typename Model>
+struct Flows {
+  Model model;
+  double rate;
+
+  Flows(std::size_t n, double pps) : model(make(n, pps)), rate(pps) {}
+
+  static Model make(std::size_t n, double pps) {
+    if constexpr (std::is_constructible_v<Model, std::size_t, double>) {
+      return Model(n, pps);
+    } else {
+      return Model(n);
+    }
+  }
+  void add(const RouteTable& table, SensorId s) {
+    if constexpr (requires(Model& m) { m.add_source(table, s); }) {
+      model.add_source(table, s);
+    } else {
+      model.add_source(table, s, rate);
+    }
+  }
+  void swap(const RouteTable& table, SensorId old, SensorId next) {
+    if constexpr (requires(Model& m) { m.swap_source(table, old, next); }) {
+      model.swap_source(table, old, next);
+    } else {
+      model.remove_source(old);
+      model.add_source(table, next, rate);
+    }
+  }
+};
 
 struct Row {
   std::size_t n = 0;
+  std::string layout;
   std::size_t sources = 0;
   double mean_path_hops = 0.0;
+  double mean_block = 0.0;  // sensors a monitor rotates among
   std::size_t swaps = 0;
   double ns_per_swap = 0.0;  // median of kRepeats timed passes
   std::uint64_t tx_sum_bits = 0;
 };
 
-Row run_size(std::size_t n, std::size_t swaps) {
+Row run_size(const Forest& forest, std::size_t n, bool spatial, std::size_t swaps) {
   Row row;
   row.n = n;
+  row.layout = spatial ? "spatial" : "id-block";
   row.swaps = swaps;
-  const RouteTable table = shortest_path_forest(n, 0x7aff1cu ^ n);
+  const RouteTable& table = forest.table;
   const double rate = SimConfig{}.data_rate_pkt_per_min / 60.0;  // pkt/s
 
-  TrafficModel traffic(n);
+  // The blocks, each anchored at every 25th sensor, which monitors first.
+  std::vector<std::vector<SensorId>> blocks;
+  for (SensorId anchor = 0; anchor < n; anchor += kBlock) {
+    std::vector<SensorId> block;
+    if (spatial) {
+      const double r2 = kClusterRadius * kClusterRadius;
+      for (SensorId s = 0; s < n; ++s) {
+        if (squared_distance(forest.positions[s], forest.positions[anchor]) <= r2) {
+          block.push_back(s);
+        }
+      }
+    } else {
+      for (SensorId s = anchor; s < std::min(n, anchor + kBlock); ++s) block.push_back(s);
+    }
+    blocks.push_back(std::move(block));
+  }
+
+  Flows<TrafficModel> traffic(n, rate);
   DirtySet touched(n);
-  traffic.set_touch_log(&touched);
+  traffic.model.set_touch_log(&touched);
   std::vector<SensorId> monitors;
+  std::vector<bool> monitoring(n, false);
   std::size_t hops = 0;
-  for (SensorId first = 0; first < n; first += kBlock) {
+  std::size_t members = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const SensorId first = static_cast<SensorId>(b * kBlock);
     monitors.push_back(first);
-    traffic.add_source(table, first, rate);
+    monitoring[first] = true;
+    traffic.add(table, first);
     if (const auto h = table.hops_to_base(first)) hops += *h;
+    members += blocks[b].size();
   }
   touched.clear();
   row.sources = monitors.size();
   row.mean_path_hops = static_cast<double>(hops) / static_cast<double>(monitors.size());
+  row.mean_block = static_cast<double>(members) / static_cast<double>(blocks.size());
 
   // The swap schedule: (block, new member) pairs, drawn once so every pass
-  // and every build replays the same sequence.
-  Xoshiro256 rng(0x5a9u ^ n);
+  // and every build replays the same sequence. Spatial blocks overlap, so a
+  // member already monitoring elsewhere is skipped when the swap runs.
+  Xoshiro256 rng(0x5a9u ^ n ^ (spatial ? 0x5ba71a1u : 0u));
   std::vector<std::pair<std::size_t, SensorId>> schedule;
   schedule.reserve(swaps);
   while (schedule.size() < swaps) {
-    const std::size_t block = rng.uniform_int(monitors.size());
-    const std::size_t size = std::min(kBlock, n - block * kBlock);
-    schedule.emplace_back(block, block * kBlock + rng.uniform_int(size));
+    const std::size_t block = rng.uniform_int(blocks.size());
+    schedule.emplace_back(block, blocks[block][rng.uniform_int(blocks[block].size())]);
   }
 
   std::vector<double> ns;
@@ -117,10 +190,11 @@ Row run_size(std::size_t n, std::size_t swaps) {
     const auto t0 = Clock::now();
     for (const auto& [block, next] : schedule) {
       const SensorId old = monitors[block];
-      if (next == old) continue;
-      traffic.remove_source(old);
-      traffic.add_source(table, next, rate);
+      if (monitoring[next]) continue;
+      traffic.swap(table, old, next);
       touched.clear();
+      monitoring[old] = false;
+      monitoring[next] = true;
       monitors[block] = next;
     }
     const auto t1 = Clock::now();
@@ -131,7 +205,7 @@ Row run_size(std::size_t n, std::size_t swaps) {
   row.ns_per_swap = ns[ns.size() / 2];
 
   double tx_sum = 0.0;
-  for (SensorId s = 0; s < n; ++s) tx_sum += traffic.tx_rate(s);
+  for (SensorId s = 0; s < n; ++s) tx_sum += traffic.model.tx_rate(s);
   row.tx_sum_bits = std::bit_cast<std::uint64_t>(tx_sum);
   return row;
 }
@@ -151,7 +225,9 @@ std::string run_json(const std::string& label, bool quick,
     bits << std::hex << r.tx_sum_bits;
     w.begin_object()
         .field("num_sensors", static_cast<std::uint64_t>(r.n))
+        .field("layout", r.layout)
         .field("sources", static_cast<std::uint64_t>(r.sources))
+        .field("mean_block", r.mean_block)
         .field("mean_path_hops", r.mean_path_hops)
         .field("swaps", static_cast<std::uint64_t>(r.swaps))
         .field("ns_per_swap", r.ns_per_swap)
@@ -195,11 +271,14 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const auto& [n, swaps] : plan) {
-    const Row row = run_size(n, swaps);
-    std::cerr << "  n=" << n << ": " << row.ns_per_swap << " ns/swap ("
-              << row.sources << " sources, " << row.mean_path_hops
-              << " hops)\n";
-    rows.push_back(row);
+    const Forest forest = shortest_path_forest(n, 0x7aff1cu ^ n);
+    for (const bool spatial : {false, true}) {
+      const Row row = run_size(forest, n, spatial, swaps);
+      std::cerr << "  n=" << n << " " << row.layout << ": " << row.ns_per_swap
+                << " ns/swap (" << row.sources << " sources, " << row.mean_path_hops
+                << " hops, blocks of " << row.mean_block << ")\n";
+      rows.push_back(row);
+    }
   }
 
   std::string doc = std::string(kHead) + run_json(label, quick, rows) + kTail;

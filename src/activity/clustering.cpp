@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "core/error.hpp"
 
@@ -66,39 +67,50 @@ ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                const std::vector<bool>& eligible) {
   const Candidates cand =
       build_candidates(sensor_pos, target_pos, sensing_range, eligible);
+  std::vector<TargetId> all(target_pos.size());
+  std::iota(all.begin(), all.end(), TargetId{0});
   ClusterSet out;
   AdmissionScratch scratch;
-  balanced_clustering(cand.per_target, sensor_pos.size(), out, scratch);
+  balanced_clustering(cand.per_target, all, sensor_pos.size(), out, scratch);
   return out;
 }
 
 void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
+                         const std::vector<TargetId>& targets,
                          std::size_t num_sensors, ClusterSet& out,
                          AdmissionScratch& scratch) {
-  // Reset. A clustering of the same sensor count is reset through its own
-  // members: by the membership invariant (clustering.hpp) no other sensor
-  // holds a load or an assignment, so a recluster costs what it admits, not
-  // O(N). Any other `out` is reset densely.
-  if (out.assignment.size() == num_sensors && out.loads.size() == num_sensors) {
-    for (const auto& members : out.members) {
-      for (const SensorId s : members) {
+  const std::size_t num_targets = candidates.size();
+  WRSN_DEBUG_ASSERT(std::is_sorted(targets.begin(), targets.end()) &&
+                        std::adjacent_find(targets.begin(), targets.end()) ==
+                            targets.end(),
+                    "admission targets must be ascending and unique");
+  // Reset. A clustering of the same shape is reset through the admitted
+  // clusters' own members: by the membership invariant (clustering.hpp) no
+  // other sensor of theirs holds a load or an assignment, so a recluster
+  // costs what it admits, not O(N). Any other `out` is reset densely.
+  if (out.assignment.size() == num_sensors && out.loads.size() == num_sensors &&
+      out.members.size() == num_targets) {
+    for (const TargetId t : targets) {
+      for (const SensorId s : out.members[t]) {
         out.assignment[s] = kInvalidId;
         out.loads[s] = 0;
       }
+      out.members[t].clear();
     }
   } else {
+    WRSN_REQUIRE(targets.size() == num_targets,
+                 "a first clustering must admit every target");
     out.assignment.assign(num_sensors, kInvalidId);
     out.loads.assign(num_sensors, 0);
+    out.members.resize(num_targets);
+    for (auto& m : out.members) m.clear();
   }
-  const std::size_t num_targets = candidates.size();
-  out.members.resize(num_targets);
-  for (auto& m : out.members) m.clear();
 
   // Loads, and the pool A: each candidate sensor once, at its first sight.
   auto& pool = scratch.pool;
   pool.clear();
-  for (const auto& list : candidates) {
-    for (const SensorId s : list) {
+  for (const TargetId t : targets) {
+    for (const SensorId s : candidates[t]) {
       WRSN_DEBUG_ASSERT(s < num_sensors, "candidate sensor id out of range");
       if (out.loads[s]++ == 0) pool.push_back(s);
     }
@@ -122,7 +134,7 @@ void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
     offset += out.loads[s];
   }
   scratch.targets.resize(offset);
-  for (TargetId t = 0; t < num_targets; ++t) {
+  for (const TargetId t : targets) {
     for (const SensorId s : candidates[t]) scratch.targets[first[s]++] = t;
   }
   for (const SensorId s : pool) first[s] -= out.loads[s];
@@ -136,7 +148,7 @@ void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
   // sit at size 0, so the two stamp ranges never compete.
   auto& stamp = scratch.stamp;
   stamp.resize(num_targets);
-  for (TargetId t = 0; t < num_targets; ++t) stamp[t] = static_cast<std::ptrdiff_t>(t);
+  for (const TargetId t : targets) stamp[t] = static_cast<std::ptrdiff_t>(t);
   std::ptrdiff_t next_stamp = -1;
 
   for (const SensorId s : pool) {

@@ -66,18 +66,28 @@ struct AdmissionScratch {
 
 // Admission core with caller-supplied candidate sets: `candidates[t]` lists
 // the eligible sensors within sensing range of target t, ascending by id,
-// and must contain exactly the sensors the O(M*N) scan would find. Writes
-// the clustering of `num_sensors` sensors into `out`, reusing its storage.
+// and must contain exactly the sensors the O(M*N) scan would find. Admits
+// the clusters of `targets` (ascending, unique) into `out`, reusing its
+// storage, and leaves every other cluster as it is.
+//
+// Admission order, size ties and stamps only ever compare targets that
+// share a candidate sensor, so they never cross a coverage-overlap
+// component (targets linked through shared candidates): re-admitting whole
+// components gives exactly what admitting every target would. `targets`
+// must therefore be a union of components, and a sensor now or formerly
+// in one of their clusters may be a candidate of none of the others. All
+// targets always qualify; that is how a first clustering is built.
 //
 // Reuse contract: when `out` already holds a clustering of `num_sensors`
-// sensors that keeps the membership invariant above (the previous result of
-// this function, possibly edited by rebalance_dirty since), only its old
-// members are reset, and the call runs in O(M + C + |A| log |A| + old
-// members) for C = total candidate pairs; any other `out` is reset densely
-// in O(N) first. Either way each admission takes a minimum over the
-// sensor's own candidates instead of re-sorting all M clusters, and the
-// result is the same.
+// sensors and candidates.size() targets that keeps the membership
+// invariant above (a previous result, possibly edited by rebalance_dirty
+// since), only the old members of `targets` are reset, and the call runs
+// in O(|targets| + C + |A| log |A| + old members) for C = their candidate
+// pairs; any other `out` is reset densely in O(N + M) first, which needs
+// `targets` to be all of them. Either way each admission takes a minimum
+// over the sensor's own candidates instead of re-sorting all M clusters.
 void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
+                         const std::vector<TargetId>& targets,
                          std::size_t num_sensors, ClusterSet& out,
                          AdmissionScratch& scratch);
 

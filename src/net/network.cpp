@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/error.hpp"
 #include "net/deployment.hpp"
@@ -72,8 +73,8 @@ void Network::build_routes(const std::vector<bool>& alive_mask) {
 }
 
 bool Network::rebuild_routing() {
-  // Compared and rewritten in place, with no allocation. An unchanged mask
-  // must still report false: a rebuild makes the caller reroute every flow.
+  // An unchanged mask must still report false: a rebuild makes the caller
+  // reroute every flow.
   bool changed = !routing_.built() || last_alive_mask_.size() != sensors_.size();
   for (std::size_t i = 0; !changed && i < sensors_.size(); ++i) {
     changed = last_alive_mask_[i] != sensors_[i].alive();
@@ -83,6 +84,7 @@ bool Network::rebuild_routing() {
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     last_alive_mask_[i] = sensors_[i].alive();
   }
+  std::swap(previous_routing_, routing_);
   build_routes(last_alive_mask_);
   return true;
 }

@@ -67,8 +67,12 @@ class Network {
 
   // Rebuilds the routing forest over currently-alive sensors. Call after any
   // death or recharge-revival. Returns true when the alive mask actually
-  // changed since the previous build (callers use this to skip reroutes).
+  // changed since the previous build (callers use this to skip reroutes);
+  // the replaced forest then stays readable as previous_routing() until the
+  // next rebuild, so the flows laid on it can be retracted
+  // (TrafficModel::reroute).
   bool rebuild_routing();
+  [[nodiscard]] const RouteTable& previous_routing() const { return previous_routing_; }
 
   // Checkpoint support: the mask the current routing forest was built from.
   // Can lag the actual alive flags (a death crossing may be pending), so a
@@ -92,6 +96,7 @@ class Network {
   std::vector<Vec2> node_positions_;  // sensors then BS, graph node order
   std::unique_ptr<RoutingPolicy> router_;
   RouteTable routing_;
+  RouteTable previous_routing_;
   std::vector<bool> last_alive_mask_;
 
   void build_routes(const std::vector<bool>& alive_mask);

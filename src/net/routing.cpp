@@ -95,13 +95,7 @@ std::vector<double> tree_distances(const std::vector<std::size_t>& parent,
 
 std::optional<std::size_t> RouteView::hops_to_base(std::size_t node) const {
   if (!reachable(node)) return std::nullopt;
-  std::size_t hops = 0;
-  for (std::size_t cur = node; next_hop(cur) != kInvalidId;
-       cur = next_hop(cur)) {
-    ++hops;
-    WRSN_ASSERT(hops <= num_nodes(), "routing forest contains a cycle");
-  }
-  return hops;
+  return hop_depth(node);
 }
 
 std::vector<std::size_t> RouteView::path_to_base(std::size_t node) const {
@@ -124,11 +118,28 @@ void RouteTable::assign(std::vector<std::size_t> parent,
                "route table needs one position per node");
   parent_ = std::move(parent);
   dist_ = std::move(dist);
-  hop_len_.assign(parent_.size(), 0.0);
-  for (std::size_t n = 0; n < parent_.size(); ++n) {
-    if (parent_[n] != kInvalidId) {
-      hop_len_[n] = distance(positions[n], positions[parent_[n]]);
+  const std::size_t n = parent_.size();
+  hop_len_.assign(n, 0.0);
+  for (std::size_t node = 0; node < n; ++node) {
+    if (parent_[node] != kInvalidId) {
+      hop_len_[node] = distance(positions[node], positions[parent_[node]]);
     }
+  }
+  // Depths: count the hops from each unresolved node up to a root or a
+  // resolved node, then walk the same chain again writing them, so each
+  // node is resolved once.
+  constexpr std::size_t kUnresolved = std::numeric_limits<std::size_t>::max();
+  depth_.assign(n, kUnresolved);
+  for (std::size_t start = 0; start < n; ++start) {
+    std::size_t hops = 0;
+    std::size_t cur = start;
+    for (; depth_[cur] == kUnresolved && parent_[cur] != kInvalidId; ++hops) {
+      cur = parent_[cur];
+      WRSN_ASSERT(hops < n, "routing forest contains a cycle");
+    }
+    if (depth_[cur] == kUnresolved) depth_[cur] = 0;  // a root
+    const std::size_t top = depth_[cur];
+    for (cur = start; hops > 0; --hops, cur = parent_[cur]) depth_[cur] = top + hops;
   }
 }
 

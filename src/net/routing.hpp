@@ -46,6 +46,11 @@ class RouteView {
   // Length (metres) of the node -> next_hop(node) link; 0 when there is none.
   // The link-quality layer derives per-hop loss from this.
   [[nodiscard]] virtual double hop_length(std::size_t node) const = 0;
+  // Hops from the node to its forest root along next_hop: the hop count to
+  // the base station for a reachable node, 0 at a root. Two routes meet
+  // where walking the deeper one up to the other's depth and then both in
+  // step first lands on a common node (TrafficModel::swap_source).
+  [[nodiscard]] virtual std::size_t hop_depth(std::size_t node) const = 0;
 
   // Hop count to the base station; nullopt if unreachable.
   [[nodiscard]] std::optional<std::size_t> hops_to_base(std::size_t node) const;
@@ -54,7 +59,7 @@ class RouteView {
 };
 
 // The concrete next-hop forest every built-in policy fills: parent pointers,
-// per-node route distance and per-node uplink length.
+// per-node route distance, per-node uplink length and hop depth.
 class RouteTable final : public RouteView {
  public:
   RouteTable() = default;
@@ -78,11 +83,15 @@ class RouteTable final : public RouteView {
   [[nodiscard]] double hop_length(std::size_t node) const override {
     return hop_len_[node];
   }
+  [[nodiscard]] std::size_t hop_depth(std::size_t node) const override {
+    return depth_[node];
+  }
 
  private:
   std::vector<std::size_t> parent_;
   std::vector<double> dist_;
   std::vector<double> hop_len_;
+  std::vector<std::size_t> depth_;
 };
 
 // Everything a policy may consult while building routes. `usable` covers the

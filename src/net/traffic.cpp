@@ -33,235 +33,240 @@ HopLink hop_link(const LinkConfig& link, double comm_range, double len) {
   return {(1.0 - all_fail) / (1.0 - p), 1.0 - all_fail};
 }
 
-// Calls f(id, flow) for each of the `count` present flows, in ascending id;
-// stops at the last one instead of walking every slot.
-template <typename Flows, typename F>
-void for_each_present(Flows& flows, std::size_t count, F&& f) {
+// Calls f(id) for each of the `count` set flags, in ascending id; stops at
+// the last one instead of walking every slot.
+template <typename F>
+void for_each_present(const std::vector<std::uint8_t>& present, std::size_t count,
+                      F&& f) {
   for (SensorId s = 0; count > 0; ++s) {
-    if (!flows[s].present) continue;
+    if (present[s] == 0) continue;
     --count;
-    f(s, flows[s]);
+    f(s);
+  }
+}
+
+bool reaches_base(const RouteView& routes, SensorId source) {
+  return routes.built() && routes.reachable(source);
+}
+
+void bump(std::uint32_t& flows, int sign) {
+  if (sign > 0) {
+    ++flows;
+  } else {
+    --flows;
   }
 }
 
 }  // namespace
 
-void TrafficModel::reset(std::size_t num_sensors) {
+template <typename F>
+void TrafficModel::for_each_hop(const RouteView& routes, SensorId source, F&& f) {
+  if (!reaches_base(routes, source)) return;
+  for (std::size_t node = source; routes.next_hop(node) != kInvalidId;
+       node = routes.next_hop(node)) {
+    f(node);
+  }
+}
+
+void TrafficModel::reset(std::size_t num_sensors, double rate_pps) {
   WRSN_REQUIRE(num_sensors <= std::numeric_limits<std::uint32_t>::max(),
                "traffic model holds at most 2^32 - 1 sensors");
+  WRSN_REQUIRE(rate_pps >= 0.0, "packet rate must be non-negative");
+  rate_pps_ = rate_pps;
   tx_rate_.assign(num_sensors, 0.0);
   rx_rate_.assign(num_sensors, 0.0);
+  tx_flows_.assign(num_sensors, 0);
+  rx_flows_.assign(num_sensors, 0);
   delivery_rate_ = 0.0;
   offered_rate_ = 0.0;
   weighted_hops_ = 0.0;
   delivering_rate_ = 0.0;
   delivering_sources_ = 0;
-  flows_.assign(num_sensors, SourceFlow{});
+  present_.assign(num_sensors, 0);
   num_sources_ = 0;
-  clear_arena();
 }
 
 void TrafficModel::set_link_model(const LinkConfig& link, double comm_range) {
   WRSN_REQUIRE(comm_range > 0.0, "link model needs a positive comm range");
   WRSN_REQUIRE(link.max_retx >= 1, "link.max_retx must be at least 1");
+  WRSN_REQUIRE(num_sources_ == 0, "set the link model before adding sources");
   link_ = link;
   link_comm_range_ = comm_range;
 }
 
-void TrafficModel::clear_arena() {
-  relays_.clear();
-  etx_.clear();
-  success_.clear();
-  live_relays_ = 0;
+inline void TrafficModel::count(std::size_t node, int sign, bool relay) {
+  bump(tx_flows_[node], sign);
+  if (!relay) return;
+  bump(rx_flows_[node], sign);
+  touch(static_cast<SensorId>(node));
 }
 
-void TrafficModel::capture(const RouteView& routes, SensorId source,
-                           SourceFlow& flow) {
-  compact_if_sparse();
-  const std::size_t offset = relays_.size();
-  flow.offset = static_cast<std::uint32_t>(offset);
-  flow.path_success = 1.0;
-  if (routes.built() && routes.reachable(source)) {
-    const std::size_t limit = routes.num_nodes();
-    for (std::size_t node = source;;) {
-      const std::size_t next = routes.next_hop(node);
-      if (next == kInvalidId) break;  // `node` is the base station
-      relays_.push_back(static_cast<std::uint32_t>(node));
-      WRSN_ASSERT(relays_.size() - offset < limit, "routing forest contains a cycle");
-      node = next;
-    }
+std::size_t TrafficModel::count_path(const RouteView& routes, SensorId source,
+                                     int sign) {
+  if (!reaches_base(routes, source)) {
+    count(source, sign, false);
+    return 1;
   }
-  WRSN_ASSERT(relays_.size() <= std::numeric_limits<std::uint32_t>::max(),
-              "traffic path arena exceeds 2^32 - 1 entries");
-  const std::size_t length = relays_.size() - offset;
-  flow.length = static_cast<std::uint32_t>(length);
-  flow.lossy = link_.enabled && length > 0;
-  if (flow.lossy) {
-    // Start (or keep) the link pools parallel to the arena.
-    etx_.resize(offset, 0.0);
-    success_.resize(offset, 0.0);
-    for (std::size_t i = offset; i < relays_.size(); ++i) {
-      const HopLink hop =
-          hop_link(link_, link_comm_range_, routes.hop_length(relays_[i]));
-      etx_.push_back(hop.etx);
-      success_.push_back(hop.success);
-      flow.path_success *= hop.success;
-    }
-  } else if (!etx_.empty()) {
-    etx_.resize(relays_.size(), 0.0);
-    success_.resize(relays_.size(), 0.0);
-  }
-  live_relays_ += length;
-}
-
-void TrafficModel::release(const SourceFlow& flow) {
-  live_relays_ -= flow.length;
-  if (flow.offset + flow.length == relays_.size()) {
-    relays_.resize(flow.offset);
-    if (!etx_.empty()) {
-      etx_.resize(flow.offset);
-      success_.resize(flow.offset);
-    }
-  }
-}
-
-void TrafficModel::compact_if_sparse() {
-  const std::size_t dead = relays_.size() - live_relays_;
-  if (dead <= live_relays_ || dead < flows_.size()) return;
-  // Rebuilt into the spare pools, which keep their capacity from one
-  // compaction to the next, so steady-state compaction allocates nothing.
-  spare_relays_.clear();
-  spare_etx_.clear();
-  spare_success_.clear();
-  for_each_present(flows_, num_sources_, [&](SensorId, SourceFlow& flow) {
-    const auto begin = static_cast<std::ptrdiff_t>(flow.offset);
-    const auto end = begin + static_cast<std::ptrdiff_t>(flow.length);
-    flow.offset = static_cast<std::uint32_t>(spare_relays_.size());
-    spare_relays_.insert(spare_relays_.end(), relays_.begin() + begin,
-                         relays_.begin() + end);
-    if (!etx_.empty()) {
-      spare_etx_.insert(spare_etx_.end(), etx_.begin() + begin, etx_.begin() + end);
-      spare_success_.insert(spare_success_.end(), success_.begin() + begin,
-                            success_.begin() + end);
-    }
+  std::size_t walked = 0;
+  for_each_hop(routes, source, [&](std::size_t node) {
+    count(node, sign, node != source);
+    ++walked;
   });
-  relays_.swap(spare_relays_);
-  etx_.swap(spare_etx_);
-  success_.swap(spare_success_);
+  return walked;
 }
 
-void TrafficModel::apply(const SourceFlow& flow, SensorId source, double sign) {
-  const double r = sign * flow.rate_pps;
-  if (touch_log_ != nullptr) touch_log_->add(source);
+void TrafficModel::account(double delivered, std::size_t hops,
+                           double path_success, int sign) {
+  if (!(rate_pps_ > 0.0 && path_success > 0.0)) return;
+  weighted_hops_ += delivered * static_cast<double>(hops);
+  delivering_rate_ += delivered;
+  if (sign > 0) {
+    ++delivering_sources_;
+  } else {
+    --delivering_sources_;
+  }
+  if (delivering_sources_ == 0) {
+    // Exact quiescence: discard any accumulated rounding residue.
+    delivery_rate_ = 0.0;
+    weighted_hops_ = 0.0;
+    delivering_rate_ = 0.0;
+  }
+}
+
+void TrafficModel::account_lossless(std::size_t hops, bool reachable, int sign) {
+  const double r = sign * rate_pps_;
   offered_rate_ += r;
-  if (flow.length == 0) {
-    // Unreachable source: it still transmits (and wastes energy), nothing is
-    // relayed or delivered.
+  // An unreachable source still transmits (and wastes energy); nothing is
+  // relayed or delivered.
+  if (!reachable) return;
+  delivery_rate_ += r;
+  account(r, hops, 1.0, sign);
+}
+
+void TrafficModel::apply(const RouteView& routes, SensorId source, int sign) {
+  const bool reachable = reaches_base(routes, source);
+  touch(source);
+  if (!lossy()) {
+    count_path(routes, source, sign);
+    account_lossless(reachable ? routes.hop_depth(source) : 0, reachable, sign);
+    return;
+  }
+  const double r = sign * rate_pps_;
+  offered_rate_ += r;
+  if (!reachable) {
     tx_rate_[source] += r;
     return;
   }
-  // path[0] is the source; every later node is a relay that receives before
-  // forwarding. A path never repeats a node, so each rate changes once.
-  const std::uint32_t* path = relays_.data() + flow.offset;
-  double delivered = r;
-  if (!flow.lossy) {
-    // Lossless fast path — bit-identical to the pre-link-layer accounting.
-    tx_rate_[path[0]] += r;
-    for (std::size_t i = 1; i < flow.length; ++i) {
-      const std::size_t node = path[i];
-      tx_rate_[node] += r;
-      rx_rate_[node] += r;
-      if (touch_log_ != nullptr) touch_log_->add(node);
+  // Lossy links: the surviving rate attenuates hop by hop, and each hop's
+  // sender pays for its expected transmission count. The factors come from
+  // the same forest on the -1 application as on the +1, so it mirrors it.
+  double incoming = r;
+  double path_success = 1.0;
+  std::size_t hops = 0;
+  for_each_hop(routes, source, [&](std::size_t node) {
+    const HopLink hop = hop_link(link_, link_comm_range_, routes.hop_length(node));
+    tx_rate_[node] += incoming * hop.etx;
+    if (node != source) {
+      rx_rate_[node] += incoming;
+      touch(static_cast<SensorId>(node));
     }
-    delivery_rate_ += r;
-  } else {
-    // Lossy links: the surviving rate attenuates hop by hop, and each hop's
-    // sender pays for its expected transmission count. All multipliers were
-    // captured with the flow, so the -1 application mirrors the +1 exactly.
-    const double* etx = etx_.data() + flow.offset;
-    const double* success = success_.data() + flow.offset;
-    double incoming = r;
-    for (std::size_t i = 0; i < flow.length; ++i) {
-      const std::size_t node = path[i];
-      tx_rate_[node] += incoming * etx[i];
-      if (i > 0) {
-        rx_rate_[node] += incoming;
-        if (touch_log_ != nullptr) touch_log_->add(node);
-      }
-      incoming *= success[i];
-    }
-    delivered = incoming;
-    delivery_rate_ += delivered;
-  }
-  if (flow.rate_pps > 0.0 && flow.path_success > 0.0) {
-    weighted_hops_ += delivered * static_cast<double>(flow.length);
-    delivering_rate_ += delivered;
-    if (sign > 0.0) {
-      ++delivering_sources_;
-    } else {
-      --delivering_sources_;
-    }
-    if (delivering_sources_ == 0) {
-      // Exact quiescence: discard any accumulated rounding residue.
-      delivery_rate_ = 0.0;
-      weighted_hops_ = 0.0;
-      delivering_rate_ = 0.0;
-    }
-  }
+    incoming *= hop.success;
+    path_success *= hop.success;
+    ++hops;
+  });
+  delivery_rate_ += incoming;
+  account(incoming, hops, path_success, sign);
 }
 
-void TrafficModel::add_source(const RouteView& routes, SensorId source,
-                              double rate_pps) {
-  WRSN_REQUIRE(source < flows_.size(), "source id out of range");
-  WRSN_REQUIRE(rate_pps >= 0.0, "packet rate must be non-negative");
-  SourceFlow& flow = flows_[source];
-  WRSN_REQUIRE(!flow.present, "source already registered");
-  flow.rate_pps = rate_pps;
-  capture(routes, source, flow);
-  flow.present = true;
+void TrafficModel::add_source(const RouteView& routes, SensorId source) {
+  WRSN_REQUIRE(source < present_.size(), "source id out of range");
+  WRSN_REQUIRE(present_[source] == 0, "source already registered");
+  present_[source] = 1;
   ++num_sources_;
-  apply(flow, source, +1.0);
+  apply(routes, source, +1);
 }
 
-void TrafficModel::remove_source(SensorId source) {
+void TrafficModel::remove_source(const RouteView& routes, SensorId source) {
   WRSN_REQUIRE(has_source(source), "source not registered");
-  SourceFlow& flow = flows_[source];
-  apply(flow, source, -1.0);
-  release(flow);
-  flow.present = false;
-  if (--num_sources_ == 0) {
-    offered_rate_ = 0.0;  // exact quiescence
-    clear_arena();
+  apply(routes, source, -1);
+  present_[source] = 0;
+  if (--num_sources_ == 0) offered_rate_ = 0.0;  // exact quiescence
+}
+
+std::size_t TrafficModel::swap_source(const RouteView& routes, SensorId old_source,
+                                      SensorId new_source) {
+  WRSN_REQUIRE(has_source(old_source), "source not registered");
+  WRSN_REQUIRE(new_source < present_.size(), "source id out of range");
+  WRSN_REQUIRE(present_[new_source] == 0, "source already registered");
+  present_[old_source] = 0;
+  present_[new_source] = 1;
+  const bool old_up = reaches_base(routes, old_source);
+  const bool new_up = reaches_base(routes, new_source);
+  std::size_t walked = 0;
+  if (lossy()) {
+    apply(routes, old_source, -1);
+    if (num_sources_ == 1) offered_rate_ = 0.0;  // as remove_source
+    apply(routes, new_source, +1);
+    walked += old_up ? routes.hop_depth(old_source) : 1;
+    walked += new_up ? routes.hop_depth(new_source) : 1;
+    return walked;
   }
+  touch(old_source);
+  touch(new_source);
+  if (!old_up || !new_up) {
+    // No meeting node: each branch is a whole route, or the source alone.
+    walked = count_path(routes, old_source, -1) + count_path(routes, new_source, +1);
+  } else {
+    // Walk the deeper route up to the other's depth, then both in step until
+    // they meet; above the meeting node both carry one flow either way.
+    std::size_t a = old_source;
+    std::size_t b = new_source;
+    std::size_t da = routes.hop_depth(a);
+    std::size_t db = routes.hop_depth(b);
+    for (; da > db; --da, ++walked) {
+      count(a, -1, a != old_source);
+      a = routes.next_hop(a);
+    }
+    for (; db > da; --db, ++walked) {
+      count(b, +1, b != new_source);
+      b = routes.next_hop(b);
+    }
+    for (; a != b; --da, walked += 2) {
+      WRSN_ASSERT(da > 0, "reachable routes that never meet");
+      count(a, -1, a != old_source);
+      count(b, +1, b != new_source);
+      a = routes.next_hop(a);
+      b = routes.next_hop(b);
+    }
+    // At a sensor meeting node (depth 0 is the base station) only the role
+    // can change: the old source starts relaying the new flow, or a relay of
+    // the old flow becomes the new source.
+    if (da > 0 && (a == old_source || a == new_source)) {
+      bump(rx_flows_[a], a == old_source ? +1 : -1);
+      touch(static_cast<SensorId>(a));
+    }
+  }
+  account_lossless(old_up ? routes.hop_depth(old_source) : 0, old_up, -1);
+  if (num_sources_ == 1) offered_rate_ = 0.0;  // as remove_source
+  account_lossless(new_up ? routes.hop_depth(new_source) : 0, new_up, +1);
+  return walked;
 }
 
-void TrafficModel::clear_sources() {
-  for_each_present(flows_, num_sources_, [&](SensorId s, SourceFlow& flow) {
-    apply(flow, s, -1.0);
-    flow.present = false;
-  });
-  num_sources_ = 0;
-  clear_arena();
-  offered_rate_ = 0.0;  // exact quiescence
-}
-
-void TrafficModel::reroute(const RouteView& routes) {
-  // Retract every flow, then re-capture and re-apply each, both passes in
-  // ascending id: the same arithmetic as clear_sources() followed by one
+void TrafficModel::reroute(const RouteView& from, const RouteView& to) {
+  // Retract every flow, then re-add each, both passes in ascending id: the
+  // same arithmetic as one remove_source() per source followed by one
   // add_source() per source.
-  for_each_present(flows_, num_sources_,
-                   [&](SensorId s, const SourceFlow& flow) { apply(flow, s, -1.0); });
+  for_each_present(present_, num_sources_, [&](SensorId s) { apply(from, s, -1); });
   offered_rate_ = 0.0;
-  clear_arena();
-  for_each_present(flows_, num_sources_, [&](SensorId s, SourceFlow& flow) {
-    capture(routes, s, flow);
-    apply(flow, s, +1.0);
-  });
+  for_each_present(present_, num_sources_, [&](SensorId s) { apply(to, s, +1); });
 }
 
-void TrafficModel::serialize(BinWriter& w) const {
-  w.vec(tx_rate_);
-  w.vec(rx_rate_);
+void TrafficModel::serialize(BinWriter& w, const RouteView& routes) const {
+  // The rate arrays as u64-counted f64 vectors, lossless ones from counts.
+  w.size(tx_rate_.size());
+  for (SensorId k = 0; k < tx_rate_.size(); ++k) w.f64(tx_rate(k));
+  w.size(rx_rate_.size());
+  for (SensorId k = 0; k < rx_rate_.size(); ++k) w.f64(rx_rate(k));
   w.f64(delivery_rate_);
   w.f64(offered_rate_);
   w.f64(weighted_hops_);
@@ -270,23 +275,34 @@ void TrafficModel::serialize(BinWriter& w) const {
   w.size(num_sources_);
   // Per flow (schema-fixed): source, rate, the path as a u64 vector, the ETX
   // and success vectors (empty when lossless), the path success.
-  for_each_present(flows_, num_sources_, [&](SensorId s, const SourceFlow& flow) {
-    const std::size_t begin = flow.offset;
-    const std::size_t end = begin + flow.length;
+  for_each_present(present_, num_sources_, [&](SensorId s) {
+    const std::size_t hops = reaches_base(routes, s) ? routes.hop_depth(s) : 0;
     w.u64(static_cast<std::uint64_t>(s));
-    w.f64(flow.rate_pps);
-    w.size(flow.length);
-    for (std::size_t i = begin; i < end; ++i) w.u64(relays_[i]);
-    const std::size_t hops = flow.lossy ? flow.length : 0;
+    w.f64(rate_pps_);
     w.size(hops);
-    for (std::size_t i = begin; i < begin + hops; ++i) w.f64(etx_[i]);
-    w.size(hops);
-    for (std::size_t i = begin; i < begin + hops; ++i) w.f64(success_[i]);
-    w.f64(flow.path_success);
+    for_each_hop(routes, s, [&](std::size_t node) { w.u64(node); });
+    const std::size_t links = lossy() ? hops : 0;
+    double path_success = 1.0;
+    w.size(links);
+    if (links > 0) {
+      for_each_hop(routes, s, [&](std::size_t node) {
+        w.f64(hop_link(link_, link_comm_range_, routes.hop_length(node)).etx);
+      });
+    }
+    w.size(links);
+    if (links > 0) {
+      for_each_hop(routes, s, [&](std::size_t node) {
+        const double success =
+            hop_link(link_, link_comm_range_, routes.hop_length(node)).success;
+        w.f64(success);
+        path_success *= success;
+      });
+    }
+    w.f64(path_success);
   });
 }
 
-void TrafficModel::deserialize(BinReader& r) {
+void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
   // The node count is fixed at construction; every restored id indexes the
   // per-node rate arrays, so each is checked against it.
   const std::size_t nodes = tx_rate_.size();
@@ -310,9 +326,10 @@ void TrafficModel::deserialize(BinReader& r) {
   r.f64(delivering_rate_);
   r.size(delivering_sources_);
   const std::size_t n = r.count(8);
-  flows_.assign(nodes, SourceFlow{});
+  present_.assign(nodes, 0);
   num_sources_ = 0;
-  clear_arena();
+  tx_flows_.assign(nodes, 0);
+  rx_flows_.assign(nodes, 0);
   std::vector<std::uint64_t> path;
   std::vector<double> etx;
   std::vector<double> success;
@@ -320,56 +337,85 @@ void TrafficModel::deserialize(BinReader& r) {
     std::uint64_t source = 0;
     r.u64(source);
     check_node(source, "source");
+    const auto s = static_cast<SensorId>(source);
     double rate_pps = 0.0;
     r.f64(rate_pps);
     r.vec(path);
     for (const std::uint64_t node : path) check_node(node, "relay");
     r.vec(etx);
     r.vec(success);
-    if (!(etx.empty() || etx.size() == path.size()) ||
-        success.size() != etx.size()) {
-      reject("flow of source " + std::to_string(source) +
-             " has link captures that do not match its path");
-    }
     double path_success = 1.0;
     r.f64(path_success);
-    SourceFlow& flow = flows_[source];
-    if (flow.present) {
-      reject("source " + std::to_string(source) + " recorded twice");
+    if (present_[s] != 0) reject("source " + std::to_string(source) + " recorded twice");
+    if (rate_pps != rate_pps_) {
+      reject("flow of source " + std::to_string(source) + " has rate " +
+             std::to_string(rate_pps) + " pkt/s, not the configured " +
+             std::to_string(rate_pps_));
     }
-    if (relays_.size() + path.size() > std::numeric_limits<std::uint32_t>::max()) {
-      reject("paths exceed 2^32 - 1 relay entries");
+    // The path and its link factors must be the ones the restored forest
+    // gives: every later removal re-reads them from it.
+    const std::size_t links = lossy() && !path.empty() ? path.size() : 0;
+    bool same = etx.size() == links && success.size() == links;
+    std::size_t hop = 0;
+    double forest_success = 1.0;
+    for_each_hop(routes, s, [&](std::size_t node) {
+      if (!same || hop >= path.size() || path[hop] != node) {
+        same = false;
+      } else if (links > 0) {
+        const HopLink link = hop_link(link_, link_comm_range_, routes.hop_length(node));
+        same = etx[hop] == link.etx && success[hop] == link.success;
+        forest_success *= link.success;
+      }
+      ++hop;
+    });
+    if (!same || hop != path.size() || path_success != forest_success) {
+      reject("flow of source " + std::to_string(source) +
+             " disagrees with the routing forest");
     }
-    flow.rate_pps = rate_pps;
-    flow.path_success = path_success;
-    flow.offset = static_cast<std::uint32_t>(relays_.size());
-    flow.length = static_cast<std::uint32_t>(path.size());
-    flow.present = true;
-    flow.lossy = !etx.empty();
-    for (const std::uint64_t node : path) {
-      relays_.push_back(static_cast<std::uint32_t>(node));
-    }
-    if (flow.lossy || !etx_.empty()) {
-      etx_.resize(flow.offset, 0.0);
-      success_.resize(flow.offset, 0.0);
-      etx_.insert(etx_.end(), etx.begin(), etx.end());
-      success_.insert(success_.end(), success.begin(), success.end());
-      etx_.resize(relays_.size(), 0.0);
-      success_.resize(relays_.size(), 0.0);
-    }
-    live_relays_ += path.size();
+    present_[s] = 1;
     ++num_sources_;
+    if (lossy()) continue;
+    if (path.empty()) ++tx_flows_[s];
+    for (std::size_t k = 0; k < path.size(); ++k) {
+      ++tx_flows_[path[k]];
+      if (k > 0) ++rx_flows_[path[k]];
+    }
   }
+  if (lossy()) return;
+  // Lossless rates are the counts times the rate; the arrays stay unused.
+  for (SensorId k = 0; k < nodes; ++k) {
+    if (tx_rate_[k] != tx_rate(k) || rx_rate_[k] != rx_rate(k)) {
+      reject("rates of sensor " + std::to_string(k) + " disagree with the " +
+             std::to_string(tx_flows_[k]) + " flows through it");
+    }
+  }
+  tx_rate_.assign(nodes, 0.0);
+  rx_rate_.assign(nodes, 0.0);
+}
+
+bool TrafficModel::counts_match(const RouteView& routes) const {
+  if (lossy()) return true;
+  std::vector<std::uint32_t> tx(tx_flows_.size(), 0);
+  std::vector<std::uint32_t> rx(rx_flows_.size(), 0);
+  for_each_present(present_, num_sources_, [&](SensorId s) {
+    if (!reaches_base(routes, s)) ++tx[s];
+    for_each_hop(routes, s, [&](std::size_t node) {
+      ++tx[node];
+      if (node != s) ++rx[node];
+    });
+  });
+  return tx == tx_flows_ && rx == rx_flows_;
 }
 
 Watt TrafficModel::radio_power(SensorId s, const RadioModel& radio) const {
   WRSN_REQUIRE(s < tx_rate_.size(), "sensor id out of range");
   // rate (1/s) x energy-per-packet (J) = power (W); plus the duty-cycled
   // idle-listening floor.
+  const double rx = rx_rate(s);
   Watt power = radio.idle_power + radio.listen_duty_cycle * radio.rx_power +
-               Watt{tx_rate_[s] * radio.tx_energy_per_packet().value()} +
-               Watt{rx_rate_[s] * radio.rx_energy_per_packet().value()};
-  if (link_.enabled && link_.rx_duty_tax > 0.0 && rx_rate_[s] > 0.0) {
+               Watt{tx_rate(s) * radio.tx_energy_per_packet().value()} +
+               Watt{rx * radio.rx_energy_per_packet().value()};
+  if (link_.enabled && link_.rx_duty_tax > 0.0 && rx > 0.0) {
     // Actively receiving nodes keep the radio on longer to catch
     // retransmitted frames.
     power += link_.rx_duty_tax * radio.rx_power;

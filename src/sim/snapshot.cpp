@@ -316,10 +316,12 @@ struct SnapshotAccess {
       sized(mask, num_sensors, "routing mask");
       if constexpr (kLoad) w.net_.restore_routing(mask);
     }
+    // Flows follow the restored forest: their paths are written from it and
+    // checked against it on load.
     if constexpr (kLoad) {
-      w.traffic_.deserialize(ar);
+      w.traffic_.deserialize(ar, w.net_.routing());
     } else {
-      w.traffic_.serialize(ar);
+      w.traffic_.serialize(ar, w.net_.routing());
     }
 
     // --- clustering & activation -----------------------------------------
@@ -704,6 +706,11 @@ void World::load_state(const WorldSnapshot& snap) {
   // built from (a death crossing may be pending), so the next recluster
   // must compare them.
   routing_stale_ = true;
+  // The candidate cache is not state: the next teleport recluster refreshes
+  // every list and re-admits every cluster, which reproduces the clusters
+  // an uninterrupted run holds.
+  recluster_cand_.clear();
+  alive_flips_.clear();
 }
 
 std::string serialize_snapshot(const WorldSnapshot& snap) {

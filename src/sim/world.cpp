@@ -39,7 +39,7 @@ World::World(const SimConfig& config)
         Xoshiro256 placement = streams_.stream("target-placement");
         return Network(config, deploy, placement);
       }()),
-      traffic_(config.num_sensors) {
+      traffic_(config.num_sensors, config.data_rate_pkt_per_min / 60.0) {
   end_ = config_.sim_duration.value();
 
   if (config_.fault.enabled) fault_ = std::make_unique<FaultInjector>(config_);
@@ -63,7 +63,14 @@ World::World(const SimConfig& config)
     if (soa_.alive(s)) ++alive_count_;
   }
   covered_.assign(config_.num_targets, false);
+  coverable_.assign(config_.num_targets, false);
   alive_members_.assign(config_.num_targets, 0);
+  active_monitor_.assign(config_.num_targets, kInvalidId);
+  rotors_.resize(config_.num_targets);
+  alive_flips_.reset(config_.num_sensors);
+  refreshed_targets_.reset(config_.num_targets);
+  readmit_marks_.reset(config_.num_targets);
+  visited_sensors_.reset(config_.num_sensors);
   // Dirty marks are collected whichever way the drain refresh runs (marks
   // or full scan, both clear them), so the traffic model behaves the same.
   // Every drain starts at zero, so the initial recluster's flush visits
@@ -72,7 +79,7 @@ World::World(const SimConfig& config)
   for (SensorId s = 0; s < config_.num_sensors; ++s) mark_drain_dirty(s);
   traffic_.set_touch_log(&drain_marks_);
   // Install the link-quality model before any source registration (the
-  // initial recluster below captures per-hop loss with each flow).
+  // initial recluster below adds the first flows).
   traffic_.set_link_model(config_.link, config_.comm_range.value());
 
   target_waypoint_.resize(config_.num_targets);
@@ -94,7 +101,7 @@ World::World(const SimConfig& config)
   target_index_.init(config_.field_side.value(), config_.sensing_range.value(),
                      current_target_positions());
 
-  recluster();
+  recluster(kInvalidId);
 
   // Round-robin handover ticks (only meaningful under the RR policy).
   if (config_.activation == ActivationPolicy::kRoundRobin) {
@@ -140,6 +147,8 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
     stale_counter_ = nullptr;
     settle_counter_ = nullptr;
     drain_update_counter_ = nullptr;
+    readmitted_counter_ = nullptr;
+    branch_counter_ = nullptr;
     fault_lost_counter_ = nullptr;
     fault_retried_counter_ = nullptr;
     fault_expired_counter_ = nullptr;
@@ -156,6 +165,8 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
   stale_counter_ = &registry->counter("events/stale-discarded");
   settle_counter_ = &registry->counter("world/battery-settlements");
   drain_update_counter_ = &registry->counter("world/drain-updates");
+  readmitted_counter_ = &registry->counter("activity/readmitted-targets");
+  branch_counter_ = &registry->counter("traffic/branch-nodes");
   fault_lost_counter_ = &registry->counter("fault/requests-lost");
   fault_retried_counter_ = &registry->counter("fault/requests-retried");
   fault_expired_counter_ = &registry->counter("fault/requests-expired");
@@ -436,6 +447,7 @@ void World::schedule_crossing(SensorId s) {
 
 void World::on_sensor_alive_changed(SensorId s, bool alive_now) {
   routing_stale_ = true;
+  alive_flips_.add(s);
   if (alive_now) {
     ++alive_count_;
   } else {
@@ -490,35 +502,15 @@ void World::recompute_covered(TargetId t) {
   set_covered(t, cov);
 }
 
-void World::rebuild_counters() {
-  // alive_count_ follows every alive transition and needs no recount
-  // (recluster_consistent checks it under WRSN_DEBUG_ASSERT).
-  alive_members_.assign(net_.num_targets(), 0);
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    for (const SensorId s : clusters_.members[t]) {
-      if (operational(s)) ++alive_members_[t];
-    }
-  }
-  coverable_count_ = 0;
-  covered_count_ = 0;
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    if (coverable_[t]) ++coverable_count_;
-    if (config_.activation == ActivationPolicy::kRoundRobin) {
-      const SensorId m = active_monitor_[t];
-      covered_[t] = m != kInvalidId && operational(m);
-    } else {
-      covered_[t] = alive_members_[t] > 0;
-    }
-    if (coverable_[t] && covered_[t]) ++covered_count_;
-  }
-}
-
-bool World::refresh_routing() {
+void World::refresh_routing() {
   // No alive flip since the last rebuild means the mask is unchanged, and
   // Network::rebuild_routing would return false anyway.
-  if (!routing_stale_) return false;
+  if (!routing_stale_) return;
   routing_stale_ = false;
-  return net_.rebuild_routing();
+  if (!net_.rebuild_routing()) return;
+  traffic_.reroute(net_.previous_routing(), net_.routing());
+  WRSN_DEBUG_ASSERT(traffic_.counts_match(net_.routing()),
+                    "traffic counts differ from a recount after a reroute");
 }
 
 bool World::recluster_consistent() const {
@@ -528,9 +520,31 @@ bool World::recluster_consistent() const {
     const Sensor& sensor = net_.sensor(s);
     if (sensor.assigned_target != clusters_.assignment[s]) return false;
     if (sensor.monitoring && sensor.assigned_target == kInvalidId) return false;
+    if (sensor.monitoring != traffic_.has_source(s)) return false;
     if (!drain_held(s) && soa_.drain[s] != sensor_drain(s).value()) return false;
   }
   return alive == alive_count_;
+}
+
+bool World::clusters_match_full_admission() const {
+  const std::size_t num_targets = net_.num_targets();
+  std::vector<std::vector<SensorId>> candidates(num_targets);
+  std::vector<TargetId> all(num_targets);
+  for (TargetId t = 0; t < num_targets; ++t) {
+    all[t] = t;
+    bool coverable = false;
+    net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
+      coverable = true;
+      if (soa_.alive(s)) candidates[t].push_back(s);
+    });
+    std::sort(candidates[t].begin(), candidates[t].end());
+    if (coverable != coverable_[t]) return false;
+  }
+  ClusterSet fresh;
+  AdmissionScratch scratch;
+  balanced_clustering(candidates, all, net_.num_sensors(), fresh, scratch);
+  return fresh.members == clusters_.members &&
+         fresh.assignment == clusters_.assignment && fresh.loads == clusters_.loads;
 }
 
 // ---------------------------------------------------------------------------
@@ -553,67 +567,91 @@ std::vector<Vec2> World::current_target_positions() const {
   return target_pos;
 }
 
-void World::recluster() {
+void World::recluster(TargetId moved) {
   {
     // Timed apart from the dispatch below, whose planners have their own
     // scopes; the routing rebuild and traffic reroute count as recluster.
     // The sub-scopes split it into its phases.
     WRSN_OBS_SCOPE("activity/recluster");
-    // Tear down the previous activation state. Only members monitor or
-    // carry a target (recluster_consistent), so the old clusters' members
-    // are all there is to clear; each monitoring flip marks the drain.
-    traffic_.clear_sources();
-    for (const auto& members : clusters_.members) {
-      for (const SensorId s : members) {
-        Sensor& sensor = net_.sensor(s);
-        sensor.assigned_target = kInvalidId;
-        if (sensor.monitoring) {
-          sensor.monitoring = false;
-          mark_drain_dirty(s);
-        }
-      }
-    }
-
+    const std::size_t num_targets = net_.num_targets();
     {
       WRSN_OBS_SCOPE("activity/recluster/cluster");
-      cluster_all_targets();
-    }
-    for (TargetId t = 0; t < net_.num_targets(); ++t) {
-      for (const SensorId s : clusters_.members[t]) {
-        net_.sensor(s).assigned_target = t;
+      recluster_inputs(moved);
+      alive_flips_.clear();
+      if (readmitted_counter_ != nullptr) readmitted_counter_->add(readmit_.size());
+      // Re-admit the named clusters; every other cluster keeps its members.
+      // The sensors' target mirrors follow the old members out and the new
+      // ones in.
+      readmit_members_.clear();
+      if (clusters_.members.size() == num_targets) {
+        for (const TargetId t : readmit_) {
+          const std::vector<SensorId>& members = clusters_.members[t];
+          readmit_members_.insert(readmit_members_.end(), members.begin(),
+                                  members.end());
+        }
+      }
+      balanced_clustering(recluster_cand_, readmit_, net_.num_sensors(), clusters_,
+                          admission_scratch_);
+      for (const SensorId s : readmit_members_) {
+        net_.sensor(s).assigned_target = clusters_.assignment[s];
+      }
+      for (const TargetId t : readmit_) {
+        for (const SensorId s : clusters_.members[t]) net_.sensor(s).assigned_target = t;
       }
     }
-    active_monitor_.assign(net_.num_targets(), kInvalidId);
+    WRSN_DEBUG_ASSERT(clusters_match_full_admission(),
+                      "scoped recluster differs from a full admission");
 
     {
       WRSN_OBS_SCOPE("activity/recluster/routing");
-      refresh_routing();  // the flows are re-added below: no reroute
+      refresh_routing();
     }
 
     {
       WRSN_OBS_SCOPE("activity/recluster/traffic");
-      const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
-      rotors_.resize(net_.num_targets());
-      for (TargetId t = 0; t < net_.num_targets(); ++t) {
-        rotors_[t].reset(clusters_.members[t]);
-        if (config_.activation == ActivationPolicy::kRoundRobin) {
+      for (const TargetId t : readmit_) rotors_[t].reset(clusters_.members[t]);
+      if (config_.activation == ActivationPolicy::kRoundRobin) {
+        // Every cluster restarts at its lowest-id operational member. The
+        // flags change first, so a sensor that monitors before and after
+        // keeps its flow; then each cluster's retired monitor hands its flow
+        // to the cluster's newly chosen one. Only changed flags mark drains.
+        monitor_scratch_.assign(active_monitor_.begin(), active_monitor_.end());
+        for (const SensorId m : monitor_scratch_) {
+          if (m != kInvalidId) net_.sensor(m).monitoring = false;
+        }
+        for (TargetId t = 0; t < num_targets; ++t) {
           const SensorId first =
               rotors_[t].select_first([&](SensorId s) { return operational(s); });
-          if (first != kInvalidId) {
-            net_.sensor(first).monitoring = true;
-            mark_drain_dirty(first);
-            active_monitor_[t] = first;
-            traffic_.add_source(net_.routing(), first, rate_pps);
-          }
-        } else {
-          apply_full_time_activation(t);
+          active_monitor_[t] = first;
+          if (first != kInvalidId) net_.sensor(first).monitoring = true;
+        }
+        for (TargetId t = 0; t < num_targets; ++t) {
+          SensorId from = monitor_scratch_[t];
+          if (from != kInvalidId && net_.sensor(from).monitoring) from = kInvalidId;
+          SensorId to = active_monitor_[t];
+          if (to != kInvalidId && traffic_.has_source(to)) to = kInvalidId;
+          if (from != kInvalidId) mark_drain_dirty(from);
+          if (to != kInvalidId) mark_drain_dirty(to);
+          move_flow(from, to);
+        }
+      } else {
+        for (const SensorId s : readmit_members_) sync_full_time_duty(s);
+        for (const TargetId t : readmit_) {
+          for (const SensorId s : clusters_.members[t]) sync_full_time_duty(s);
         }
       }
     }
 
     {
+      // Membership changed only in the re-admitted clusters; coverage can
+      // change wherever the monitor did.
       WRSN_OBS_SCOPE("activity/recluster/counters");
-      rebuild_counters();
+      for (const TargetId t : readmit_) {
+        alive_members_[t] = static_cast<std::size_t>(
+            std::count_if(clusters_.members[t].begin(), clusters_.members[t].end(),
+                          [&](SensorId s) { return operational(s); }));
+      }
+      for (TargetId t = 0; t < num_targets; ++t) recompute_covered(t);
     }
     {
       // Every drain that can have changed is marked: the monitoring flips
@@ -623,19 +661,18 @@ void World::recluster() {
     }
     WRSN_DEBUG_ASSERT(recluster_consistent(),
                       "recluster left a stale drain, counter or monitor");
-    for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
+    for (ClusterId c = 0; c < num_targets; ++c) evaluate_cluster_requests(c);
   }
   dispatch();
 }
 
-void World::cluster_all_targets() {
-  // Each target's candidates from one sensing-grid query: the covering
-  // sensors, alive ones only, ascending; a target is coverable when any
-  // sensor, alive or not, is in range. The buffers persist across
-  // reclusters, so teleport motion allocates nothing O(N) here.
-  coverable_.assign(net_.num_targets(), false);
-  recluster_cand_.resize(net_.num_targets());
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
+void World::recluster_inputs(TargetId moved) {
+  const std::size_t num_targets = net_.num_targets();
+  const double range = config_.sensing_range.value();
+  // A target's candidates from one sensing-grid query: the covering
+  // sensors, alive ones only, ascending; it is coverable when any sensor,
+  // alive or not, is in range. The buffers persist across reclusters.
+  const auto query = [&](TargetId t) {
     std::vector<SensorId>& list = recluster_cand_[t];
     list.clear();
     bool coverable = false;
@@ -643,11 +680,58 @@ void World::cluster_all_targets() {
       coverable = true;
       if (soa_.alive(s)) list.push_back(s);
     });
-    coverable_[t] = coverable;
     std::sort(list.begin(), list.end());
+    set_coverable(t, coverable);
+  };
+  readmit_.clear();
+  if (moved == kInvalidId || recluster_cand_.size() != num_targets) {
+    recluster_cand_.resize(num_targets);
+    for (TargetId t = 0; t < num_targets; ++t) {
+      query(t);
+      readmit_.push_back(t);
+    }
+    return;
   }
-  balanced_clustering(recluster_cand_, net_.num_sensors(), clusters_,
-                      admission_scratch_);
+
+  // Sensor positions are static, so only the moved target's list and the
+  // lists of the targets covering an alive flip can differ from the cache.
+  refreshed_targets_.add(moved);
+  for (const SensorId s : alive_flips_.ids()) {
+    target_index_.candidates(soa_.pos[s], range, covering_scratch_);
+    for (const TargetId t : covering_scratch_) refreshed_targets_.add(t);
+  }
+  old_cand_.resize(num_targets);
+  component_queue_.clear();
+  for (const std::size_t t : refreshed_targets_.ids()) {
+    old_cand_[t].swap(recluster_cand_[t]);
+    query(static_cast<TargetId>(t));
+    readmit_marks_.add(t);
+    component_queue_.push_back(static_cast<TargetId>(t));
+  }
+
+  // Close them over the coverage-overlap components of the old and new
+  // lists together: a sensor on either list links every target covering it
+  // now (the moved target is queued already).
+  const auto visit = [&](const std::vector<SensorId>& list) {
+    for (const SensorId s : list) {
+      if (visited_sensors_.contains(s)) continue;
+      visited_sensors_.add(s);
+      target_index_.candidates(soa_.pos[s], range, covering_scratch_);
+      for (const TargetId u : covering_scratch_) {
+        if (readmit_marks_.contains(u)) continue;
+        readmit_marks_.add(u);
+        component_queue_.push_back(u);
+      }
+    }
+  };
+  for (std::size_t i = 0; i < component_queue_.size(); ++i) {
+    const TargetId t = component_queue_[i];
+    visit(recluster_cand_[t]);
+    if (refreshed_targets_.contains(t)) visit(old_cand_[t]);
+  }
+  readmit_marks_.flush([&](std::size_t t) { readmit_.push_back(static_cast<TargetId>(t)); });
+  refreshed_targets_.clear();
+  visited_sensors_.clear();
 }
 
 void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
@@ -670,7 +754,6 @@ void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
 
 void World::apply_rebalance(const RebalanceResult& res,
                             std::vector<TargetId> affected) {
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
   for (const RebalanceResult::Move& mv : res.moves) {
     Sensor& sensor = net_.sensor(mv.sensor);
     if (mv.from != kInvalidId) {
@@ -686,11 +769,7 @@ void World::apply_rebalance(const RebalanceResult& res,
       const bool want = mv.to != kInvalidId;
       if (sensor.monitoring != want) {
         sensor.monitoring = want;
-        if (want) {
-          traffic_.add_source(net_.routing(), mv.sensor, rate_pps);
-        } else if (traffic_.has_source(mv.sensor)) {
-          traffic_.remove_source(mv.sensor);
-        }
+        move_flow(want ? kInvalidId : mv.sensor, want ? mv.sensor : kInvalidId);
         mark_drain_dirty(mv.sensor);
       }
     }
@@ -700,30 +779,43 @@ void World::apply_rebalance(const RebalanceResult& res,
   affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
 
   if (config_.activation == ActivationPolicy::kRoundRobin) {
-    // First clear every monitor that is no longer an alive member of its
-    // cluster — before reselecting, so a monitor that migrated clusters is
-    // never cleared after its new cluster adopted it.
-    for (const TargetId a : affected) {
+    // First stand down every monitor that is no longer an alive member of
+    // its cluster — before reselecting, so a monitor that migrated clusters
+    // is never cleared after its new cluster adopted it. Flows move last:
+    // each cluster's retired monitor hands its flow to the monitor newly
+    // chosen in the same cluster, and one re-chosen elsewhere keeps it.
+    handoffs_.assign(affected.size(), {kInvalidId, kInvalidId});
+    for (std::size_t i = 0; i < affected.size(); ++i) {
+      const TargetId a = affected[i];
       const SensorId m = active_monitor_[a];
       if (m == kInvalidId) continue;
       if (net_.sensor(m).assigned_target == a && operational(m)) continue;
       if (net_.sensor(m).monitoring) {
         net_.sensor(m).monitoring = false;
-        if (traffic_.has_source(m)) traffic_.remove_source(m);
         mark_drain_dirty(m);
+        handoffs_[i].first = m;
       }
       active_monitor_[a] = kInvalidId;
       recompute_covered(a);
     }
-    for (const TargetId a : affected) {
-      if (active_monitor_[a] != kInvalidId) continue;
-      const SensorId next = rotors_[a].select_first(
-          [&](SensorId id) { return operational(id); });
-      if (next != kInvalidId) {
-        set_monitor(a, next);
-      } else {
+    for (std::size_t i = 0; i < affected.size(); ++i) {
+      const TargetId a = affected[i];
+      if (active_monitor_[a] == kInvalidId) {
+        const SensorId next = rotors_[a].select_first(
+            [&](SensorId id) { return operational(id); });
+        if (next != kInvalidId) {
+          active_monitor_[a] = next;
+          net_.sensor(next).monitoring = true;
+          mark_drain_dirty(next);
+          handoffs_[i].second = next;
+        }
         recompute_covered(a);
       }
+    }
+    for (const auto& [retired, chosen] : handoffs_) {
+      const bool hands_off = retired != kInvalidId && !net_.sensor(retired).monitoring;
+      const bool takes_over = chosen != kInvalidId && !traffic_.has_source(chosen);
+      move_flow(hands_off ? retired : kInvalidId, takes_over ? chosen : kInvalidId);
     }
   } else {
     for (const TargetId a : affected) recompute_covered(a);
@@ -773,19 +865,32 @@ void World::revive_membership(SensorId s) {
       sensor.assigned_target != kInvalidId && !sensor.monitoring &&
       soa_.hw_fault[s] == 0) {
     sensor.monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
+    traffic_.add_source(net_.routing(), s);
     mark_drain_dirty(s);
     recompute_covered(sensor.assigned_target);
   }
 }
 
-void World::apply_full_time_activation(TargetId t) {
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
-  for (SensorId s : clusters_.members[t]) {
-    if (!operational(s)) continue;
-    net_.sensor(s).monitoring = true;
-    mark_drain_dirty(s);
-    traffic_.add_source(net_.routing(), s, rate_pps);
+void World::sync_full_time_duty(SensorId s) {
+  Sensor& sensor = net_.sensor(s);
+  const bool duty = clusters_.assignment[s] != kInvalidId && operational(s);
+  if (sensor.monitoring == duty) return;
+  sensor.monitoring = duty;
+  mark_drain_dirty(s);
+  move_flow(duty ? kInvalidId : s, duty ? s : kInvalidId);
+}
+
+void World::move_flow(SensorId from, SensorId to) {
+  if (from != kInvalidId && !traffic_.has_source(from)) from = kInvalidId;
+  if (from != kInvalidId && to != kInvalidId) {
+    const std::size_t walked = traffic_.swap_source(net_.routing(), from, to);
+    if (branch_counter_ != nullptr) branch_counter_->add(walked);
+    WRSN_DEBUG_ASSERT(traffic_.counts_match(net_.routing()),
+                      "traffic counts differ from a recount after a swap");
+  } else if (from != kInvalidId) {
+    traffic_.remove_source(net_.routing(), from);
+  } else if (to != kInvalidId) {
+    traffic_.add_source(net_.routing(), to);
   }
 }
 
@@ -794,15 +899,14 @@ void World::set_monitor(TargetId t, SensorId s) {
   if (old == s) return;
   if (old != kInvalidId) {
     net_.sensor(old).monitoring = false;
-    if (traffic_.has_source(old)) traffic_.remove_source(old);
     mark_drain_dirty(old);
   }
   active_monitor_[t] = s;
   if (s != kInvalidId) {
     net_.sensor(s).monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
     mark_drain_dirty(s);
   }
+  move_flow(old, s);
   recompute_covered(t);
 }
 
@@ -820,10 +924,10 @@ void World::on_slot_rotation() {
 void World::on_target_move(TargetId t) {
   if (config_.target_motion == TargetMotion::kTeleport) {
     net_.relocate_target(t, target_rng_);
-    // recluster() rebuilds clusters from scratch, but the target grid still
-    // needs the jump mirrored for later scoped queries (revive_membership).
+    // The target grid mirrors the jump first: the recluster's component walk
+    // and later scoped queries (revive_membership) read it.
     target_index_.move(t, net_.target(t).pos);
-    recluster();
+    recluster(t);
     queue_.push(now_ + config_.target_period.value(), EventKind::kTargetMove, t);
     return;
   }
@@ -1003,7 +1107,7 @@ void World::on_sensor_fault_start(SensorId s) {
   if (t != kInvalidId) --alive_members_[t];
   if (sensor.monitoring) {
     sensor.monitoring = false;
-    if (traffic_.has_source(s)) traffic_.remove_source(s);
+    move_flow(s, kInvalidId);
     mark_drain_dirty(s);
   }
   if (t != kInvalidId && active_monitor_[t] == s) {
@@ -1037,7 +1141,7 @@ void World::on_sensor_fault_end(SensorId s) {
   if (t != kInvalidId && config_.activation == ActivationPolicy::kFullTime &&
       !sensor.monitoring) {
     sensor.monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
+    traffic_.add_source(net_.routing(), s);
     mark_drain_dirty(s);
   }
   if (t != kInvalidId && config_.activation == ActivationPolicy::kRoundRobin &&
@@ -1099,7 +1203,7 @@ void World::handle_death(SensorId s) {
 
   if (sensor.monitoring) {
     sensor.monitoring = false;
-    if (traffic_.has_source(s)) traffic_.remove_source(s);
+    move_flow(s, kInvalidId);
   }
   const TargetId t = sensor.assigned_target;
   if (t != kInvalidId && active_monitor_[t] == s) {
@@ -1112,7 +1216,7 @@ void World::handle_death(SensorId s) {
   }
 
   // A dead relay changes the topology for everyone.
-  if (refresh_routing()) traffic_.reroute(net_.routing());
+  refresh_routing();
 
   if (t == kInvalidId) {
     add_request(s);

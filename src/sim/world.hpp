@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "activity/activation.hpp"
@@ -192,8 +193,8 @@ class World {
  protected:
   // --- derived-state hooks ------------------------------------------------
   // Where derived state is (re)computed: metrics/snapshot state, the drain
-  // refresh, the global recluster and the scoped rebalance. Each body is
-  // the incremental code; the full-rescan oracle (tests/support/
+  // refresh, the teleport recluster's inputs and the scoped rebalance. Each
+  // body is the incremental code; the full-rescan oracle (tests/support/
   // reference_world.hpp) overrides them to recover the same state from
   // first principles. Identical operation sequences keep the two
   // bit-identical, so any divergence pinpoints a stale counter, a missed
@@ -206,9 +207,17 @@ class World {
   // Drain refresh after an event: update_drain over the dirty-marked
   // sensors in ascending id order (the order a full scan visits them).
   virtual void request_drain_refresh();
-  // Global recluster: clusters_ and every target's coverable_ bit, from one
-  // sensing-grid query per target.
-  virtual void cluster_all_targets();
+  // Teleport recluster inputs. Brings recluster_cand_ (each target's alive
+  // covering sensors, ascending) and the coverable bits up to date after
+  // target `moved` jumped, and lists in readmit_ (ascending) the targets
+  // whose admission must re-run. Only the moved target and the targets
+  // covering a sensor whose alive flag flipped since the last recluster
+  // are re-queried, from the sensing grid, and readmit_ closes them over
+  // the coverage-overlap components of the old and new lists together
+  // (clustering.hpp: admission never crosses a component). `moved` ==
+  // kInvalidId, or an empty cache after a restore, re-queries and
+  // re-admits every target.
+  virtual void recluster_inputs(TargetId moved);
   // Scoped-rebalance inputs. step_region: the alive sensors within sensing
   // range of either end of a target step (ascending, unique) and whether
   // any sensor, alive or not, covers the new end; both from the sensing
@@ -285,18 +294,22 @@ class World {
   void set_covered(TargetId t, bool v);
   void set_coverable(TargetId t, bool v);
   void recompute_covered(TargetId t);
-  // After a global recluster: alive members from the clusters, coverage
-  // from the targets; O(members + M).
-  void rebuild_counters();
   // Network::rebuild_routing, skipped while no alive flip happened since
-  // the last call (routing_stale_). Returns whether the forest changed.
-  bool refresh_routing();
+  // the last call (routing_stale_); a changed forest re-lays every flow.
+  void refresh_routing();
   // Debug check after a recluster: every drain current (drain_held excepted),
-  // target mirrors and monitors on members only, alive_count_ exact.
+  // target mirrors and monitors on members only, monitors exactly the
+  // traffic sources, alive_count_ exact.
   [[nodiscard]] bool recluster_consistent() const;
+  // Debug oracle after a recluster: clusters_ and the coverable bits equal
+  // a full admission over freshly queried candidates of every target.
+  [[nodiscard]] bool clusters_match_full_admission() const;
 
   // --- activity management ---------------------------------------------
-  void recluster();  // global: construction + teleport motion
+  // Teleport motion and construction (`moved` == kInvalidId): Algorithm 1
+  // re-run over the clusters recluster_inputs() names, then every cluster
+  // restarts its round robin at its lowest-id operational member.
+  void recluster(TargetId moved);
   // Scoped re-clustering for a random-waypoint step: only sensors in range
   // of the target's old/new position are re-assigned.
   void recluster_moved_target(TargetId t, Vec2 old_pos);
@@ -308,7 +321,13 @@ class World {
   void apply_rebalance(const RebalanceResult& res, std::vector<TargetId> affected);
   [[nodiscard]] std::vector<Vec2> current_target_positions() const;
   void set_monitor(TargetId t, SensorId s);  // kInvalidId clears
-  void apply_full_time_activation(TargetId t);
+  // Moves the traffic flow of `from` to `to`, either of which may be
+  // kInvalidId (or, for `from`, a sensor without a flow): one swap when
+  // both are set, else a plain removal or addition.
+  void move_flow(SensorId from, SensorId to);
+  // Full-time policy: puts `s` on duty exactly when it is an operational
+  // cluster member, adding or removing its flow.
+  void sync_full_time_duty(SensorId s);
   void evaluate_cluster_requests(ClusterId c);
   void add_request(SensorId s);
   void handle_death(SensorId s);
@@ -424,9 +443,23 @@ class World {
   // rebalance_dirty's candidate-set input.
   TargetIndex target_index_;
   std::vector<std::vector<TargetId>> cand_scratch_;
-  // Global-recluster scratch: per-target candidate
-  // lists from the sensing grid and the admission core's working storage.
+  // Teleport-recluster state. recluster_cand_ caches each target's
+  // candidate list as of the last recluster (cleared on restore, which
+  // forces a full refresh); alive_flips_ collects the sensors whose alive
+  // flag flipped since, which are all a cached list can go stale by.
+  // readmit_ is recluster_inputs()' output; the rest is scratch.
   std::vector<std::vector<SensorId>> recluster_cand_;
+  DirtySet alive_flips_;
+  std::vector<TargetId> readmit_;
+  std::vector<std::vector<SensorId>> old_cand_;  // per refreshed target
+  DirtySet refreshed_targets_;
+  DirtySet readmit_marks_;
+  DirtySet visited_sensors_;
+  std::vector<TargetId> component_queue_;
+  std::vector<TargetId> covering_scratch_;
+  std::vector<SensorId> readmit_members_;     // the old members of readmit_
+  std::vector<SensorId> monitor_scratch_;     // the monitors before a recluster
+  std::vector<std::pair<SensorId, SensorId>> handoffs_;  // retired -> chosen
   AdmissionScratch admission_scratch_;
 
   // Derived-state counters (derived_state(); validated against the
@@ -483,6 +516,8 @@ class World {
   obs::Counter* stale_counter_ = nullptr;
   obs::Counter* settle_counter_ = nullptr;        // battery settlements
   obs::Counter* drain_update_counter_ = nullptr;  // drain changes applied
+  obs::Counter* readmitted_counter_ = nullptr;    // clusters re-admitted
+  obs::Counter* branch_counter_ = nullptr;        // nodes walked by swaps
   obs::Counter* fault_lost_counter_ = nullptr;
   obs::Counter* fault_retried_counter_ = nullptr;
   obs::Counter* fault_expired_counter_ = nullptr;

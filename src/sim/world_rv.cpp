@@ -364,7 +364,7 @@ void World::on_rv_charge_done(RvId r) {
     on_sensor_alive_changed(s, true);
     soa_.death_processed[s] = 0;
     mark_drain_dirty(s);
-    if (refresh_routing()) traffic_.reroute(net_.routing());
+    refresh_routing();
     revive_membership(s);
   } else {
     if (!soa_.alive(s) && soa_.death_processed[s] == 0) {

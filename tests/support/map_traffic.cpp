@@ -8,9 +8,12 @@
 
 namespace wrsn {
 
-void MapTrafficModel::reset(std::size_t num_sensors) {
+void MapTrafficModel::reset(std::size_t num_sensors, double rate_pps) {
+  rate_pps_ = rate_pps;
   tx_rate_.assign(num_sensors, 0.0);
   rx_rate_.assign(num_sensors, 0.0);
+  tx_flows_.assign(num_sensors, 0);
+  rx_flows_.assign(num_sensors, 0);
   delivery_rate_ = 0.0;
   offered_rate_ = 0.0;
   weighted_hops_ = 0.0;
@@ -60,22 +63,31 @@ void MapTrafficModel::capture_link(const RouteView& routes,
 }
 
 void MapTrafficModel::apply(const SourceFlow& flow, SensorId source, double sign) {
-  const double r = sign * flow.rate_pps;
+  const double r = sign * rate_pps_;
+  // Lossless: one flow more or less through `node`, as a count.
+  const auto count = [&](std::vector<std::uint32_t>& flows,
+                         std::vector<double>& rates, std::size_t node) {
+    flows[node] = sign > 0.0 ? flows[node] + 1 : flows[node] - 1;
+    rates[node] = rate_pps_ * static_cast<double>(flows[node]);
+  };
   if (touch_log_ != nullptr) touch_log_->add(source);
   offered_rate_ += r;
   if (flow.relay_path.empty()) {
     // Unreachable source: it still transmits (and wastes energy), nothing is
     // relayed or delivered.
-    tx_rate_[source] += r;
+    if (link_.enabled) {
+      tx_rate_[source] += r;
+    } else {
+      count(tx_flows_, tx_rate_, source);
+    }
     return;
   }
   double delivered = r;
-  if (flow.hop_etx.empty()) {
-    // Lossless fast path — bit-identical to the pre-link-layer accounting.
+  if (!link_.enabled) {
     for (std::size_t i = 0; i < flow.relay_path.size(); ++i) {
       const std::size_t node = flow.relay_path[i];
-      tx_rate_[node] += r;
-      if (i > 0) rx_rate_[node] += r;  // relays receive before forwarding
+      count(tx_flows_, tx_rate_, node);
+      if (i > 0) count(rx_flows_, rx_rate_, node);  // relays receive too
       if (touch_log_ != nullptr && i > 0) touch_log_->add(node);
     }
     delivery_rate_ += r;
@@ -94,7 +106,7 @@ void MapTrafficModel::apply(const SourceFlow& flow, SensorId source, double sign
     delivered = incoming;
     delivery_rate_ += delivered;
   }
-  if (flow.rate_pps > 0.0 && flow.path_success > 0.0) {
+  if (rate_pps_ > 0.0 && flow.path_success > 0.0) {
     weighted_hops_ += delivered * static_cast<double>(flow.relay_path.size());
     delivering_rate_ += delivered;
     if (sign > 0.0) {
@@ -111,13 +123,11 @@ void MapTrafficModel::apply(const SourceFlow& flow, SensorId source, double sign
   }
 }
 
-void MapTrafficModel::add_source(const RouteView& routes, SensorId source,
-                              double rate_pps) {
+void MapTrafficModel::add_source(const RouteView& routes, SensorId source) {
   WRSN_REQUIRE(source < tx_rate_.size(), "source id out of range");
-  WRSN_REQUIRE(rate_pps >= 0.0, "packet rate must be non-negative");
   WRSN_REQUIRE(!routes_.contains(source), "source already registered");
 
-  SourceFlow flow{rate_pps, {}, {}, {}, 1.0};
+  SourceFlow flow{{}, {}, {}, 1.0};
   if (routes.built() && routes.reachable(source)) {
     flow.relay_path = routes.path_to_base(source);
     flow.relay_path.pop_back();  // drop the BS node
@@ -135,18 +145,18 @@ void MapTrafficModel::remove_source(SensorId source) {
   if (routes_.empty()) offered_rate_ = 0.0;  // exact quiescence
 }
 
-void MapTrafficModel::clear_sources() {
-  for (const auto& [source, flow] : routes_) apply(flow, source, -1.0);
-  routes_.clear();
-  offered_rate_ = 0.0;  // exact quiescence
-}
-
 void MapTrafficModel::reroute(const RouteView& routes) {
-  std::vector<std::pair<SensorId, double>> sources;
-  sources.reserve(routes_.size());
-  for (const auto& [source, flow] : routes_) sources.emplace_back(source, flow.rate_pps);
-  clear_sources();
-  for (const auto& [source, rate] : sources) add_source(routes, source, rate);
+  for (const auto& [source, flow] : routes_) apply(flow, source, -1.0);
+  offered_rate_ = 0.0;
+  for (auto& [source, flow] : routes_) {
+    flow = SourceFlow{{}, {}, {}, 1.0};
+    if (routes.built() && routes.reachable(source)) {
+      flow.relay_path = routes.path_to_base(source);
+      flow.relay_path.pop_back();
+    }
+    capture_link(routes, flow);
+    apply(flow, source, +1.0);
+  }
 }
 
 void MapTrafficModel::serialize(BinWriter& w) const {
@@ -160,62 +170,13 @@ void MapTrafficModel::serialize(BinWriter& w) const {
   w.size(routes_.size());
   for (const auto& [source, flow] : routes_) {
     w.u64(static_cast<std::uint64_t>(source));
-    w.f64(flow.rate_pps);
+    w.f64(rate_pps_);
     std::vector<std::uint64_t> path(flow.relay_path.begin(),
                                     flow.relay_path.end());
     w.vec(path);
     w.vec(flow.hop_etx);
     w.vec(flow.hop_success);
     w.f64(flow.path_success);
-  }
-}
-
-void MapTrafficModel::deserialize(BinReader& r) {
-  // The node count is fixed at construction; every restored id indexes the
-  // per-node rate arrays, so each is checked against it.
-  const std::size_t nodes = tx_rate_.size();
-  const auto reject = [](const std::string& what) {
-    throw InvalidArgument("snapshot traffic " + what);
-  };
-  const auto check_node = [&](std::uint64_t id, const char* what) {
-    if (id >= nodes) {
-      reject(std::string(what) + " " + std::to_string(id) +
-             " out of range (limit " + std::to_string(nodes) + ")");
-    }
-  };
-  r.vec(tx_rate_);
-  r.vec(rx_rate_);
-  if (tx_rate_.size() != nodes || rx_rate_.size() != nodes) {
-    reject("rate arrays do not match the " + std::to_string(nodes) + " sensors");
-  }
-  r.f64(delivery_rate_);
-  r.f64(offered_rate_);
-  r.f64(weighted_hops_);
-  r.f64(delivering_rate_);
-  r.size(delivering_sources_);
-  const std::size_t n = r.count(8);
-  routes_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t source = 0;
-    r.u64(source);
-    check_node(source, "source");
-    SourceFlow flow{0.0, {}, {}, {}, 1.0};
-    r.f64(flow.rate_pps);
-    std::vector<std::uint64_t> path;
-    r.vec(path);
-    for (const std::uint64_t node : path) check_node(node, "relay");
-    flow.relay_path.assign(path.begin(), path.end());
-    r.vec(flow.hop_etx);
-    r.vec(flow.hop_success);
-    if (!(flow.hop_etx.empty() || flow.hop_etx.size() == path.size()) ||
-        flow.hop_success.size() != flow.hop_etx.size()) {
-      reject("flow of source " + std::to_string(source) +
-             " has link captures that do not match its path");
-    }
-    r.f64(flow.path_success);
-    if (!routes_.emplace(static_cast<SensorId>(source), std::move(flow)).second) {
-      reject("source " + std::to_string(source) + " recorded twice");
-    }
   }
 }
 

@@ -71,11 +71,22 @@ void ReferenceWorld::request_drain_refresh() {
   drain_marks_.clear();
 }
 
-void ReferenceWorld::cluster_all_targets() {
-  clusters_ = clusters_by_scan();
-  coverable_.assign(net_.num_targets(), false);
+std::vector<SensorId> ReferenceWorld::candidates_by_scan(Vec2 point) const {
+  const double r2 = config_.sensing_range.value() * config_.sensing_range.value();
+  std::vector<SensorId> out;
+  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+    if (soa_.alive(s) && squared_distance(soa_.pos[s], point) <= r2) out.push_back(s);
+  }
+  return out;
+}
+
+void ReferenceWorld::recluster_inputs(TargetId /*moved*/) {
+  recluster_cand_.resize(net_.num_targets());
+  readmit_.clear();
   for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    coverable_[t] = covered_by_scan(net_.target(t).pos);
+    recluster_cand_[t] = candidates_by_scan(net_.target(t).pos);
+    set_coverable(t, covered_by_scan(net_.target(t).pos));
+    readmit_.push_back(t);
   }
 }
 

@@ -7,8 +7,9 @@
 // protected virtual hooks. This subclass overrides every hook with a full
 // O(N) rescan that recovers the same state from first principles: metrics
 // and snapshot() recount coverage over all targets, every drain refresh
-// re-evaluates every sensor, the global recluster finds its candidate sets
-// by distance scan, and the scoped rebalance finds its dirty region and
+// re-evaluates every sensor, the teleport recluster finds every target's
+// candidate set by distance scan and re-admits every cluster, and the
+// scoped rebalance finds its dirty region and
 // candidate targets by scanning all sensors and targets. The physics core is
 // shared, so identical operation sequences keep the two worlds
 // bit-identical, and any divergence in reports, traces or battery vectors
@@ -46,7 +47,7 @@ class ReferenceWorld : public World {
  protected:
   [[nodiscard]] StateSnapshot derived_state() const override;
   void request_drain_refresh() override;
-  void cluster_all_targets() override;
+  void recluster_inputs(TargetId moved) override;
   [[nodiscard]] StepRegion step_region(Vec2 from, Vec2 to) const override;
   [[nodiscard]] RebalanceResult rebalance(const std::vector<SensorId>& dirty) override;
 
@@ -54,6 +55,8 @@ class ReferenceWorld : public World {
   // Whether any sensor, alive or not, is within sensing range of `point`.
   [[nodiscard]] bool covered_by_scan(Vec2 point) const;
   [[nodiscard]] ClusterSet clusters_by_scan() const;
+  // The alive sensors within sensing range of `point`, ascending.
+  [[nodiscard]] std::vector<SensorId> candidates_by_scan(Vec2 point) const;
 };
 
 // Which World a test or bench builds: the production engine or its oracle.

@@ -1,4 +1,5 @@
-// Oracle tests for Algorithm 1's admission core.
+// Oracle tests for Algorithm 1's admission core, over all targets and over
+// the coverage-overlap components a teleport touches.
 //
 // `reference_balanced_clustering` below is the original formulation of the
 // admission loop, kept here as a test-only reference: an O(M*N) distance
@@ -86,6 +87,12 @@ std::vector<std::vector<SensorId>> grid_candidates(const std::vector<Vec2>& sens
     std::sort(cand[t].begin(), cand[t].end());
   }
   return cand;
+}
+
+std::vector<TargetId> all_targets(std::size_t m) {
+  std::vector<TargetId> all(m);
+  for (TargetId t = 0; t < m; ++t) all[t] = t;
+  return all;
 }
 
 void expect_same(const ClusterSet& got, const ClusterSet& want) {
@@ -176,7 +183,8 @@ TEST_P(AdmissionOracle, CoreMatchesStableSortReference) {
 
     const auto cand =
         grid_candidates(in.sensors, in.targets, in.side, in.range, in.eligible);
-    balanced_clustering(cand, in.sensors.size(), reused, scratch);
+    balanced_clustering(cand, all_targets(cand.size()), in.sensors.size(), reused,
+                        scratch);
     expect_same(reused, want);
   }
 }
@@ -208,10 +216,10 @@ TEST_P(AdmissionOracle, SameSizeReuseMatchesFreshDenseRun) {
       eligible[s] = !eligible[s];
     }
     const auto cand = grid_candidates(in.sensors, targets, in.side, in.range, eligible);
-    balanced_clustering(cand, n, reused, scratch);
+    balanced_clustering(cand, all_targets(cand.size()), n, reused, scratch);
     ClusterSet fresh;
     AdmissionScratch fresh_scratch;
-    balanced_clustering(cand, n, fresh, fresh_scratch);
+    balanced_clustering(cand, all_targets(cand.size()), n, fresh, fresh_scratch);
     expect_same(reused, fresh);
     if (::testing::Test::HasFailure()) return;
 
@@ -229,6 +237,134 @@ TEST_P(AdmissionOracle, SameSizeReuseMatchesFreshDenseRun) {
     }
     (void)rebalance_dirty(reused, pos, targets, in.range, dirty);
   }
+}
+
+// Number of coverage-overlap components among `subset`, linking targets
+// whose lists in `lists` share a sensor.
+std::size_t count_components(const std::vector<std::vector<SensorId>>& lists,
+                             const std::vector<TargetId>& subset, std::size_t n) {
+  std::vector<TargetId> parent(lists.size());
+  for (TargetId t = 0; t < parent.size(); ++t) parent[t] = t;
+  const auto find = [&](TargetId t) {
+    while (parent[t] != t) t = parent[t] = parent[parent[t]];
+    return t;
+  };
+  std::vector<TargetId> owner(n, kInvalidId);
+  for (const TargetId t : subset) {
+    for (const SensorId s : lists[t]) {
+      if (owner[s] == kInvalidId) {
+        owner[s] = t;
+      } else {
+        parent[find(t)] = find(owner[s]);
+      }
+    }
+  }
+  std::size_t roots = 0;
+  for (const TargetId t : subset) roots += find(t) == t ? 1 : 0;
+  return roots;
+}
+
+// The teleport recluster's scoping: each round one target teleports and a
+// few sensors die or revive (a revival re-joins through rebalance_dirty, as
+// in the simulator). Only the moved target and the targets covering a
+// flipped sensor get fresh lists; the admission re-runs over their
+// overlap components in the old and new lists together, on the storage the
+// previous rounds left. Every round must equal a fresh global admission,
+// and across the rounds components must both split and merge.
+struct SubsetRun {
+  std::size_t splits = 0;
+  std::size_t merges = 0;
+};
+
+void run_subset_rounds(std::uint64_t seed, SubsetRun& run) {
+  Xoshiro256 rng(0xc0b0ULL + seed);
+  const int kinds[] = {0, 2, 3};
+  const Instance in = make_instance(kinds[seed % 3], rng);
+  const std::size_t n = in.sensors.size();
+  const std::size_t m = in.targets.size();
+  std::vector<Vec2> targets = in.targets;
+  std::vector<bool> eligible = in.eligible;
+  if (eligible.empty()) eligible.assign(n, true);
+  const auto pos = [&](SensorId s) { return in.sensors[s]; };
+  const double r2 = in.range * in.range;
+  const auto covers = [&](TargetId t, SensorId s) {
+    return squared_distance(in.sensors[s], targets[t]) <= r2;
+  };
+
+  auto lists = grid_candidates(in.sensors, targets, in.side, in.range, eligible);
+  ClusterSet reused;
+  AdmissionScratch scratch;
+  balanced_clustering(lists, all_targets(m), n, reused, scratch);
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<bool> refreshed(m, false);
+    const auto moved = static_cast<TargetId>(rng.uniform_int(m));
+    refreshed[moved] = true;
+    targets[moved] = random_location(in.side, rng);
+    for (int k = 0; k < 3; ++k) {
+      const auto s = static_cast<SensorId>(rng.uniform_int(n));
+      eligible[s] = !eligible[s];
+      for (TargetId t = 0; t < m; ++t) refreshed[t] = refreshed[t] || covers(t, s);
+      if (eligible[s]) {
+        // A revival re-joins at once; a death leaves its member in place.
+        (void)rebalance_dirty(reused, pos, targets, in.range, {s});
+      }
+    }
+    const auto fresh_lists =
+        grid_candidates(in.sensors, targets, in.side, in.range, eligible);
+    // Targets linked through a sensor on an old or a new list.
+    std::vector<std::vector<TargetId>> by_sensor(n);
+    for (TargetId t = 0; t < m; ++t) {
+      for (const SensorId s : fresh_lists[t]) by_sensor[s].push_back(t);
+      if (!refreshed[t]) continue;
+      for (const SensorId s : lists[t]) by_sensor[s].push_back(t);
+    }
+    std::vector<bool> in_subset = refreshed;
+    std::vector<TargetId> queue;
+    for (TargetId t = 0; t < m; ++t) {
+      if (refreshed[t]) queue.push_back(t);
+    }
+    const auto link = [&](const std::vector<SensorId>& list) {
+      for (const SensorId s : list) {
+        for (const TargetId u : by_sensor[s]) {
+          if (in_subset[u]) continue;
+          in_subset[u] = true;
+          queue.push_back(u);
+        }
+      }
+    };
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      link(fresh_lists[queue[i]]);
+      link(lists[queue[i]]);
+    }
+    std::vector<TargetId> subset;
+    for (TargetId t = 0; t < m; ++t) {
+      if (in_subset[t]) subset.push_back(t);
+    }
+    const std::size_t before = count_components(lists, subset, n);
+    const std::size_t after = count_components(fresh_lists, subset, n);
+    run.splits += after > before ? 1 : 0;
+    run.merges += after < before ? 1 : 0;
+    lists = fresh_lists;
+
+    balanced_clustering(lists, subset, n, reused, scratch);
+    ClusterSet fresh;
+    AdmissionScratch fresh_scratch;
+    balanced_clustering(lists, all_targets(m), n, fresh, fresh_scratch);
+    expect_same(reused, fresh);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(AdmissionOracle, ComponentSubsetMatchesGlobalAdmission) {
+  SubsetRun run;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE(seed);
+    run_subset_rounds(seed, run);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(run.splits, 0u);
+  EXPECT_GT(run.merges, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, AdmissionOracle,

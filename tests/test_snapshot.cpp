@@ -737,6 +737,75 @@ TEST(SnapshotHostile, RejectsAliveMembersThatDisagreeWithClusters) {
   expect_rejected(snap, counter_error("target 1 alive-member count", stored));
 }
 
+// The traffic flows against the restored routing forest. A flow record is
+// the source, the rate, the path (source first, base station excluded) and
+// the empty link-factor vectors plus the path success of a lossless flow.
+// The tx and rx rate
+// arrays open the traffic section, ahead of the four aggregate sums, the
+// delivering-source count and the source count. The lowest source whose
+// flow reaches the base station is found by the bytes of its record.
+struct FlowRecord {
+  SensorId source = kInvalidId;
+  std::size_t at = 0;     // offset of the record in the body
+  std::size_t tx_at = 0;  // offset of the tx rate array's first element
+};
+
+// A clustered-world snapshot (the tiny world's flows reach no base
+// station) and that flow record.
+WorldSnapshot planted_flow(FlowRecord& rec) {
+  std::string bytes;
+  std::size_t n = 0;
+  WorldSnapshot snap = planted_clusters([&](PlantableWorld& w) {
+    n = w.net_.num_sensors();
+    for (SensorId s = 0; s < n && rec.source == kInvalidId; ++s) {
+      if (w.traffic().has_source(s) && w.net_.routing().reachable(s)) rec.source = s;
+    }
+    ASSERT_NE(rec.source, kInvalidId) << "no flow reaches the base station";
+    const std::vector<std::size_t> path = w.net_.routing().path_to_base(rec.source);
+    BinWriter record;
+    record.u64(rec.source);
+    record.f64(w.traffic().rate_pps());
+    record.size(path.size() - 1);
+    for (std::size_t k = 0; k + 1 < path.size(); ++k) record.u64(path[k]);
+    bytes = record.take();
+  });
+  if (bytes.empty()) return snap;
+  rec.at = snap.state.find(bytes);
+  EXPECT_NE(rec.at, std::string::npos) << "flow record not found";
+  EXPECT_EQ(snap.state.find(bytes, rec.at + 1), std::string::npos);
+  rec.tx_at = rec.at - 8 - 8 - 4 * 8 - (8 + 8 * n) - 8 * n;
+  EXPECT_EQ(get_u64(snap.state, rec.tx_at - 8), n) << "tx array not found";
+  return snap;
+}
+
+TEST(SnapshotHostile, RejectsFlowOffTheRoutingForest) {
+  FlowRecord rec;
+  WorldSnapshot snap = planted_flow(rec);
+  // The path's first node is the source itself; name another sensor.
+  put_u64(snap.state, rec.at + 24, (rec.source + 1) % cluster_config().num_sensors);
+  expect_rejected(snap, "flow of source " + std::to_string(rec.source) +
+                            " disagrees with the routing forest");
+}
+
+TEST(SnapshotHostile, RejectsFlowRateOtherThanTheConfigRate) {
+  FlowRecord rec;
+  WorldSnapshot snap = planted_flow(rec);
+  put_u64(snap.state, rec.at + 8, std::bit_cast<std::uint64_t>(0.5));
+  expect_rejected(snap, "flow of source " + std::to_string(rec.source) +
+                            " has rate 0.500000 pkt/s, not the configured 0.250000");
+}
+
+TEST(SnapshotHostile, RejectsRatesThatDisagreeWithTheFlows) {
+  FlowRecord rec;
+  WorldSnapshot snap = planted_flow(rec);
+  // One flow's worth more transmissions at the source than its flows give.
+  const std::size_t tx = rec.tx_at + 8 * rec.source;
+  const double stored = std::bit_cast<double>(get_u64(snap.state, tx));
+  put_u64(snap.state, tx, std::bit_cast<std::uint64_t>(stored + 0.25));
+  expect_rejected(snap, "rates of sensor " + std::to_string(rec.source) +
+                            " disagree with the");
+}
+
 // Version 2 was the last schema with an engine byte in the header; such a
 // file is refused by its version, with one line.
 TEST(SnapshotHostile, RejectsVersion2Snapshots) {

@@ -17,7 +17,7 @@ class TrafficTest : public ::testing::Test {
     graph_ = CommGraph({{0, 0}, {10, 0}, {20, 0}}, Vec2{30, 0}, 12.0);
     positions_ = {{0, 0}, {10, 0}, {20, 0}, {30, 0}};
     tree_ = build(std::vector<bool>(3, true));
-    traffic_.reset(3);
+    traffic_.reset(3, 0.25);
   }
 
   [[nodiscard]] RouteTable build(const std::vector<bool>& usable) const {
@@ -34,7 +34,7 @@ class TrafficTest : public ::testing::Test {
 };
 
 TEST_F(TrafficTest, SingleSourceRelayRates) {
-  traffic_.add_source(tree_, 0, 0.25);
+  traffic_.add_source(tree_, 0);
   // Source transmits, relays receive + transmit.
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.25);
   EXPECT_DOUBLE_EQ(traffic_.rx_rate(0), 0.0);
@@ -47,24 +47,24 @@ TEST_F(TrafficTest, SingleSourceRelayRates) {
 }
 
 TEST_F(TrafficTest, MultipleSourcesAccumulate) {
-  traffic_.add_source(tree_, 0, 0.25);
-  traffic_.add_source(tree_, 1, 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.rx_rate(2), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.75);
+  traffic_.add_source(tree_, 0);
+  traffic_.add_source(tree_, 1);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(2), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.5);
   EXPECT_DOUBLE_EQ(traffic_.rx_rate(1), 0.25);
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.75);
+  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.5);
 }
 
 TEST_F(TrafficTest, RemoveSourceRestoresRates) {
-  traffic_.add_source(tree_, 0, 0.25);
-  traffic_.add_source(tree_, 1, 0.5);
-  traffic_.remove_source(0);
+  traffic_.add_source(tree_, 0);
+  traffic_.add_source(tree_, 1);
+  traffic_.remove_source(tree_, 0);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.5);
-  traffic_.remove_source(1);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.25);
+  traffic_.remove_source(tree_, 1);
   for (SensorId s = 0; s < 3; ++s) {
     EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), 0.0);
     EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), 0.0);
@@ -73,26 +73,16 @@ TEST_F(TrafficTest, RemoveSourceRestoresRates) {
   EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.0);
 }
 
-TEST_F(TrafficTest, ClearSources) {
-  traffic_.add_source(tree_, 0, 0.25);
-  traffic_.add_source(tree_, 2, 0.25);
-  traffic_.clear_sources();
-  EXPECT_EQ(traffic_.num_sources(), 0u);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.0);
-}
-
 TEST_F(TrafficTest, DuplicateSourceRejected) {
-  traffic_.add_source(tree_, 0, 0.25);
-  EXPECT_THROW(traffic_.add_source(tree_, 0, 0.25), InvalidArgument);
-  EXPECT_THROW(traffic_.remove_source(1), InvalidArgument);
+  traffic_.add_source(tree_, 0);
+  EXPECT_THROW(traffic_.add_source(tree_, 0), InvalidArgument);
+  EXPECT_THROW(traffic_.remove_source(tree_, 1), InvalidArgument);
 }
 
 TEST_F(TrafficTest, UnreachableSourceStillTransmits) {
   // Node 0 alive but relay 1 dead: 0 cannot reach the BS.
   const RouteTable broken = build({true, false, true});
-  traffic_.add_source(broken, 0, 0.25);
+  traffic_.add_source(broken, 0);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.25);  // wasted transmissions
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.0);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
@@ -101,43 +91,49 @@ TEST_F(TrafficTest, UnreachableSourceStillTransmits) {
 }
 
 TEST_F(TrafficTest, RerouteFollowsNewTree) {
-  traffic_.add_source(tree_, 0, 0.25);
+  traffic_.add_source(tree_, 0);
   // Node 1 dies: the route breaks, reroute keeps the source registered but
   // with no deliverable path.
   const RouteTable broken = build({true, false, true});
-  traffic_.reroute(broken);
+  traffic_.reroute(tree_, broken);
   EXPECT_EQ(traffic_.num_sources(), 1u);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.25);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.0);
   // Node 1 revives: delivery resumes.
-  traffic_.reroute(tree_);
+  traffic_.reroute(broken, tree_);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.25);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.25);
 }
 
-TEST_F(TrafficTest, RemoveSubtractsCapturedPathAfterRebuild) {
-  // Removal must subtract the path captured at add time, even when the
-  // routing forest has been rebuilt (without reroute) in between — otherwise
-  // stale rates leak onto the old relays forever.
-  traffic_.add_source(tree_, 0, 0.25);
-  const RouteTable rebuilt = build({true, false, true});
-  (void)rebuilt;  // the model never sees it: no reroute() call
-  traffic_.remove_source(0);
-  for (SensorId s = 0; s < 3; ++s) {
-    EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), 0.0);
-    EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 0.0);
+TEST_F(TrafficTest, SwapWalksOnlyTheBranchBelowTheMeetingNode) {
+  // s0's route runs through s1: handing s0's flow to s1 walks s0 alone, and
+  // s1 turns from a relay into the source.
+  traffic_.add_source(tree_, 0);
+  EXPECT_EQ(traffic_.swap_source(tree_, 0, 1), 1u);
+  EXPECT_FALSE(traffic_.has_source(0));
+  EXPECT_TRUE(traffic_.has_source(1));
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.0);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(1), 0.0);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(2), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 2.0);
+  // And back: s1 starts relaying again.
+  EXPECT_EQ(traffic_.swap_source(tree_, 1, 0), 1u);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(1), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 3.0);
 }
 
 TEST_F(TrafficTest, RateConservationLossless) {
   // Lossless: everything offered by reachable sources is delivered, and
-  // every relay forwards exactly what it receives plus its own load.
-  traffic_.add_source(tree_, 0, 0.2);
-  traffic_.add_source(tree_, 1, 0.3);
-  traffic_.add_source(tree_, 2, 0.5);
+  // every relay forwards exactly what it receives plus its own load. A
+  // third of a packet per second is not exact in binary; the rates are
+  // flow counts times it all the same.
+  traffic_.reset(3, 1.0 / 3.0);
+  traffic_.add_source(tree_, 0);
+  traffic_.add_source(tree_, 1);
+  traffic_.add_source(tree_, 2);
   EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), traffic_.offered_rate());
   for (SensorId s = 0; s < 3; ++s) {
@@ -150,7 +146,8 @@ TEST_F(TrafficTest, RateConservationLossless) {
 TEST_F(TrafficTest, RadioPowerComposition) {
   RadioModel radio;
   radio.listen_duty_cycle = 0.0;  // isolate per-packet terms
-  traffic_.add_source(tree_, 0, 1.0);
+  traffic_.reset(3, 1.0);
+  traffic_.add_source(tree_, 0);
   const double etx = radio.tx_energy_per_packet().value();
   const double erx = radio.rx_energy_per_packet().value();
   EXPECT_NEAR(traffic_.radio_power(0, radio).value(),
@@ -167,7 +164,8 @@ TEST_F(TrafficTest, ListenDutyAddsFloor) {
 }
 
 TEST_F(TrafficTest, ZeroRateSourceIsHarmless) {
-  traffic_.add_source(tree_, 0, 0.0);
+  traffic_.reset(3, 0.0);
+  traffic_.add_source(tree_, 0);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.0);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
 }
@@ -176,20 +174,17 @@ TEST_F(TrafficTest, ZeroRateSourcesDoNotPoisonHopAverage) {
   // Regression: average_delivery_hops() used to be guarded on the delivering
   // *source count*; a source set whose rates are all zero then divided
   // 0 / 0 into NaN. The guard is on the delivering rate now.
-  traffic_.add_source(tree_, 0, 0.0);
-  traffic_.add_source(tree_, 1, 0.0);
+  traffic_.reset(3, 0.0);
+  traffic_.add_source(tree_, 0);
+  traffic_.add_source(tree_, 1);
   const double hops = traffic_.average_delivery_hops();
   EXPECT_FALSE(std::isnan(hops));
   EXPECT_DOUBLE_EQ(hops, 0.0);
-  // A real flow alongside the zero-rate ones averages normally: only the
-  // delivering flow's 1-hop path counts.
-  traffic_.add_source(tree_, 2, 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 1.0);
 }
 
 TEST_F(TrafficTest, SourceIdValidation) {
-  EXPECT_THROW(traffic_.add_source(tree_, 99, 0.25), InvalidArgument);
-  EXPECT_THROW(traffic_.add_source(tree_, 0, -1.0), InvalidArgument);
+  EXPECT_THROW(traffic_.add_source(tree_, 99), InvalidArgument);
+  EXPECT_THROW((void)TrafficModel(3, -1.0), InvalidArgument);
 }
 
 // --- link-quality layer --------------------------------------------------
@@ -215,7 +210,8 @@ class LossyTrafficTest : public TrafficTest {
 };
 
 TEST_F(LossyTrafficTest, AttenuatesHopByHopAndChargesEtx) {
-  traffic_.add_source(tree_, 0, 1.0);
+  traffic_.reset(3, 1.0);
+  traffic_.add_source(tree_, 0);
   // Source pays ETX for its own packets; each relay receives the surviving
   // fraction and pays ETX to forward it.
   EXPECT_NEAR(traffic_.tx_rate(0), etx_, 1e-12);
@@ -231,10 +227,11 @@ TEST_F(LossyTrafficTest, AttenuatesHopByHopAndChargesEtx) {
 }
 
 TEST_F(LossyTrafficTest, RemoveAndClearReturnToQuiescence) {
-  traffic_.add_source(tree_, 0, 0.7);
-  traffic_.add_source(tree_, 2, 0.4);
-  traffic_.remove_source(0);
-  traffic_.remove_source(2);
+  traffic_.reset(3, 0.7);
+  traffic_.add_source(tree_, 0);
+  traffic_.add_source(tree_, 2);
+  traffic_.remove_source(tree_, 0);
+  traffic_.remove_source(tree_, 2);
   for (SensorId s = 0; s < 3; ++s) {
     EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), 0.0);
     EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), 0.0);
@@ -245,19 +242,21 @@ TEST_F(LossyTrafficTest, RemoveAndClearReturnToQuiescence) {
 }
 
 TEST_F(LossyTrafficTest, RerouteRecapturesLinkQuality) {
-  traffic_.add_source(tree_, 0, 1.0);
+  traffic_.reset(3, 1.0);
+  traffic_.add_source(tree_, 0);
   const double before = traffic_.delivery_rate();
-  traffic_.reroute(tree_);  // same forest: captures must reproduce exactly
+  traffic_.reroute(tree_, tree_);  // same forest: the factors reproduce exactly
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), before);
   EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
 }
 
 TEST_F(LossyTrafficTest, RxDutyTaxOnlyForReceivers) {
   link_.rx_duty_tax = 0.05;
+  traffic_.reset(3, 1.0);
   traffic_.set_link_model(link_, 12.0);
   RadioModel radio;
   radio.listen_duty_cycle = 0.0;
-  traffic_.add_source(tree_, 0, 1.0);
+  traffic_.add_source(tree_, 0);
   // Node 0 only transmits: no tax. Node 1 receives: taxed.
   const double p0 = traffic_.radio_power(0, radio).value();
   const double p1 = traffic_.radio_power(1, radio).value();
@@ -279,9 +278,9 @@ TEST_F(LossyTrafficTest, LosslessConfigMatchesLegacyAccounting) {
   zero.loss_floor = 0.0;
   zero.loss_at_range = 0.0;
   traffic_.set_link_model(zero, 12.0);
-  traffic_.add_source(tree_, 0, 0.25);
-  TrafficModel plain(3);
-  plain.add_source(tree_, 0, 0.25);
+  traffic_.add_source(tree_, 0);
+  TrafficModel plain(3, 0.25);
+  plain.add_source(tree_, 0);
   for (SensorId s = 0; s < 3; ++s) {
     EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), plain.tx_rate(s));
     EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), plain.rx_rate(s));

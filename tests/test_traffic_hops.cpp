@@ -16,7 +16,7 @@ class HopsTest : public ::testing::Test {
     graph_ = CommGraph({{0, 0}, {10, 0}, {20, 0}}, Vec2{30, 0}, 12.0);
     positions_ = {{0, 0}, {10, 0}, {20, 0}, {30, 0}};
     tree_ = build(std::vector<bool>(3, true));
-    traffic_.reset(3);
+    traffic_.reset(3, 1.0);
   }
 
   [[nodiscard]] RouteTable build(const std::vector<bool>& usable) const {
@@ -33,22 +33,25 @@ class HopsTest : public ::testing::Test {
 };
 
 TEST_F(HopsTest, SingleSourceHops) {
-  traffic_.add_source(tree_, 0, 1.0);  // 3 hops to the BS
+  traffic_.add_source(tree_, 0);  // 3 hops to the BS
   EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 3.0);
 }
 
 TEST_F(HopsTest, RateWeightedMean) {
-  traffic_.add_source(tree_, 0, 1.0);  // 3 hops
-  traffic_.add_source(tree_, 2, 3.0);  // 1 hop
-  // (1*3 + 3*1) / 4 = 1.5
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 1.5);
+  // Every source emits the model's one rate, so the rate-weighted mean is
+  // the plain mean over delivering flows: (3 + 2 + 1) / 3 = 2.
+  traffic_.reset(3, 0.7);
+  traffic_.add_source(tree_, 0);  // 3 hops
+  traffic_.add_source(tree_, 1);  // 2 hops
+  traffic_.add_source(tree_, 2);  // 1 hop
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 2.0);
 }
 
 TEST_F(HopsTest, UnreachableSourcesExcluded) {
   const RouteTable broken = build({true, false, true});
-  traffic_.add_source(broken, 0, 1.0);  // unreachable
+  traffic_.add_source(broken, 0);  // unreachable
   EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 0.0);
-  traffic_.add_source(broken, 2, 1.0);  // 1 hop
+  traffic_.add_source(broken, 2);  // 1 hop
   EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 1.0);
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "obs/telemetry.hpp"
 #include "sim/world.hpp"
 
 namespace wrsn {
@@ -245,6 +248,64 @@ TEST(World, SchedulerChoiceChangesBehaviour) {
   // Not asserting an ordering at this tiny scale, just that the scheduling
   // path is actually exercised differently.
   EXPECT_NE(rg.rv_travel_distance.value(), rp.rv_travel_distance.value());
+}
+
+// A teleport re-admits only the coverage-overlap components it touched. A
+// target whose candidate sensors, at its old and at its new position, are
+// candidates of no other target is a component of its own, so its teleport
+// re-admits exactly one cluster (activity/readmitted-targets). No sensor
+// dies in the day, so no alive flip widens the scope.
+TEST(World, TeleportOfAnIsolatedTargetReadmitsOneCluster) {
+  SimConfig cfg = small_config();
+  cfg.num_sensors = 200;
+  cfg.num_targets = 6;
+  cfg.field_side = meters(200.0);
+  cfg.target_period = minutes(30.0);
+  cfg.sim_duration = days(1.0);
+  World w(cfg);
+  obs::TelemetryRegistry registry;
+  w.set_telemetry(&registry);
+  const obs::Counter& readmitted = registry.counter("activity/readmitted-targets");
+
+  const double r2 = cfg.sensing_range.value() * cfg.sensing_range.value();
+  const auto candidates = [&](Vec2 p) {
+    std::vector<SensorId> out;
+    for (const Sensor& s : w.network().sensors()) {
+      if (s.alive() && squared_distance(s.pos, p) <= r2) out.push_back(s.id);
+    }
+    return out;
+  };
+  std::vector<Vec2> before;
+  for (const Target& t : w.network().targets()) before.push_back(t.pos);
+  std::uint64_t seen = 0;
+  std::size_t isolated = 0;
+  std::size_t checked = 0;
+  w.set_tracer([&](const World::TraceEvent& ev) {
+    const std::uint64_t delta = readmitted.value() - seen;
+    seen = readmitted.value();
+    if (ev.kind != EventKind::kTargetMove) return;
+    ++checked;
+    const TargetId moved = ev.subject;
+    std::vector<SensorId> own = candidates(before[moved]);
+    const std::vector<SensorId> now = candidates(w.network().target(moved).pos);
+    own.insert(own.end(), now.begin(), now.end());
+    bool alone = true;
+    for (TargetId t = 0; t < cfg.num_targets && alone; ++t) {
+      if (t == moved) continue;
+      for (const SensorId s : candidates(w.network().target(t).pos)) {
+        if (std::find(own.begin(), own.end(), s) != own.end()) alone = false;
+      }
+    }
+    before[moved] = w.network().target(moved).pos;
+    EXPECT_GE(delta, 1u);
+    if (!alone) return;
+    ++isolated;
+    EXPECT_EQ(delta, 1u) << "teleport of isolated target " << moved;
+  });
+  w.run_until(cfg.sim_duration);
+  EXPECT_EQ(w.report().nonfunctional_pct, 0.0);
+  EXPECT_GE(checked, 200u);
+  EXPECT_GE(isolated, 100u) << checked;
 }
 
 }  // namespace
