@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -46,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "core/config.hpp"
 #include "core/dirty_set.hpp"
 #include "core/json.hpp"
@@ -64,8 +64,6 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kBlock = 25;
 constexpr double kClusterRadius = 8.0;
 constexpr int kRepeats = 5;
-constexpr const char* kHead = "{\"schema\":\"wrsn.bench_traffic.v2\",\"runs\":[\n";
-constexpr const char* kTail = "\n]}\n";
 
 struct Forest {
   std::vector<Vec2> positions;  // sensors, then the base station
@@ -281,28 +279,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string doc = std::string(kHead) + run_json(label, quick, rows) + kTail;
-  if (append) {
-    std::ifstream in(out_path);
-    std::stringstream old;
-    old << in.rdbuf();
-    const std::string prev = old.str();
-    const std::string head = kHead;
-    const std::string tail = kTail;
-    if (prev.size() < head.size() + tail.size() || prev.rfind(head, 0) != 0 ||
-        prev.compare(prev.size() - tail.size(), tail.size(), tail) != 0) {
-      std::cerr << "'" << out_path << "' is not a bench_traffic report\n";
-      return 1;
-    }
-    doc = prev.substr(0, prev.size() - tail.size()) + ",\n" +
-          run_json(label, quick, rows) + tail;
-  }
-  std::ofstream out(out_path);
-  if (!out.good()) {
-    std::cerr << "cannot open '" << out_path << "'\n";
-    return 1;
-  }
-  out << doc;
-  std::cout << "wrote " << out_path << '\n';
-  return 0;
+  const std::string run = run_json(label, quick, rows);
+  return bench::write_report(out_path, "wrsn.bench_traffic.v2", run, append) ? 0 : 1;
 }

@@ -12,6 +12,8 @@
 #   order  a repeated id
 #   seed   a seed that is not the point seed + replica
 #   twice  one cell recorded a second time
+#   digit  one digit of the first cell's first metric value changed (the
+#          record still parses; only its checksum catches it)
 #   campaign  a manifest campaign hash of another campaign
 foreach(var SWEEP DIR CASE EXPECT_STDERR)
   if(NOT DEFINED ${var})
@@ -32,6 +34,8 @@ elseif(CASE STREQUAL "seed")
 elseif(CASE STREQUAL "twice")
   set(from "\"id\":3,\"point\":1,\"replica\":0,")
   set(to "\"id\":3,\"point\":0,\"replica\":0,")
+elseif(CASE STREQUAL "digit")
+  # Matched after the journal is written, below.
 elseif(CASE STREQUAL "campaign")
   set(file manifest.json)
   set(from "\"campaign_hash\":[0-9]+")
@@ -49,7 +53,23 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(READ "${DIR}/${file}" journal)
-string(REGEX REPLACE "${from}" "${to}" damaged "${journal}")
+if(CASE STREQUAL "digit")
+  # The last digit of cell 1's first metric value, plus one mod 10; the
+  # match carries "id":1, so the literal replace below touches one record.
+  string(REGEX MATCH "\"id\":1,[^\n]*\"m\":\\[[^],]*[0-9]" from "${journal}")
+  if(from STREQUAL "")
+    message(FATAL_ERROR "no metric value found in ${file}:\n${journal}")
+  endif()
+  string(LENGTH "${from}" n)
+  math(EXPR last "${n} - 1")
+  string(SUBSTRING "${from}" ${last} 1 digit)
+  string(SUBSTRING "${from}" 0 ${last} head)
+  math(EXPR flipped "(${digit} + 1) % 10")
+  set(to "${head}${flipped}")
+  string(REPLACE "${from}" "${to}" damaged "${journal}")
+else()
+  string(REGEX REPLACE "${from}" "${to}" damaged "${journal}")
+endif()
 if(damaged STREQUAL journal)
   message(FATAL_ERROR "'${from}' not found in ${file}:\n${journal}")
 endif()

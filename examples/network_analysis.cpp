@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
     Xoshiro256 deploy = streams.stream("deployment");
     Xoshiro256 targets = streams.stream("target-placement");
     Network net(cfg, deploy, targets);
+    net.rebuild_routing();
     const NetworkStats s = compute_stats(net);
     t.add_row({static_cast<long long>(n), s.avg_degree,
                static_cast<long long>(s.isolated_sensors),

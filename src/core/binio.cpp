@@ -4,40 +4,10 @@
 
 namespace wrsn {
 
-void BinReader::need(std::size_t n) const {
-  if (n > bytes_.size() - pos_) {  // pos_ <= size, so this cannot wrap
-    throw InvalidArgument("binary payload truncated (needed " +
-                          std::to_string(n) + " bytes at offset " +
-                          std::to_string(pos_) + " of " +
-                          std::to_string(bytes_.size()) + ")");
-  }
-}
-
-void BinReader::u8(std::uint8_t& v) {
-  need(1);
-  v = static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-void BinReader::u32(std::uint32_t& v) {
-  need(4);
-  std::uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 4;
-  v = out;
-}
-
-void BinReader::u64(std::uint64_t& v) {
-  need(8);
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 8;
-  v = out;
+void BinReader::truncated(std::size_t n) const {
+  throw InvalidArgument("binary payload truncated (needed " + std::to_string(n) +
+                        " bytes at offset " + std::to_string(pos_) + " of " +
+                        std::to_string(bytes_.size()) + ")");
 }
 
 std::size_t BinReader::count(std::size_t min_bytes) {
@@ -64,6 +34,60 @@ void BinReader::expect_end() const {
                           std::to_string(bytes_.size() - pos_) +
                           " trailing byte(s)");
   }
+}
+
+namespace {
+
+// Odd multipliers (xxHash64's primes), so each multiply is a bijection of
+// the 64-bit lane.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+
+// One lane step: xor the word in, multiply, xorshift. For a fixed lane it
+// is a bijection of the word, and for a fixed word a bijection of the lane.
+constexpr std::uint64_t lane_step(std::uint64_t lane, std::uint64_t word) {
+  lane = (lane ^ word) * kP1;
+  return lane ^ (lane >> 31);
+}
+
+// Final avalanche (a bijection).
+constexpr std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+std::uint64_t checksum64(std::string_view bytes) {
+  const char* p = bytes.data();
+  const std::size_t words = bytes.size() / 8;
+  std::uint64_t lane[4] = {kP1, kP2, kP3, kP4};
+  const auto word_at = [p](std::size_t k) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + 8 * k, 8);  // little-endian host (binio.hpp)
+    return w;
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= words; k += 4) {
+    lane[0] = lane_step(lane[0], word_at(k));
+    lane[1] = lane_step(lane[1], word_at(k + 1));
+    lane[2] = lane_step(lane[2], word_at(k + 2));
+    lane[3] = lane_step(lane[3], word_at(k + 3));
+  }
+  for (; k < words; ++k) lane[k & 3] = lane_step(lane[k & 3], word_at(k));
+  // Merge: each lane enters through a bijection of itself, so the result
+  // stays a bijection of any one lane with the others fixed.
+  std::uint64_t h = static_cast<std::uint64_t>(bytes.size()) * kP3;
+  for (const std::uint64_t l : lane) h = lane_step(h, avalanche(l));
+  for (std::size_t i = 8 * words; i < bytes.size(); ++i) {
+    h = lane_step(h, static_cast<unsigned char>(p[i]));
+  }
+  return avalanche(h);
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

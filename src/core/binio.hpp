@@ -3,11 +3,13 @@
 //
 // Doubles are encoded as their IEEE-754 bit pattern (u64), so a value read
 // back is the *same object*, bit for bit — the property the deterministic
-// WorldSnapshot (sim/snapshot.hpp) is built on. The reader bounds-checks
+// WorldSnapshot (sim/snapshot.hpp) is built on. The format is little-endian
+// and so is every supported host (static_assert below), so each scalar and
+// each arithmetic vector moves with one memcpy. The reader bounds-checks
 // every access and every element count and throws InvalidArgument on
 // truncation or trailing bytes, so a half-written snapshot file is rejected
-// instead of silently restoring garbage. An FNV-1a 64 checksum helper covers
-// whole payloads.
+// instead of silently restoring garbage. A word-wise checksum covers whole
+// payloads.
 //
 // The writer/reader pair is deliberately symmetric: serialization code is
 // written once as a template over the archive (see SnapshotAccess in
@@ -15,38 +17,61 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace wrsn {
 
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec copies scalars in host byte order, which "
+              "must be the format's little-endian order");
+
+// Element types a vec() moves in bulk: doubles and 8- or 1-byte unsigned
+// integers (u64, size_t-based ids, u8), each encoded as its own sizeof(T)
+// little-endian bytes. Vectors of anything else fail to compile.
+template <typename T>
+inline constexpr bool kBulkElement =
+    std::is_same_v<T, double> ||
+    (std::is_unsigned_v<T> && !std::is_same_v<T, bool> &&
+     (sizeof(T) == 8 || sizeof(T) == 1));
+
 class BinWriter {
  public:
+  BinWriter() = default;
+  // Reserves `size_hint` bytes up front, so a writer sized from the payload
+  // it will hold never reallocates.
+  explicit BinWriter(std::size_t size_hint) { buf_.reserve(size_hint); }
+
   void u8(const std::uint8_t& v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(const std::uint32_t& v) { put_bits(v, 4); }
-  void u64(const std::uint64_t& v) { put_bits(v, 8); }
-  void f64(const double& v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u32(const std::uint32_t& v) { raw(&v, sizeof v); }
+  void u64(const std::uint64_t& v) { raw(&v, sizeof v); }
+  void f64(const double& v) { raw(&v, sizeof v); }
   void boolean(const bool& v) { u8(v ? 1 : 0); }
   void size(const std::size_t& v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
+  void str(std::string_view s) {
+    size(s.size());
     buf_.append(s);
   }
 
   template <typename T>
-  void vec(const std::vector<T>& v);
+  void vec(const std::vector<T>& v) {
+    static_assert(kBulkElement<T>, "vec() moves doubles, u64 and u8 only");
+    size(v.size());
+    raw(v.data(), v.size() * sizeof(T));
+  }
+
+  // Appends `n` bytes exactly as they lie in memory (host = wire order).
+  void raw(const void* p, std::size_t n) {
+    buf_.append(static_cast<const char*>(p), n);
+  }
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
-  void put_bits(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-
   std::string buf_;
 };
 
@@ -54,14 +79,10 @@ class BinReader {
  public:
   explicit BinReader(std::string_view bytes) : bytes_(bytes) {}
 
-  void u8(std::uint8_t& v);
-  void u32(std::uint32_t& v);
-  void u64(std::uint64_t& v);
-  void f64(double& v) {
-    std::uint64_t bits = 0;
-    u64(bits);
-    v = std::bit_cast<double>(bits);
-  }
+  void u8(std::uint8_t& v) { raw(&v, 1); }
+  void u32(std::uint32_t& v) { raw(&v, sizeof v); }
+  void u64(std::uint64_t& v) { raw(&v, sizeof v); }
+  void f64(double& v) { raw(&v, sizeof v); }
   void boolean(bool& v) {
     std::uint8_t b = 0;
     u8(b);
@@ -75,7 +96,11 @@ class BinReader {
   void str(std::string& s);
 
   template <typename T>
-  void vec(std::vector<T>& v);
+  void vec(std::vector<T>& v) {
+    static_assert(kBulkElement<T>, "vec() moves doubles, u64 and u8 only");
+    v.resize(count(sizeof(T)));
+    raw(v.data(), v.size() * sizeof(T));
+  }
 
   // Reads a u64 element count and checks it against the bytes left, each
   // element taking at least `min_bytes` (> 0) of them, so a hostile length
@@ -88,42 +113,32 @@ class BinReader {
   void expect_end() const;
 
  private:
-  void need(std::size_t n) const;
+  // Copies the next `n` bytes to `out` (host = wire order).
+  void raw(void* out, std::size_t n) {
+    need(n);
+    if (n == 0) return;  // an empty vector's data() may be null
+    std::memcpy(out, bytes_.data() + pos_, n);
+    pos_ += n;
+  }
+  void need(std::size_t n) const {
+    if (n > bytes_.size() - pos_) truncated(n);  // pos_ <= size: no wrap
+  }
+  [[noreturn]] void truncated(std::size_t n) const;
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
-// Element codecs for the vec() helpers. Each element type the snapshot uses
-// gets one overload pair; vectors of anything else fail to compile.
-inline void bin_io(BinWriter& ar, const double& v) { ar.f64(v); }
-inline void bin_io(BinReader& ar, double& v) { ar.f64(v); }
-inline void bin_io(BinWriter& ar, const std::uint64_t& v) { ar.u64(v); }
-inline void bin_io(BinReader& ar, std::uint64_t& v) { ar.u64(v); }
-inline void bin_io(BinWriter& ar, const std::uint8_t& v) { ar.u8(v); }
-inline void bin_io(BinReader& ar, std::uint8_t& v) { ar.u8(v); }
+// Word-wise 64-bit checksum: the bytes as little-endian u64 words, word k
+// folded into lane k mod 4 by a multiply–xorshift step, the lanes and the
+// length merged, and the tail (< 8 bytes) folded in byte by byte. Every
+// step is a bijection of the lane it updates, so any change confined to one
+// 8-byte word (or to the tail) always changes the result. The snapshot file
+// trailer and the sweep-journal records carry it.
+[[nodiscard]] std::uint64_t checksum64(std::string_view bytes);
 
-template <typename T>
-void BinWriter::vec(const std::vector<T>& v) {
-  u64(v.size());
-  for (const T& e : v) bin_io(*this, e);
-}
-
-template <typename T>
-void BinReader::vec(std::vector<T>& v) {
-  // Every bin_io element type encodes in exactly sizeof(T) bytes.
-  const std::size_t n = count(sizeof(T));
-  v.clear();
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    T e{};
-    bin_io(*this, e);
-    v.push_back(e);
-  }
-}
-
-// FNV-1a 64-bit over `bytes`; the snapshot file format stores this as a
-// trailer so bit rot / truncation is caught before deserialization.
+// FNV-1a 64-bit over `bytes`, byte at a time: the report digests and the
+// sweep campaign identity hash.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace wrsn

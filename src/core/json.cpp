@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 
+#include "core/binio.hpp"
 #include "core/error.hpp"
 
 namespace wrsn {
@@ -324,6 +325,44 @@ class JsonValidator {
 
 bool json_validate(std::string_view text, std::string* error) {
   return JsonValidator(text).run(error);
+}
+
+namespace {
+
+constexpr std::string_view kSumKey = ",\"sum\":\"";
+constexpr std::size_t kSumDigits = 16;
+// `,"sum":"` + 16 hex digits + `"}`.
+constexpr std::size_t kSumSuffix = kSumKey.size() + kSumDigits + 2;
+
+std::string hex16(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(kSumDigits, '0');
+  for (std::size_t i = kSumDigits; i-- > 0; v >>= 4) out[i] = kDigits[v & 0xf];
+  return out;
+}
+
+}  // namespace
+
+std::string json_with_checksum(std::string record) {
+  WRSN_REQUIRE(!record.empty() && record.back() == '}',
+               "checksummed record must be a JSON object");
+  record.pop_back();
+  const std::uint64_t sum = checksum64(record);
+  record += kSumKey;
+  record += hex16(sum);
+  record += "\"}";
+  return record;
+}
+
+std::optional<bool> json_checksum_ok(std::string_view line) {
+  if (line.size() < kSumSuffix + 1 || !line.ends_with("\"}")) return std::nullopt;
+  const std::size_t at = line.size() - kSumSuffix;
+  if (line.substr(at, kSumKey.size()) != kSumKey) return std::nullopt;
+  const std::string_view digits = line.substr(at + kSumKey.size(), kSumDigits);
+  if (digits.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    return std::nullopt;
+  }
+  return hex16(checksum64(line.substr(0, at))) == digits;
 }
 
 }  // namespace wrsn

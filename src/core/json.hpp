@@ -5,6 +5,7 @@
 // trace lines). Deliberately tiny: no DOM — results flow out of the
 // simulator; the parser only answers "is this well-formed JSON?".
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -63,5 +64,14 @@ class JsonWriter {
 // false, with a human-readable reason in *error when non-null.
 [[nodiscard]] bool json_validate(std::string_view text,
                                  std::string* error = nullptr);
+
+// Checksummed JSONL records. json_with_checksum takes one serialized object
+// and appends a last field `"sum":"<16 hex digits>"`, the checksum64
+// (core/binio.hpp) of the record's text before that field. json_checksum_ok
+// recomputes it: nullopt when the line does not end in such a field, else
+// whether it matches. Any change to the text, a flipped digit that still
+// parses included, is caught.
+[[nodiscard]] std::string json_with_checksum(std::string record);
+[[nodiscard]] std::optional<bool> json_checksum_ok(std::string_view line);
 
 }  // namespace wrsn

@@ -25,20 +25,52 @@ CommGraph::CommGraph(const std::vector<Vec2>& positions, Vec2 base_station,
   SpatialGrid grid(extent + comm_range, comm_range);
   grid.build(nodes);
 
-  std::vector<std::vector<Edge>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grid.for_each_in_radius(nodes[i], comm_range, [&](std::size_t j) {
-      if (j != i) adj[i].push_back({j, distance(nodes[i], nodes[j])});
-    });
-    std::sort(adj[i].begin(), adj[i].end(),
-              [](const Edge& a, const Edge& b) { return a.to < b.to; });
-  }
+  // Every pair within range sits in one cell or in two adjacent ones (the
+  // cells are comm_range wide), so sweeping each cell against itself and
+  // its four forward neighbours (east, and the three cells of the row
+  // above) visits every such pair exactly once. squared_distance and
+  // distance are symmetric bit for bit, so one evaluation serves both
+  // directions. Pass 0 counts each node's degree, pass 1 fills the CSR.
+  const double r2 = comm_range * comm_range;
+  const int side = grid.cells_per_side();
+  const auto sweep = [&](auto&& on_pair) {
+    constexpr int kForward[4][2] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
+    for (int cy = 0; cy < side; ++cy) {
+      for (int cx = 0; cx < side; ++cx) {
+        grid.for_each_in_cell(cx, cy, [&](std::size_t i) {
+          grid.for_each_in_cell(cx, cy, [&](std::size_t j) {
+            if (j > i && squared_distance(nodes[i], nodes[j]) <= r2) on_pair(i, j);
+          });
+          for (const auto& d : kForward) {
+            const int nx = cx + d[0];
+            const int ny = cy + d[1];
+            if (nx < 0 || nx >= side || ny >= side) continue;
+            grid.for_each_in_cell(nx, ny, [&](std::size_t j) {
+              if (squared_distance(nodes[i], nodes[j]) <= r2) on_pair(i, j);
+            });
+          }
+        });
+      }
+    }
+  };
 
   starts_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) starts_[i + 1] = starts_[i] + adj[i].size();
-  edges_.reserve(starts_[n]);
+  sweep([&](std::size_t i, std::size_t j) {
+    ++starts_[i + 1];
+    ++starts_[j + 1];
+  });
+  for (std::size_t i = 0; i < n; ++i) starts_[i + 1] += starts_[i];
+  edges_.resize(starts_[n]);
+  std::vector<std::size_t> fill(starts_.begin(), starts_.end() - 1);
+  sweep([&](std::size_t i, std::size_t j) {
+    const double length = distance(nodes[i], nodes[j]);
+    edges_[fill[i]++] = {j, length};
+    edges_[fill[j]++] = {i, length};
+  });
   for (std::size_t i = 0; i < n; ++i) {
-    edges_.insert(edges_.end(), adj[i].begin(), adj[i].end());
+    std::sort(edges_.begin() + static_cast<std::ptrdiff_t>(starts_[i]),
+              edges_.begin() + static_cast<std::ptrdiff_t>(starts_[i + 1]),
+              [](const Edge& a, const Edge& b) { return a.to < b.to; });
   }
 }
 

@@ -36,7 +36,6 @@ Network::Network(const SimConfig& config, Xoshiro256& deploy_rng,
   node_positions_ = std::move(positions);
   node_positions_.push_back(base_station_);
   router_ = RoutingRegistry::instance().create(config_.routing);
-  rebuild_routing();
 }
 
 std::vector<SensorId> Network::sensors_covering(Vec2 point) const {

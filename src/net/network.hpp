@@ -20,7 +20,10 @@ namespace wrsn {
 
 class Network {
  public:
-  // Deploys sensors and targets using the given streams (deterministic).
+  // Deploys sensors and targets using the given streams (deterministic) and
+  // builds the comm graph and sensing grid. No routing forest is built yet:
+  // a fresh network asks for one with rebuild_routing(), a restored one with
+  // restore_routing().
   Network(const SimConfig& config, Xoshiro256& deploy_rng, Xoshiro256& target_rng);
 
   [[nodiscard]] const SimConfig& config() const { return config_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "core/error.hpp"
+
 namespace wrsn {
 
 NetworkStats compute_stats(const Network& net) {
@@ -25,6 +27,8 @@ NetworkStats compute_stats(const Network& net) {
                            : 0.0;
 
   const RouteView& tree = net.routing();
+  WRSN_REQUIRE(tree.built(),
+               "compute_stats needs a routing forest: call rebuild_routing() first");
   double hops_sum = 0.0;
   double length_sum = 0.0;
   for (std::size_t s = 0; s < n; ++s) {

@@ -26,6 +26,7 @@ struct NetworkStats {
   std::size_t connected_components = 0; // over alive sensors + BS
 };
 
+// Requires a built routing forest (Network::rebuild_routing()).
 [[nodiscard]] NetworkStats compute_stats(const Network& net);
 
 }  // namespace wrsn

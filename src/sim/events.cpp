@@ -19,11 +19,6 @@ constexpr std::size_t kMaxBuckets = std::size_t{1} << 21;
 // direct-search fallback instead.
 constexpr double kMaxDay = 9007199254740992.0;  // 2^53
 
-[[nodiscard]] bool earlier(const Event& a, const Event& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
-
 }  // namespace
 
 EventQueue::EventQueue() {
@@ -59,20 +54,24 @@ Event EventQueue::pop() {
 }
 
 std::vector<Event> EventQueue::sorted_events() const {
-  EventQueue copy = *this;
   std::vector<Event> out;
-  out.reserve(copy.size());
-  while (!copy.empty()) out.push_back(copy.pop());
+  out.reserve(cal_size_);
+  for_each_sorted([&out](const Event& e) { out.push_back(e); });
   return out;
 }
 
 void EventQueue::restore(const std::vector<Event>& events,
                          std::uint64_t next_seq) {
-  *this = EventQueue();
   for (const Event& e : events) {
     WRSN_REQUIRE(e.seq < next_seq, "event seq beyond restored next_seq");
-    cal_push(e);
   }
+  // The bucket count cal_push's growth would settle on for this many
+  // events, then one layout pass.
+  std::size_t nbuckets = kMinBuckets;
+  while (events.size() > 2 * nbuckets && nbuckets < kMaxBuckets) nbuckets *= 2;
+  buckets_.assign(nbuckets, {});
+  width_ = 1.0;
+  cal_layout(events);
   next_seq_ = next_seq;
 }
 
@@ -137,7 +136,7 @@ void EventQueue::cal_find_top() const {
     const std::vector<Event>& bucket = buckets_[b];
     if (bucket.empty()) continue;
     if (best_bucket == nbuckets ||
-        earlier(bucket.front(), buckets_[best_bucket].front())) {
+        Earlier{}(bucket.front(), buckets_[best_bucket].front())) {
       best_bucket = b;
     }
   }
@@ -150,18 +149,23 @@ void EventQueue::cal_resize(std::size_t new_nbuckets) {
   new_nbuckets = std::clamp(new_nbuckets, kMinBuckets, kMaxBuckets);
   std::vector<Event> all;
   all.reserve(cal_size_);
-  double tmin = std::numeric_limits<double>::infinity();
-  double tmax = -std::numeric_limits<double>::infinity();
   for (std::vector<Event>& bucket : buckets_) {
-    for (const Event& e : bucket) {
-      tmin = std::min(tmin, e.time);
-      tmax = std::max(tmax, e.time);
-      all.push_back(e);
-    }
+    all.insert(all.end(), bucket.begin(), bucket.end());
     bucket.clear();
   }
   buckets_.resize(new_nbuckets);
-  bucket_mask_ = new_nbuckets - 1;
+  cal_layout(all);
+}
+
+void EventQueue::cal_layout(const std::vector<Event>& all) {
+  bucket_mask_ = buckets_.size() - 1;
+  cal_size_ = all.size();
+  double tmin = std::numeric_limits<double>::infinity();
+  double tmax = -std::numeric_limits<double>::infinity();
+  for (const Event& e : all) {
+    tmin = std::min(tmin, e.time);
+    tmax = std::max(tmax, e.time);
+  }
   // Day width from the spread of pending times: ~4 events per day on
   // average, and (with the occupancy thresholds keeping nbuckets within 4x
   // of the event count) a year of nbuckets days always spans the whole
@@ -174,9 +178,11 @@ void EventQueue::cal_resize(std::size_t new_nbuckets) {
   }
   cur_day_ = all.empty() ? 0 : day_of(tmin);
   top_valid_ = false;
-  for (const Event& e : all) {
-    buckets_[day_of(e.time) & bucket_mask_].push_back(e);
-  }
+  // Count, size each bucket once, then fill: one allocation per bucket.
+  std::vector<std::uint32_t> counts(buckets_.size(), 0);
+  for (const Event& e : all) ++counts[day_of(e.time) & bucket_mask_];
+  for (std::size_t b = 0; b < buckets_.size(); ++b) buckets_[b].reserve(counts[b]);
+  for (const Event& e : all) buckets_[day_of(e.time) & bucket_mask_].push_back(e);
   for (std::vector<Event>& bucket : buckets_) {
     std::make_heap(bucket.begin(), bucket.end(), Later{});
   }

@@ -16,6 +16,7 @@
 // pop order against a std::priority_queue oracle (tests/support/) with
 // randomized interleavings and the pending events of real runs.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -82,13 +83,17 @@ class EventQueue {
   Event pop();
 
   // --- checkpoint support (sim/snapshot.cpp) -----------------------------
-  // Pending events in strict (time, seq) pop order. Works on a copy, so the
-  // snapshot bytes are canonical regardless of internal bucket layout.
+  // Visits the pending events in strict (time, seq) pop order without
+  // copying the queue, so the snapshot bytes are canonical regardless of the
+  // internal bucket layout. sorted_events() collects the same sequence.
+  template <typename Fn>
+  void for_each_sorted(Fn&& fn) const;
   [[nodiscard]] std::vector<Event> sorted_events() const;
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
   // Rebuilds the queue from serialized events, preserving each event's seq
   // (a plain push() would re-number them and break the restored tie-break
-  // order against an uninterrupted run).
+  // order against an uninterrupted run). The buckets are laid out in one
+  // pass, as a resize does, not by one push per event.
   void restore(const std::vector<Event>& events, std::uint64_t next_seq);
 
  private:
@@ -98,12 +103,18 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+  struct Earlier {
+    bool operator()(const Event& a, const Event& b) const { return Later{}(b, a); }
+  };
 
   // --- calendar internals (see events.cpp) -------------------------------
   void cal_push(const Event& e);
   // Locates the earliest (time, seq) event and caches its bucket/index.
   void cal_find_top() const;
   void cal_resize(std::size_t new_nbuckets);
+  // Spreads `all` over the current bucket ring with a day width from their
+  // time spread; the ring must be empty.
+  void cal_layout(const std::vector<Event>& all);
   [[nodiscard]] std::uint64_t day_of(double time) const;
 
   std::uint64_t next_seq_ = 0;
@@ -124,5 +135,29 @@ class EventQueue {
   mutable bool top_valid_ = false;
   mutable std::size_t top_bucket_ = 0;
 };
+
+template <typename Fn>
+void EventQueue::for_each_sorted(Fn&& fn) const {
+  // seq is unique, so (time, seq) is a strict total order: sorting gives
+  // exactly the pop order. Every pending day is >= cur_day_ (the invariant
+  // cal_find_top relies on), so walking the ring from cur_day_'s bucket
+  // visits the days of [cur_day_, cur_day_ + nbuckets) in order, each bucket
+  // holding at most one of them. Each bucket's events of that day are sorted
+  // and visited; events of later years (aliases) lie after every event of
+  // this year, so they are sorted apart and visited last.
+  std::vector<Event> today;
+  std::vector<Event> later;
+  std::uint64_t day = cur_day_;
+  for (std::size_t hop = 0; hop < buckets_.size(); ++hop, ++day) {
+    const std::vector<Event>& bucket = buckets_[day & bucket_mask_];
+    if (bucket.empty()) continue;
+    today.clear();
+    for (const Event& e : bucket) (day_of(e.time) == day ? today : later).push_back(e);
+    std::sort(today.begin(), today.end(), Earlier{});
+    for (const Event& e : today) fn(e);
+  }
+  std::sort(later.begin(), later.end(), Earlier{});
+  for (const Event& e : later) fn(e);
+}
 
 }  // namespace wrsn

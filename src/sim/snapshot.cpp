@@ -106,37 +106,31 @@ void io_index(Ar& ar, T& v, const IdBound& bound) {
   }
 }
 
-// A vector of ids (or, without a bound, of plain counts).
+// A vector of ids (or, without a bound, of plain counts), as a u64 vector:
+// one bulk copy each way, the ids checked after the copy.
 template <typename Ar, typename V>
 void io_index_vec(Ar& ar, V& v, const IdBound* bound = nullptr) {
+  static_assert(sizeof(typename V::value_type) == 8,
+                "ids and counts are encoded as u64");
+  ar.vec(v);
   if constexpr (kLoading<Ar>) {
-    const std::size_t n = ar.count(8);
-    v.clear();
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t e = 0;
-      ar.u64(e);
-      if (bound != nullptr) check_id(e, *bound);
-      v.push_back(static_cast<typename V::value_type>(e));
+    if (bound != nullptr) {
+      for (const std::uint64_t e : v) check_id(e, *bound);
     }
-  } else {
-    ar.u64(v.size());
-    for (const auto e : v) ar.u64(static_cast<std::uint64_t>(e));
   }
 }
 
+// A vector<bool> as a u64 count and one byte per flag, through a byte
+// buffer so each direction is one bulk copy.
 template <typename Ar, typename V>
 void io_bool_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    v.assign(ar.count(1), false);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      bool b = false;
-      ar.boolean(b);
-      v[i] = b;
-    }
+    std::vector<std::uint8_t> flags;
+    ar.vec(flags);
+    v.assign(flags.size(), false);
+    for (std::size_t i = 0; i < flags.size(); ++i) v[i] = flags[i] != 0;
   } else {
-    ar.u64(v.size());
-    for (const bool b : v) ar.boolean(b);
+    ar.vec(std::vector<std::uint8_t>(v.begin(), v.end()));
   }
 }
 
@@ -187,6 +181,18 @@ void io_battery_level(Ar& ar, B& battery) {
   }
 }
 
+[[nodiscard]] const char* rv_state_name(Rv::State state) {
+  switch (state) {
+    case Rv::State::kIdle: return "idle";
+    case Rv::State::kTraveling: return "traveling";
+    case Rv::State::kCharging: return "charging";
+    case Rv::State::kReturning: return "returning";
+    case Rv::State::kSelfCharging: return "self-charging";
+    case Rv::State::kBrokenDown: return "broken down";
+  }
+  return "unknown";
+}
+
 // Encoded sizes of the fixed-size records, for ar.count().
 constexpr std::size_t kEventBytes = 8 + 8 + 1 + 8 + 8;
 constexpr std::size_t kSeriesPointBytes = 6 * 8;
@@ -234,11 +240,13 @@ void io_series_point(Ar& ar, P& p) {
 
 // The one place that walks World's mutable members. Instantiated twice:
 // (const World&, BinWriter&) to save, (World&, BinReader&) to load. Members
-// rebuilt deterministically by the World(config) constructor — the
-// deployment, comm graph, sensing grid, SoA capacity/positions, fault plan,
-// scheduler policy, scratch buffers — are deliberately absent; the target
-// bucket grid is re-initialized from the restored target positions at the
-// end (its query results are order-insensitive). On load every id, enum and
+// built by the static part of construction — the deployment, comm graph,
+// sensing grid, SoA capacity/positions, fault plan, scheduler policy,
+// scratch buffers — are deliberately absent; a load runs on a world that
+// has only those, so it writes every mutable member it needs. The routing
+// forest is built once here, from the serialized mask, and the target bucket
+// grid is re-initialized from the restored target positions at the end (its
+// query results are order-insensitive). On load every id, enum and
 // per-entity vector length is checked against the config's sizes.
 struct SnapshotAccess {
   template <typename W, typename Ar>
@@ -494,12 +502,14 @@ struct SnapshotAccess {
         }
       }
       check_fault_events(w, events);
+      check_rv_events(w, events);
       w.queue_.restore(events, next_seq);
     } else {
       ar.u64(w.queue_.next_seq());
-      const std::vector<Event> events = w.queue_.sorted_events();
-      ar.u64(events.size());
-      for (Event e : events) io_event(ar, e, num_sensors, num_targets, num_rvs);
+      ar.u64(w.queue_.size());
+      w.queue_.for_each_sorted([&](Event e) {
+        io_event(ar, e, num_sensors, num_targets, num_rvs);
+      });
     }
 
     // --- pending drain marks (insertion order) ----------------------------
@@ -668,6 +678,45 @@ struct SnapshotAccess {
     }
   }
 
+  // An RV event that its epoch leaves live must find the RV in the state its
+  // handler asserts: an arrival ends a return trip or a leg toward the head
+  // of a non-empty service queue, a charge-done a dwell at that head, a
+  // base-charge-done a self-charge, a repair a breakdown.
+  static void check_rv_events(const World& w, const std::vector<Event>& events) {
+    for (const Event& e : events) {
+      const bool needs_queue =
+          e.kind == EventKind::kRvArrival || e.kind == EventKind::kRvChargeDone;
+      if (!needs_queue && e.kind != EventKind::kRvBaseChargeDone &&
+          e.kind != EventKind::kRvRepaired) {
+        continue;
+      }
+      const Rv& rv = w.rvs_[e.subject];
+      if (e.epoch != rv.epoch) continue;  // stale: discarded on pop
+      const bool queued = !rv.service_queue.empty();
+      bool ok = false;
+      switch (e.kind) {
+        case EventKind::kRvArrival:
+          ok = rv.state == Rv::State::kReturning ||
+               (rv.state == Rv::State::kTraveling && queued);
+          break;
+        case EventKind::kRvChargeDone:
+          ok = rv.state == Rv::State::kCharging && queued;
+          break;
+        case EventKind::kRvBaseChargeDone:
+          ok = rv.state == Rv::State::kSelfCharging;
+          break;
+        default:  // kRvRepaired, the last kind the filter above lets through
+          ok = rv.state == Rv::State::kBrokenDown;
+          break;
+      }
+      if (!ok) {
+        reject(std::string(kind_name(e.kind)) + " for RV " + std::to_string(e.subject) +
+               " that is " + rv_state_name(rv.state) +
+               (needs_queue && !queued ? " with an empty service queue" : ""));
+      }
+    }
+  }
+
   // Enumerator counts of the one-byte enums in the body.
   static constexpr std::size_t kRvStates =
       static_cast<std::size_t>(Rv::State::kBrokenDown) + 1;
@@ -681,7 +730,10 @@ WorldSnapshot World::checkpoint() const {
   snap.config_text = config_to_text(config_);
   snap.now = now_;
   snap.events_processed = events_processed_;
-  BinWriter w;
+  // Sized from the two counts the body scales with (at n = 50 000, ~116 B
+  // per sensor plus 33 B per pending event), with headroom, so the body is
+  // written without a reallocation.
+  BinWriter w(192 * config_.num_sensors + 40 * queue_.size() + 4096);
   SnapshotAccess::io(*this, w);
   snap.state = w.take();
   if (spans_ != nullptr) {
@@ -693,7 +745,7 @@ WorldSnapshot World::checkpoint() const {
 }
 
 World::World(const WorldSnapshot& snap)
-    : World(config_from_text(snap.config_text)) {
+    : World(config_from_text(snap.config_text), StaticPart{}) {
   load_state(snap);
 }
 
@@ -714,30 +766,34 @@ void World::load_state(const WorldSnapshot& snap) {
 }
 
 std::string serialize_snapshot(const WorldSnapshot& snap) {
-  BinWriter w;
+  // magic | u32 version | config text | now | events | span state | body |
+  // checksum trailer, written into one buffer sized for all of it.
+  const std::size_t size = kMagic.size() + 4 + (8 + snap.config_text.size()) + 8 +
+                           8 + (8 + snap.span_state.size()) +
+                           (8 + snap.state.size()) + 8;
+  BinWriter w(size);
+  w.raw(kMagic.data(), kMagic.size());
   w.u32(snap.version);
   w.str(snap.config_text);
   w.f64(snap.now);
   w.u64(snap.events_processed);
   w.str(snap.span_state);
   w.str(snap.state);
-  std::string out{kMagic};
-  out += w.bytes();
-  BinWriter trailer;
-  trailer.u64(fnv1a64(out));
-  out += trailer.bytes();
-  return out;
+  w.u64(checksum64(w.bytes()));
+  return w.take();
 }
 
 WorldSnapshot deserialize_snapshot(std::string_view bytes) {
   WRSN_REQUIRE(bytes.size() >= kMagic.size() + 8, "snapshot file too short");
   WRSN_REQUIRE(bytes.substr(0, kMagic.size()) == kMagic,
                "not a WRSN snapshot (bad magic)");
+  // The trailer is checked in place; the body's one copy is into
+  // WorldSnapshot::state below.
   const std::string_view payload = bytes.substr(0, bytes.size() - 8);
   BinReader trailer(bytes.substr(bytes.size() - 8));
   std::uint64_t stored = 0;
   trailer.u64(stored);
-  WRSN_REQUIRE(stored == fnv1a64(payload),
+  WRSN_REQUIRE(stored == checksum64(payload),
                "snapshot checksum mismatch (truncated or corrupt)");
   BinReader r(payload.substr(kMagic.size()));
   WorldSnapshot snap;

@@ -16,11 +16,22 @@
 // (core/config_io.hpp, shortest-round-trip doubles), so a snapshot file is
 // self-contained: restore needs no side-channel.
 //
-// File format ("WRSNSNAP"):
+// File format ("WRSNSNAP", schema v4), all integers little-endian:
 //   magic[8] | u32 schema version | binio header (config text, now, events
-//   processed, span state) | opaque binary body | u64 FNV-1a trailer
-// The trailer covers everything before it; load rejects truncated or
-// bit-rotten files before any deserialization happens.
+//   processed, span state) | opaque binary body | u64 checksum trailer
+// The trailer is core/binio's word-wise checksum64 over everything before
+// it (any change confined to one 8-byte word is always detected); load
+// rejects truncated or bit-rotten files before any deserialization happens.
+//
+// What a restore reads and what it rebuilds. World(snapshot) runs only the
+// config-derived static part of construction — deployment, comm graph,
+// sensing grid, SoA capacities, fault plan, scheduler policy, scratch — and
+// then reads every piece of mutable state from the body. The routing forest
+// is rebuilt once, from the serialized alive mask it was built from; the
+// target grid is re-initialized from the restored target positions; the
+// pending events are laid into the calendar queue in one pass. Nothing of
+// the fresh-run start-up (its routing build, initial recluster or first
+// events) runs on restore.
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +47,9 @@ namespace wrsn {
 // ETX/success captures, the integrator tracks packets_offered).
 // v3: the header loses its engine byte (one World engine) and the config
 // text its event-queue key.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
+// v4: the trailer is the word-wise checksum64 instead of byte-wise FNV-1a;
+// the body is unchanged.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
 
 struct WorldSnapshot {
   std::uint32_t version = kSnapshotSchemaVersion;

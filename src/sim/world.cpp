@@ -28,7 +28,11 @@ const std::array<std::string, kNumEventKinds>& popped_counter_names() {
 }
 }  // namespace
 
-World::World(const SimConfig& config)
+World::World(const SimConfig& config) : World(config, StaticPart{}) {
+  start_up();
+}
+
+World::World(const SimConfig& config, StaticPart)
     : config_(config),
       streams_(config.seed),
       target_rng_(streams_.stream("targets")),
@@ -59,9 +63,6 @@ World::World(const SimConfig& config)
   leg_began_.assign(config_.num_rvs, 0.0);
   charge_began_.assign(config_.num_rvs, 0.0);
   soa_.init(net_);
-  for (SensorId s = 0; s < config_.num_sensors; ++s) {
-    if (soa_.alive(s)) ++alive_count_;
-  }
   covered_.assign(config_.num_targets, false);
   coverable_.assign(config_.num_targets, false);
   alive_members_.assign(config_.num_targets, 0);
@@ -71,22 +72,11 @@ World::World(const SimConfig& config)
   refreshed_targets_.reset(config_.num_targets);
   readmit_marks_.reset(config_.num_targets);
   visited_sensors_.reset(config_.num_sensors);
-  // Dirty marks are collected whichever way the drain refresh runs (marks
-  // or full scan, both clear them), so the traffic model behaves the same.
-  // Every drain starts at zero, so the initial recluster's flush visits
-  // every sensor, exactly as a full scan would.
   drain_marks_.reset(config_.num_sensors);
-  for (SensorId s = 0; s < config_.num_sensors; ++s) mark_drain_dirty(s);
   traffic_.set_touch_log(&drain_marks_);
   // Install the link-quality model before any source registration (the
-  // initial recluster below adds the first flows).
+  // initial recluster, or a restore's flows).
   traffic_.set_link_model(config_.link, config_.comm_range.value());
-
-  target_waypoint_.resize(config_.num_targets);
-  target_dwelling_.assign(config_.num_targets, true);
-  for (TargetId t = 0; t < config_.num_targets; ++t) {
-    target_waypoint_[t] = net_.target(t).pos;  // first event picks a waypoint
-  }
 
   rvs_.resize(config_.num_rvs);
   for (RvId r = 0; r < config_.num_rvs; ++r) {
@@ -96,11 +86,30 @@ World::World(const SimConfig& config)
   }
   // Throws with the registered names when config_.scheduler is unknown.
   policy_ = SchedulerRegistry::instance().create(config_.scheduler);
+}
 
+void World::start_up() {
+  for (SensorId s = 0; s < config_.num_sensors; ++s) {
+    if (soa_.alive(s)) ++alive_count_;
+  }
+  // Dirty marks are collected whichever way the drain refresh runs (marks
+  // or full scan, both clear them), so the traffic model behaves the same.
+  // Every drain starts at zero, so the initial recluster's flush visits
+  // every sensor, exactly as a full scan would.
+  for (SensorId s = 0; s < config_.num_sensors; ++s) mark_drain_dirty(s);
+
+  target_waypoint_.resize(config_.num_targets);
+  target_dwelling_.assign(config_.num_targets, true);
+  for (TargetId t = 0; t < config_.num_targets; ++t) {
+    target_waypoint_[t] = net_.target(t).pos;  // first event picks a waypoint
+  }
   // Cell size = sensing range, so candidate queries stay in a 3x3 block.
   target_index_.init(config_.field_side.value(), config_.sensing_range.value(),
                      current_target_positions());
 
+  // The first routing forest, over the initial alive mask; the recluster
+  // below finds it current and lays the first flows on it.
+  net_.rebuild_routing();
   recluster(kInvalidId);
 
   // Round-robin handover ticks (only meaningful under the RR policy).

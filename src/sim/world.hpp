@@ -58,11 +58,13 @@ struct SnapshotAccess;  // sim/snapshot.cpp — the one friend that walks member
 
 class World {
  public:
+  // A fresh run: the static part of construction, then start_up().
   explicit World(const SimConfig& config);
-  // Restore: rebuilds the static substrate from the snapshot's embedded
+  // Restore: builds only the static part from the snapshot's embedded
   // config (deployment, comm graph, sensing grid are seed-derived), then
-  // overwrites every piece of mutable state so that continuing the run is
-  // byte-identical to never having stopped (tests/test_snapshot_equivalence).
+  // load_state reads every piece of mutable state, so that continuing the
+  // run is byte-identical to never having stopped
+  // (tests/test_snapshot_equivalence). No start-up work runs.
   explicit World(const WorldSnapshot& snap);
   // traffic_ keeps a pointer to drain_marks_, so a World never moves.
   World(const World&) = delete;
@@ -240,6 +242,18 @@ class World {
   // world with the snapshot's.
   friend struct SnapshotAccess;
   void load_state(const WorldSnapshot& snap);
+
+  // --- construction, in two parts ------------------------------------------
+  // The static part: everything derived from the config alone — the
+  // deployment and its comm graph and grids (Network), the SoA capacities,
+  // the fault plan, the scheduler policy, per-entity array sizes and
+  // scratch. Both public constructors start here.
+  struct StaticPart {};
+  World(const SimConfig& config, StaticPart);
+  // Start-up of a fresh run: the first routing build, the initial
+  // recluster(kInvalidId) and the first events. A restore skips it:
+  // load_state reads that state instead.
+  void start_up();
 
   // --- event handlers ------------------------------------------------------
   void handle(const Event& ev);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "net/deployment.hpp"
@@ -45,23 +50,52 @@ TEST(CommGraph, EdgesAreSymmetric) {
   }
 }
 
+// The grid-swept CSR against an all-pairs scan: random fields at several
+// sizes, plus points on cell borders (multiples of the range, which is the
+// grid's cell size) and pairs exactly at range, along an axis across a
+// border and on a 6-8-10 diagonal. An edge is a pair with squared distance
+// at most range^2, and its length is the pair's distance, bit for bit.
 TEST(CommGraph, MatchesBruteForceAdjacency) {
-  Xoshiro256 rng(3);
-  const auto pos = deploy_uniform(150, 80.0, rng);
-  const Vec2 bs{40, 40};
-  const double range = 12.0;
-  CommGraph g(pos, bs, range);
-
-  std::vector<Vec2> all = pos;
-  all.push_back(bs);
-  for (std::size_t u = 0; u < all.size(); ++u) {
-    std::vector<std::size_t> want;
-    for (std::size_t v = 0; v < all.size(); ++v) {
-      if (v != u && distance(all[u], all[v]) <= range) want.push_back(v);
+  const double range = 10.0;
+  for (const std::size_t n : {1, 2, 150, 700, 3000}) {
+    Xoshiro256 rng(3 + n);
+    const double side = std::sqrt(static_cast<double>(n) * 60.0) + 20.0;
+    std::vector<Vec2> pos = deploy_uniform(n, side, rng);
+    for (std::size_t k = 0; k + 2 < n && k < 40; k += 3) {
+      const double x = range * static_cast<double>(rng.uniform_int(
+                                   static_cast<std::uint64_t>(side / range)));
+      const double y = std::floor(rng.uniform(0.0, side - 8.0));
+      pos[k] = {x, y};                      // on a cell border
+      pos[k + 1] = {x + range, y};          // exactly at range, next cell
+      pos[k + 2] = {x + 6.0, y + 8.0};      // exactly at range, diagonal
     }
-    std::vector<std::size_t> got;
-    for (const auto& e : g.neighbors(u)) got.push_back(e.to);
-    EXPECT_EQ(got, want) << "node " << u;
+    const Vec2 bs{side / 2.0, side / 2.0};
+    const CommGraph g(pos, bs, range);
+
+    std::vector<Vec2> all = pos;
+    all.push_back(bs);
+    ASSERT_EQ(g.num_nodes(), all.size());
+    std::size_t at_range = 0;
+    for (std::size_t u = 0; u < all.size(); ++u) {
+      std::vector<std::size_t> want;
+      for (std::size_t v = 0; v < all.size(); ++v) {
+        if (v != u && squared_distance(all[u], all[v]) <= range * range) {
+          want.push_back(v);
+          if (squared_distance(all[u], all[v]) == range * range) ++at_range;
+        }
+      }
+      std::vector<std::size_t> got;
+      for (const auto& e : g.neighbors(u)) {
+        got.push_back(e.to);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(e.length),
+                  std::bit_cast<std::uint64_t>(distance(all[u], all[e.to])))
+            << "n " << n << " edge " << u << "-" << e.to;
+      }
+      ASSERT_EQ(got, want) << "n " << n << " node " << u;
+    }
+    if (n >= 150) {
+      EXPECT_GT(at_range, 0u) << "n " << n;
+    }
   }
 }
 

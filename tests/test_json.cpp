@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "core/error.hpp"
 #include "core/json.hpp"
 #include "sim/metrics.hpp"
@@ -160,6 +163,28 @@ TEST(JsonValidate, ValidatesWriterOutput) {
 TEST(JsonValidate, ErrorIsOptional) {
   EXPECT_FALSE(json_validate("{"));
   EXPECT_TRUE(json_validate("{}"));
+}
+
+// A checksummed record stays valid JSON, verifies, and fails on any one
+// changed byte before its sum field; records without one are told apart.
+TEST(JsonChecksum, RecordsVerifyAndCatchEveryByteChange) {
+  const std::string plain = R"({"record":"cell","id":7,"m":[0.10000000000000001,2]})";
+  const std::string line = json_with_checksum(plain);
+  std::string err;
+  EXPECT_TRUE(json_validate(line, &err)) << err;
+  EXPECT_EQ(line.rfind(plain.substr(0, plain.size() - 1), 0), 0u);
+  EXPECT_EQ(json_checksum_ok(line), std::optional<bool>(true));
+  for (std::size_t i = 0; i + 1 < plain.size(); ++i) {
+    std::string damaged = line;
+    damaged[i] = damaged[i] == '1' ? '2' : '1';
+    EXPECT_EQ(json_checksum_ok(damaged), std::optional<bool>(false)) << i;
+  }
+  EXPECT_EQ(json_checksum_ok(plain), std::nullopt);
+  EXPECT_EQ(json_checksum_ok(""), std::nullopt);
+  std::string bad_digits = line;
+  bad_digits[bad_digits.size() - 3] = 'z';
+  EXPECT_EQ(json_checksum_ok(bad_digits), std::nullopt);
+  EXPECT_THROW((void)json_with_checksum("[1,2]"), InvalidArgument);
 }
 
 TEST(Json, MetricsReportRoundTripKeys) {

@@ -18,7 +18,9 @@ Network make_network(const SimConfig& cfg, std::uint64_t seed = 1) {
   RngStreams streams(seed);
   Xoshiro256 deploy = streams.stream("deployment");
   Xoshiro256 targets = streams.stream("target-placement");
-  return Network(cfg, deploy, targets);
+  Network net(cfg, deploy, targets);
+  net.rebuild_routing();
+  return net;
 }
 
 TEST(Network, ConstructionPopulatesEverything) {
@@ -74,6 +76,20 @@ TEST(Network, RelocateTargetMovesWithinField) {
   EXPECT_NE(before, after);
   EXPECT_GE(after.x, 0.0);
   EXPECT_LT(after.x, cfg.field_side.value());
+}
+
+// Construction builds no forest: a fresh network asks for one, a restored
+// one rebuilds it from its checkpointed mask, and neither pays twice.
+TEST(Network, ConstructionBuildsNoRouting) {
+  const SimConfig cfg = small_config();
+  RngStreams streams(1);
+  Xoshiro256 deploy = streams.stream("deployment");
+  Xoshiro256 targets = streams.stream("target-placement");
+  Network net(cfg, deploy, targets);
+  EXPECT_FALSE(net.routing().built());
+  EXPECT_TRUE(net.rebuild_routing());
+  EXPECT_TRUE(net.routing().built());
+  EXPECT_FALSE(net.rebuild_routing());
 }
 
 TEST(Network, RoutingRebuildDetectsChanges) {

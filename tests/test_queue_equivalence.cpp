@@ -226,6 +226,61 @@ void drain_real_event_set(const std::vector<Event>& pending,
   EXPECT_GT(pops, pending.size()) << what;
 }
 
+// The pop order of `heap`, without draining it.
+std::vector<Event> oracle_order(HeapQueue heap) {
+  std::vector<Event> out;
+  while (!heap.empty()) out.push_back(heap.pop());
+  return out;
+}
+
+// Checkpoint support against the oracle at queue sizes spanning several
+// bucket counts (16 to 32768): sorted_events is the oracle's pop order, and
+// a queue restored from it in one layout pass pops the oracle's stream
+// through a further hold-model drain. The queues are built through pushes
+// and pops, so the scan cursor sits mid-ring, with equal-time batches and a
+// sprinkle of far-future events that land beyond the bucket ring's year.
+TEST(QueueEquivalence, SortedExportAndOnePassRestoreMatchTheOracle) {
+  for (const std::size_t size : {0, 1, 17, 33, 100, 1000, 5000, 40000}) {
+    const std::string what = "size " + std::to_string(size);
+    Xoshiro256 rng(0x5e7 + size);
+    HeapQueue heap;
+    EventQueue cal;
+    double now = 0.0;
+    const auto push = [&](double t, std::size_t subject) {
+      heap.push(t, EventKind::kSensorCrossing, subject, 0);
+      cal.push(t, EventKind::kSensorCrossing, subject, 0);
+    };
+    while (heap.size() < size) {
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.05) {
+        for (int b = 0; b < 4; ++b) push(now + 7.0, heap.size());  // equal times
+      } else if (roll < 0.06) {
+        push(now + rng.uniform(1e5, 1e7), heap.size());  // far future
+      } else {
+        push(now + rng.uniform(0.0, 60.0), heap.size());
+      }
+      if (rng.uniform(0.0, 1.0) < 0.3) {
+        ASSERT_TRUE(same_event(heap.pop(), cal.pop())) << what;
+        if (!heap.empty()) now = heap.top().time;
+      }
+    }
+    // Two events far past the ring's year (unless they trigger a resize).
+    push(now + 1e9, 0);
+    push(now + 2e9, 1);
+    const std::vector<Event> want = oracle_order(heap);
+    const std::vector<Event> got = cal.sorted_events();
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(same_event(got[i], want[i]))
+          << what << " at " << i << "\n  oracle: " << event_str(want[i])
+          << "\n  export: " << event_str(got[i]);
+    }
+    EXPECT_EQ(cal.size(), want.size()) << what << ": the export consumed events";
+    if (want.empty()) continue;
+    drain_real_event_set(got, cal.next_seq(), now, size, what);
+  }
+}
+
 // n=10000 at the paper's sensor density, random-waypoint targets every
 // minute and small batteries (bench_world_hotpath's scenario): thousands of
 // pending crossings spread over the horizon.

@@ -9,7 +9,9 @@ Network make_network(const SimConfig& cfg, std::uint64_t seed = 1) {
   RngStreams streams(seed);
   Xoshiro256 deploy = streams.stream("deployment");
   Xoshiro256 targets = streams.stream("target-placement");
-  return Network(cfg, deploy, targets);
+  Network net(cfg, deploy, targets);
+  net.rebuild_routing();
+  return net;
 }
 
 ClusterSet cluster(const Network& net) {

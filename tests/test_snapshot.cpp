@@ -1,7 +1,7 @@
 // Snapshot building blocks: the binary codec (core/binio.hpp), atomic file
 // and fsync'd journal primitives (core/atomic_file.hpp), the EventQueue
 // export/restore path, the whole-file snapshot format (magic + version +
-// FNV-1a trailer) and the wrsn.snapshot manifest lines.
+// word-wise checksum trailer) and the wrsn.snapshot manifest lines.
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "core/binio.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
+#include "core/rng.hpp"
 #include "heap_queue.hpp"
 #include "sim/events.hpp"
 #include "sim/snapshot.hpp"
@@ -154,6 +156,145 @@ TEST(BinIo, TrailingBytesThrow) {
   std::uint8_t v = 0;
   r.u8(v);
   EXPECT_THROW(r.expect_end(), InvalidArgument);
+}
+
+// Bytes from a hex string ("00ff..."), for golden encodings.
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    const int byte = std::stoi(std::string(hex.substr(i, 2)), nullptr, 16);
+    out.push_back(static_cast<char>(byte));
+  }
+  return out;
+}
+
+// The bulk codec writes exactly the little-endian bytes of the format:
+// counts and scalars as u64/u32, doubles as their bit patterns (signed
+// zero, a NaN payload and a subnormal included), u8 vectors as raw bytes.
+TEST(BinIo, BulkCodecGoldenBytes) {
+  const std::vector<double> doubles{-0.0, std::bit_cast<double>(0x7ff8deadbeef0001ULL),
+                                    5e-324, 1.0};
+  const std::vector<std::uint64_t> words{0x0123456789abcdefULL, 1};
+  const std::vector<std::uint8_t> bytes{0x00, 0xff, 0x7f};
+  BinWriter w;
+  w.vec(doubles);
+  w.vec(words);
+  w.vec(bytes);
+  w.u32(std::uint32_t{0x01020304});
+  w.f64(-2.5);
+  const std::string golden = from_hex(
+      "0400000000000000"
+      "0000000000000080"   // -0.0
+      "0100efbeaddef87f"   // NaN 0x7ff8deadbeef0001
+      "0100000000000000"   // 5e-324
+      "000000000000f03f"   // 1.0
+      "0200000000000000"
+      "efcdab8967452301"
+      "0100000000000000"
+      "0300000000000000"
+      "00ff7f"
+      "04030201"
+      "00000000000004c0");  // -2.5
+  EXPECT_EQ(w.bytes(), golden);
+
+  BinReader r(golden);
+  std::vector<double> d2;
+  std::vector<std::uint64_t> w2;
+  std::vector<std::uint8_t> b2;
+  std::uint32_t u = 0;
+  double x = 0.0;
+  r.vec(d2);
+  r.vec(w2);
+  r.vec(b2);
+  r.u32(u);
+  r.f64(x);
+  EXPECT_NO_THROW(r.expect_end());
+  ASSERT_EQ(d2.size(), doubles.size());
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d2[i]),
+              std::bit_cast<std::uint64_t>(doubles[i]));
+  }
+  EXPECT_EQ(w2, words);
+  EXPECT_EQ(b2, bytes);
+  EXPECT_EQ(u, 0x01020304u);
+  EXPECT_EQ(x, -2.5);
+}
+
+// A payload cut inside a bulk vector fails at the count, before any copy.
+TEST(BinIo, TruncationInsideABulkVectorThrows) {
+  BinWriter w;
+  w.vec(std::vector<double>{1.0, 2.0, 3.0});
+  w.vec(std::vector<std::uint8_t>{1, 2, 3, 4});
+  const std::string bytes = w.bytes();
+  for (const std::size_t cut : {std::size_t{8 + 8 + 3}, std::size_t{8 + 24 - 1},
+                                std::size_t{8 + 24 + 8 + 2}}) {
+    BinReader r(std::string_view(bytes).substr(0, cut));
+    std::vector<double> d;
+    std::vector<std::uint8_t> b;
+    EXPECT_THROW(
+        {
+          r.vec(d);
+          r.vec(b);
+        },
+        InvalidArgument)
+        << cut;
+  }
+}
+
+// Pinned checksum64 values at every tail length from 0 to 40 (0-5 whole
+// words plus 0-7 tail bytes), over bytes (37 i + 11) mod 256. A change here
+// changes the snapshot format and needs a schema version bump.
+TEST(BinIo, Checksum64KnownValues) {
+  constexpr std::uint64_t kExpected[41] = {
+      0x4e096f2251f30c41ULL, 0xcc664c4f9f883447ULL, 0xecb6ca9a46c2b79dULL,
+      0x5f274196c029a325ULL, 0xc8a231a51b6c0f3eULL, 0x0c5a8bde5b98f13bULL,
+      0xcf1943dc0d7303b6ULL, 0x543cbf81d6a1f266ULL, 0x4be1021a37df3462ULL,
+      0xdcda131fc8a5aacfULL, 0xa3e7c5b30781ddaeULL, 0xf23fa8e02e784871ULL,
+      0xa39d1a7cf655d209ULL, 0xe67dbafde16b809aULL, 0xf4cbd074bfe7a602ULL,
+      0x1ca4a41d8eb31b0dULL, 0xca96ac0606d2536eULL, 0xeaf2cf4587dca012ULL,
+      0x1782dcd82cc8ec66ULL, 0x0c75c6c4f9054d8cULL, 0x0b08a76a18cf7a3aULL,
+      0x266bc9a9d85e1056ULL, 0x01ef5b5e1bc1f0f6ULL, 0x7af83f72a96ce4dfULL,
+      0x7487c2b055b5fa9fULL, 0x1501b6b89a2e4770ULL, 0x4e66e263d6934ef3ULL,
+      0xe2a9f3b312f16c62ULL, 0xbb0061d7478c5c52ULL, 0x121e4b09c35d361aULL,
+      0xa12c6ba1b3ab62dcULL, 0x3af27b577787016cULL, 0x9bf512007d4a4a6bULL,
+      0x498c48f3fb3de152ULL, 0x14c1ea875285db1dULL, 0xa5822ca2f115eabcULL,
+      0xf0f8e869b376ba65ULL, 0xbd65089eff6dce78ULL, 0x57de02b9648b3e0eULL,
+      0x5d2bd21039400143ULL, 0x3de72eb06a865ad3ULL,
+  };
+  std::string bytes;
+  for (std::size_t len = 0; len <= 40; ++len) {
+    EXPECT_EQ(checksum64(bytes), kExpected[len]) << "length " << len;
+    // Every single-bit flip is detected, in whole words and in the tail.
+    for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+      std::string flipped = bytes;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      EXPECT_NE(checksum64(flipped), kExpected[len])
+          << "length " << len << " bit " << bit;
+    }
+    bytes.push_back(static_cast<char>((len * 37 + 11) & 0xff));
+  }
+}
+
+// Any change confined to one 8-byte word is detected, whatever the word
+// becomes: each lane step is a bijection of the word it folds in.
+TEST(BinIo, Checksum64DetectsAnyOneWordChange) {
+  std::string bytes(8 * 11 + 5, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 91);
+  const std::uint64_t base = checksum64(bytes);
+  Xoshiro256 rng(29);
+  for (std::size_t word = 0; word < 11; ++word) {
+    for (int trial = 0; trial < 64; ++trial) {
+      std::string changed = bytes;
+      std::uint64_t v = 0;
+      std::memcpy(&v, changed.data() + 8 * word, 8);
+      v ^= rng.next() | 1;  // never zero: a real change
+      std::memcpy(changed.data() + 8 * word, &v, 8);
+      EXPECT_NE(checksum64(changed), base) << "word " << word;
+    }
+  }
+  // The length is folded in: trailing zero bytes are not invisible.
+  EXPECT_NE(checksum64(bytes + std::string(1, '\0')), base);
+  EXPECT_NE(checksum64(bytes + std::string(8, '\0')), base);
 }
 
 TEST(BinIo, Fnv1a64KnownValues) {
@@ -332,6 +473,24 @@ TEST(SnapshotFile, RejectsCorruption) {
   EXPECT_THROW(deserialize_snapshot(flipped), InvalidArgument);
 }
 
+// Every single-bit flip anywhere in a small snapshot file (magic, header,
+// body or trailer) is rejected before any of it is restored.
+TEST(SnapshotFile, EverySingleBitFlipIsRejected) {
+  const std::string bytes = serialize_snapshot(tiny_snapshot());
+  ASSERT_LT(bytes.size(), std::size_t{64} << 10) << "not a small snapshot";
+  std::size_t accepted = 0;
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    try {
+      (void)deserialize_snapshot(flipped);
+      ++accepted;
+    } catch (const InvalidArgument&) {
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+}
+
 TEST(SnapshotFile, SaveLoadFile) {
   const std::string path = temp_path("world.snap");
   const WorldSnapshot snap = tiny_snapshot();
@@ -363,7 +522,7 @@ TEST(SnapshotFile, RemovedConfigKeyFailsRestoreLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile payloads: snapshots whose FNV trailer is valid but whose body is
+// Hostile payloads: snapshots whose checksum trailer is valid but whose body is
 // not. Restore must reject each with one InvalidArgument line and never
 // index, allocate or resize from an unchecked value.
 // ---------------------------------------------------------------------------
@@ -394,8 +553,9 @@ struct PlantableWorld : World {
 // right after it is the event count, then the events, then the drain marks.
 constexpr std::uint64_t kSeqMarker = 0x5EC0DE5EC0DE5EC0ULL;
 
-WorldSnapshot planted(const std::function<void(PlantableWorld&)>& plant) {
-  PlantableWorld w(tiny_config());
+WorldSnapshot planted(const std::function<void(PlantableWorld&)>& plant,
+                      SimConfig cfg = tiny_config()) {
+  PlantableWorld w(cfg);
   w.run_until(minutes(20.0));
   plant(w);
   return w.checkpoint();
@@ -436,7 +596,7 @@ std::pair<WorldSnapshot, std::size_t> with_event_section() {
   return {snap, at};
 }
 
-// Serializes `snap` (a fresh FNV trailer), reads it back and restores it:
+// Serializes `snap` (a fresh checksum trailer), reads it back and restores it:
 // the restore must fail with one InvalidArgument line containing `expect`.
 void expect_rejected(const WorldSnapshot& snap, const std::string& expect) {
   const std::string bytes = serialize_snapshot(snap);
@@ -537,6 +697,88 @@ TEST(SnapshotHostile, RejectsOutOfRangeEnums) {
                     w.uplink_pending_[3] = static_cast<PlantableWorld::UplinkPending>(3);
                   }),
                   "uplink state 3 out of range (limit 3)");
+}
+
+// Plants an `kind` event for RV 0 carrying its (bumped) epoch, so restore
+// treats it as live, with the RV put in `state` holding `queue`.
+WorldSnapshot planted_rv_event(EventKind kind, Rv::State state,
+                               std::vector<SensorId> queue, bool faults = false) {
+  SimConfig cfg = tiny_config();
+  cfg.fault.enabled = faults;
+  return planted(
+      [&](PlantableWorld& w) {
+        Rv& rv = w.rvs_[0];
+        ++rv.epoch;  // whatever the RV had pending goes stale
+        rv.state = state;
+        rv.service_queue.assign(queue.begin(), queue.end());
+        w.push_event_for_test(w.now().value() + 1.0, kind, 0, rv.epoch);
+      },
+      cfg);
+}
+
+// A live arrival must end a return trip or a leg toward the head of a
+// non-empty service queue; on_rv_arrival asserts it mid-run otherwise.
+TEST(SnapshotHostile, RejectsArrivalTheRvCannotTake) {
+  expect_rejected(planted_rv_event(EventKind::kRvArrival, Rv::State::kIdle, {}),
+                  "snapshot rv-arrival for RV 0 that is idle with an empty "
+                  "service queue");
+  expect_rejected(planted_rv_event(EventKind::kRvArrival, Rv::State::kCharging, {3}),
+                  "snapshot rv-arrival for RV 0 that is charging");
+  expect_rejected(planted_rv_event(EventKind::kRvArrival, Rv::State::kTraveling, {}),
+                  "snapshot rv-arrival for RV 0 that is traveling with an "
+                  "empty service queue");
+  // The states the handler takes restore.
+  for (const auto& [state, queue] :
+       {std::pair{Rv::State::kTraveling, std::vector<SensorId>{3}},
+        std::pair{Rv::State::kReturning, std::vector<SensorId>{}}}) {
+    const WorldSnapshot snap = planted_rv_event(EventKind::kRvArrival, state, queue);
+    EXPECT_NO_THROW(World{deserialize_snapshot(serialize_snapshot(snap))});
+  }
+}
+
+// A live charge-done must end a dwell at the head of a non-empty service
+// queue; on_rv_charge_done asserts it mid-run otherwise.
+TEST(SnapshotHostile, RejectsChargeDoneTheRvCannotTake) {
+  expect_rejected(planted_rv_event(EventKind::kRvChargeDone, Rv::State::kCharging, {}),
+                  "snapshot rv-charge-done for RV 0 that is charging with an "
+                  "empty service queue");
+  expect_rejected(planted_rv_event(EventKind::kRvChargeDone, Rv::State::kTraveling, {3}),
+                  "snapshot rv-charge-done for RV 0 that is traveling");
+  expect_rejected(planted_rv_event(EventKind::kRvChargeDone, Rv::State::kReturning, {}),
+                  "snapshot rv-charge-done for RV 0 that is returning with an "
+                  "empty service queue");
+  const WorldSnapshot snap =
+      planted_rv_event(EventKind::kRvChargeDone, Rv::State::kCharging, {3});
+  EXPECT_NO_THROW(World{deserialize_snapshot(serialize_snapshot(snap))});
+  // One carrying another epoch than the RV's is not live at restore, so the
+  // RV's state does not matter.
+  const WorldSnapshot stale = planted([](PlantableWorld& w) {
+    w.push_event_for_test(w.now().value() + 1.0, EventKind::kRvChargeDone, 0,
+                          w.rvs_[0].epoch + 1);
+  });
+  EXPECT_NO_THROW(World{deserialize_snapshot(serialize_snapshot(stale))});
+}
+
+// A live base-charge-done must end a self-charge, and a live repair a
+// breakdown; their handlers assert it mid-run otherwise.
+TEST(SnapshotHostile, RejectsDockAndRepairEventsTheRvCannotTake) {
+  expect_rejected(
+      planted_rv_event(EventKind::kRvBaseChargeDone, Rv::State::kIdle, {}),
+      "snapshot rv-base-charge-done for RV 0 that is idle");
+  expect_rejected(
+      planted_rv_event(EventKind::kRvBaseChargeDone, Rv::State::kReturning, {}),
+      "snapshot rv-base-charge-done for RV 0 that is returning");
+  const WorldSnapshot docked =
+      planted_rv_event(EventKind::kRvBaseChargeDone, Rv::State::kSelfCharging, {});
+  EXPECT_NO_THROW(World{deserialize_snapshot(serialize_snapshot(docked))});
+  // Repairs exist only with faults on (without them the fault-event check
+  // refuses the kind first).
+  expect_rejected(
+      planted_rv_event(EventKind::kRvRepaired, Rv::State::kIdle, {}, true),
+      "snapshot rv-repaired for RV 0 that is idle");
+  const WorldSnapshot broken =
+      planted_rv_event(EventKind::kRvRepaired, Rv::State::kBrokenDown, {}, true);
+  EXPECT_NO_THROW(World{deserialize_snapshot(serialize_snapshot(broken))});
 }
 
 TEST(SnapshotHostile, RejectsImpossibleTimesAndLevels) {
@@ -806,17 +1048,22 @@ TEST(SnapshotHostile, RejectsRatesThatDisagreeWithTheFlows) {
                             " disagree with the");
 }
 
-// Version 2 was the last schema with an engine byte in the header; such a
-// file is refused by its version, with one line.
+// Version 2 was the last schema with an engine byte in the header, and
+// version 3 the last with a byte-wise FNV-1a trailer; such files are
+// refused by their version, with one line.
 TEST(SnapshotHostile, RejectsVersion2Snapshots) {
-  WorldSnapshot snap = tiny_snapshot();
-  snap.version = 2;
-  const std::string bytes = serialize_snapshot(snap);
-  try {
-    (void)deserialize_snapshot(bytes);
-    FAIL() << "a version-2 snapshot was accepted";
-  } catch (const InvalidArgument& e) {
-    EXPECT_STREQ(e.what(), "unsupported snapshot schema version 2 (this build reads 3)");
+  for (const std::uint32_t version : {2u, 3u}) {
+    WorldSnapshot snap = tiny_snapshot();
+    snap.version = version;
+    const std::string bytes = serialize_snapshot(snap);
+    try {
+      (void)deserialize_snapshot(bytes);
+      FAIL() << "a version-" << version << " snapshot was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), "unsupported snapshot schema version " +
+                                           std::to_string(version) +
+                                           " (this build reads 4)");
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "net/routing.hpp"
 #include "obs/spans.hpp"
 #include "reference_world.hpp"
 #include "sched/policy.hpp"
@@ -234,6 +235,77 @@ std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
 
 INSTANTIATE_TEST_SUITE_P(EnginesAndFaults, SnapshotEquivalence,
                          testing::ValuesIn(scenarios()), scenario_name);
+
+// A randomized valid config: scheduler, routing policy, activation, target
+// motion, faults and the lossy link layer drawn independently, sizes and
+// rates drawn around the eq_config recipe.
+SimConfig random_config(Xoshiro256& rng) {
+  const auto pick = [&rng](const auto& options) {
+    return options[rng.uniform_int(options.size())];
+  };
+  SimConfig cfg = eq_config({rng.uniform_int(3), Engine::kIncremental,
+                             rng.uniform_int(2) == 1, pick(scheduler_names())});
+  cfg.routing = pick(routing_names());
+  cfg.activation = rng.uniform_int(2) == 0 ? ActivationPolicy::kRoundRobin
+                                           : ActivationPolicy::kFullTime;
+  cfg.target_motion = rng.uniform_int(2) == 0 ? TargetMotion::kRandomWaypoint
+                                              : TargetMotion::kTeleport;
+  cfg.num_sensors = 30 + rng.uniform_int(40);
+  cfg.num_targets = 2 + rng.uniform_int(4);
+  cfg.num_rvs = 1 + rng.uniform_int(3);
+  cfg.seed = rng.next();
+  if (rng.uniform_int(2) == 1) {
+    cfg.link.enabled = true;
+    cfg.link.loss_floor = rng.uniform(0.0, 0.1);
+    cfg.link.loss_at_range = rng.uniform(0.1, 0.5);
+    cfg.link.max_retx = 1 + rng.uniform_int(4);
+    cfg.link.rx_duty_tax = rng.uniform(0.0, 0.2);
+  }
+  cfg.validate();
+  return cfg;
+}
+
+// Property: for random valid configs, stopping at a random event, going
+// through the file codec and restoring (into the World or its full-rescan
+// oracle) is invisible. The restored world re-serializes to the bytes it
+// was restored from, and at the horizon its report JSON and its whole
+// snapshot file equal the uninterrupted World's.
+TEST(SnapshotEquivalence, RandomConfigsRestoreMidRunInvisibly) {
+  Xoshiro256 rng(0x5eed5);
+  for (int draw = 0; draw < 120; ++draw) {
+    const SimConfig cfg = random_config(rng);
+    const Engine engine = rng.uniform_int(2) == 0 ? Engine::kIncremental
+                                                  : Engine::kReference;
+    std::ostringstream what;
+    what << "draw " << draw << " engine=" << engine_name(engine)
+         << " scheduler=" << cfg.scheduler << " routing=" << cfg.routing
+         << " activation=" << to_string(cfg.activation)
+         << " faults=" << cfg.fault.enabled << " lossy=" << cfg.link.enabled;
+
+    World golden(cfg);
+    golden.run_until(cfg.sim_duration);
+    ASSERT_GT(golden.events_processed(), 2u) << what.str();
+    const std::uint64_t stop_at = 1 + rng.uniform_int(golden.events_processed() - 1);
+
+    World first(cfg);
+    first.set_checkpoint_hook(
+        [stop_at](const World& w) { return w.events_processed() >= stop_at; });
+    first.run_until(cfg.sim_duration);
+    ASSERT_EQ(first.events_processed(), stop_at) << what.str();
+    const std::string bytes = serialize_snapshot(first.checkpoint());
+
+    const std::unique_ptr<World> restored =
+        restore_world(deserialize_snapshot(bytes), engine);
+    ASSERT_EQ(serialize_snapshot(restored->checkpoint()), bytes)
+        << what.str() << ": restore is not a fixed point";
+    restored->run_until(cfg.sim_duration);
+    ASSERT_TRUE(restored->finished()) << what.str();
+    EXPECT_EQ(to_json(restored->report()), to_json(golden.report())) << what.str();
+    EXPECT_EQ(serialize_snapshot(restored->checkpoint()),
+              serialize_snapshot(golden.checkpoint()))
+        << what.str();
+  }
+}
 
 // Restore's cross-field checks (clusters against rotors, monitors and the
 // sensors' target mirrors) must accept every valid state: a checkpoint after

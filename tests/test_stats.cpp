@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "net/network.hpp"
@@ -92,7 +93,9 @@ Network make_network(const SimConfig& cfg, std::uint64_t seed) {
   RngStreams streams(seed);
   Xoshiro256 deploy = streams.stream("deployment");
   Xoshiro256 targets = streams.stream("target-placement");
-  return Network(cfg, deploy, targets);
+  Network net(cfg, deploy, targets);
+  net.rebuild_routing();
+  return net;
 }
 
 TEST(NetworkStats, TableIIDeployment) {
@@ -107,6 +110,19 @@ TEST(NetworkStats, TableIIDeployment) {
   EXPECT_GT(stats.avg_coverage_degree, 1.5);
   EXPECT_LT(stats.avg_coverage_degree, 4.0);
   EXPECT_GE(stats.connected_components, 1u);
+}
+
+TEST(NetworkStats, RequiresABuiltRoutingForest) {
+  SimConfig cfg;
+  cfg.num_sensors = 60;
+  cfg.field_side = meters(60.0);
+  RngStreams streams(4);
+  Xoshiro256 deploy = streams.stream("deployment");
+  Xoshiro256 targets = streams.stream("target-placement");
+  Network net(cfg, deploy, targets);
+  EXPECT_THROW((void)compute_stats(net), InvalidArgument);
+  net.rebuild_routing();
+  EXPECT_EQ(compute_stats(net).num_sensors, 60u);
 }
 
 TEST(NetworkStats, DegreeEdgeConsistency) {

@@ -17,7 +17,8 @@
 //                       ids are strictly increasing, and at most one record
 //                       is terminal — the last one
 //   wrsn.sweep-journal  sweep journals (wrsn_sweep --journal): cell records
-//                       carry id/point/replica/seed/m, ids are strictly
+//                       carry id/point/replica/seed/m and a matching
+//                       checksum `sum` as their last field, ids are strictly
 //                       increasing, and at most one `done` record exists —
 //                       on the last line
 // Exit 0 when the whole file validates; exit 1 with the first offending
@@ -187,9 +188,13 @@ int main(int argc, char** argv) try {
     if (records > 0 && schema == "wrsn.sweep-journal") {
       if (line.find("\"record\":\"cell\"") != std::string::npos) {
         if (const char* missing = first_missing(
-                line, {"id", "point", "replica", "seed", "m"})) {
+                line, {"id", "point", "replica", "seed", "m", "sum"})) {
           std::cerr << path << ':' << line_no
                     << ": cell record missing field '" << missing << "'\n";
+          return 1;
+        }
+        if (json_checksum_ok(line) != true) {
+          std::cerr << path << ':' << line_no << ": cell record checksum mismatch\n";
           return 1;
         }
         double id = 0.0;

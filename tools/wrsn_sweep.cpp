@@ -123,16 +123,18 @@ std::vector<std::string> split(const std::string& s, char sep) {
 // One meta line, then one `cell` record per finished (point, replica) with
 // the metric values the CSV aggregation needs (full 17-digit precision, so
 // a resumed sweep reproduces the uninterrupted CSV byte for byte), then at
-// most one terminal `done` record once every cell succeeded.
+// most one terminal `done` record once every cell succeeded. Each cell
+// record ends in a `sum` field (json_with_checksum, core/json.hpp), so a
+// resume refuses a record damaged after it was written. Version 2 added it.
 
 std::string journal_meta_line() {
   JsonWriter w;
   w.begin_object()
       .field("record", "meta")
       .field("schema", "wrsn.sweep-journal")
-      .field("version", std::int64_t{1});
+      .field("version", std::int64_t{2});
   w.key("fields").begin_array();
-  for (const char* f : {"id", "point", "replica", "seed", "m"}) w.value(f);
+  for (const char* f : {"id", "point", "replica", "seed", "m", "sum"}) w.value(f);
   w.end_array().end_object();
   return w.str();
 }
@@ -150,7 +152,7 @@ std::string journal_cell_line(std::uint64_t id, std::size_t point,
   w.key("m").begin_array();
   for (const double v : m) w.value(v);
   w.end_array().end_object();
-  return w.str();
+  return json_with_checksum(w.str());
 }
 
 std::string journal_done_line(std::uint64_t cells) {
@@ -353,7 +355,7 @@ int sweep_main(const std::vector<std::string>& args) {
       w.begin_object()
           .field("record", "manifest")
           .field("schema", "wrsn.sweep-journal")
-          .field("version", std::int64_t{1})
+          .field("version", std::int64_t{2})
           .field("campaign_hash", hash)
           .field("points", static_cast<std::uint64_t>(total_points))
           .field("seeds", static_cast<std::uint64_t>(seeds))
@@ -384,7 +386,9 @@ int sweep_main(const std::vector<std::string>& args) {
       const auto replica = find_json_u64(line, "replica");
       const auto seed = find_json_u64(line, "seed");
       MetricValues m{};
-      if (!id || !point || !replica || !seed || !find_json_doubles(line, "m", &m)) {
+      const std::optional<bool> sum_ok = json_checksum_ok(line);
+      if (!id || !point || !replica || !seed || !find_json_doubles(line, "m", &m) ||
+          !sum_ok) {
         throw corrupt("malformed cell record");
       }
       if (*id <= last_id) {
@@ -399,6 +403,9 @@ int sweep_main(const std::vector<std::string>& args) {
       if (*seed != point_cfgs[*point].seed + *replica) {
         throw corrupt("cell seed " + std::to_string(*seed) + " is not point seed + replica");
       }
+      // Last: a record that passed every check above can still carry a
+      // damaged metric value.
+      if (!*sum_ok) throw corrupt("cell record checksum mismatch");
       values[task] = m;
       done[task] = 1;
       ++restored_cells;
