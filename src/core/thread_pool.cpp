@@ -43,6 +43,10 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
+  // Every task holds a reference to `fn`, so wait for all of them before
+  // rethrowing: returning at the first failure would leave queued tasks
+  // calling a function the caller has already destroyed.
+  for (auto& f : futures) f.wait();
   for (auto& f : futures) f.get();
 }
 

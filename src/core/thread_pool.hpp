@@ -47,7 +47,8 @@ class ThreadPool {
   }
 
   // Runs fn(i) for i in [0, n) across the pool and blocks until all complete.
-  // Exceptions from tasks are rethrown (the first one, by index order).
+  // Exceptions from tasks are rethrown (the first one, by index order) only
+  // after every task has finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

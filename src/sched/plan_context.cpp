@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/error.hpp"
@@ -181,21 +182,21 @@ std::optional<std::size_t> PlanContext::greedy_next(
   return best_i;
 }
 
-void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
-                                         Joule spent, Joule available,
-                                         const std::vector<bool>& taken,
-                                         Joule max_untaken_demand, Joule& best_profit,
-                                         std::size_t& best_item,
-                                         std::size_t& best_slot) const {
+PlanContext::SlotBest PlanContext::best_insertion_in_slot(
+    Vec2 a, Vec2 b, Joule spent, Joule available, const std::vector<bool>& taken,
+    Joule max_untaken_demand) const {
   const auto& items = *items_;
   const double em = params_.em.value();
+  // Only a positive profit is an insertion (the reference's incumbent
+  // starts at zero and needs strictly more).
+  SlotBest best;
 
   // The detour is never negative, so no insertion beats the incumbent once
   // even the largest untaken demand trails it.
   const double max_demand = max_untaken_demand.value();
   if (max_demand + std::abs(max_demand) * kRelSlack + kAbsSlack <
-      best_profit.value()) {
-    return;
+      best.profit.value()) {
+    return best;
   }
 
   // Median length inequality: d(a,p) + d(p,b) >= 2 * d(mid,p), hence
@@ -213,10 +214,10 @@ void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
     const std::size_t cell = grid_.cell_index(cx, cy);
     const double cellmax = cell_max_demand_[cell];
     if (cellmax == -kInf) return;
-    if (cellmax + std::abs(cellmax) * kRelSlack + kAbsSlack < best_profit.value()) {
+    if (cellmax + std::abs(cellmax) * kRelSlack + kAbsSlack < best.profit.value()) {
       return;
     }
-    const double slack = cellmax - best_profit.value() + em * d_ab;
+    const double slack = cellmax - best.profit.value() + em * d_ab;
     if (slack < 0.0) return;
     const double thr = (slack + kAbsSlack) * (1.0 + kRelSlack) / (2.0 * em);
     if (grid_.cell_distance_lower_bound_sq(mid, cx, cy) * kLbShave > thr * thr) {
@@ -228,15 +229,12 @@ void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
           params_.em * Meter{insertion_detour(a, b, items[n].pos)} + items[n].demand;
       if (spent + extra > available) return;
       const Joule p = insertion_profit(a, b, items[n], params_.em);
-      // Reference order is slot-major, item-ascending, strictly-greater
-      // profit: an equal profit can only win inside the same slot at a
-      // lower item index (ring order visits items out of index order).
-      if (p > best_profit ||
-          (p == best_profit && best_item != kInvalidId && best_slot == slot &&
-           n < best_item)) {
-        best_profit = p;
-        best_item = n;
-        best_slot = slot;
+      // Strictly-greater profit wins; ring order is not index order, so an
+      // equal profit wins at a lower item index (the reference's ascending
+      // scan keeps the first).
+      if (p > best.profit ||
+          (p == best.profit && best.item != kInvalidId && n < best.item)) {
+        best = {p, extra, n};
       }
     });
   };
@@ -244,7 +242,7 @@ void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
   for (int ring = 0; ring < cps; ++ring) {
     if (ring > 0) {
       const double ring_lb = static_cast<double>(ring - 1) * grid_.cell_size() * kLbShave;
-      const double slack = max_demand - best_profit.value() + em * d_ab;
+      const double slack = max_demand - best.profit.value() + em * d_ab;
       if (slack < 0.0) break;
       const double thr = (slack + kAbsSlack) * (1.0 + kRelSlack) / (2.0 * em);
       if (ring_lb > thr) break;
@@ -262,6 +260,7 @@ void PlanContext::best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot,
       visit_cell(qx + ring, cy);
     }
   }
+  return best;
 }
 
 std::vector<std::size_t> PlanContext::insertion_sequence(
@@ -282,34 +281,66 @@ std::vector<std::size_t> PlanContext::insertion_sequence(
                                    base_dist_[*dest]} +
                 items[*dest].demand;
 
+  // Largest untaken demand, the global bound for slot skips and ring stops,
+  // and an item holding it: the bound only falls when that item is taken.
+  double max_untaken = -kInf;
+  std::size_t max_holder = kInvalidId;
+  auto rescan_max_untaken = [&] {
+    max_untaken = -kInf;
+    max_holder = kInvalidId;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (!taken[i] && items[i].demand.value() > max_untaken) {
+        max_untaken = items[i].demand.value();
+        max_holder = i;
+      }
+    }
+  };
+  rescan_max_untaken();
+
   auto waypoint = [&](std::size_t k) -> Vec2 {
     return k == 0 ? rv.pos : items[seq[k - 1]].pos;
   };
+  std::uint64_t queries = 0;
+  auto query = [&](std::size_t slot) {
+    ++queries;
+    return best_insertion_in_slot(waypoint(slot), waypoint(slot + 1), spent,
+                                  rv.available, taken, Joule{max_untaken});
+  };
 
+  // best[k]: slot k's exact best insertion (see the header).
+  std::vector<SlotBest> best;
+  if (max_untaken != -kInf) best.push_back(query(0));
   for (;;) {
-    // Largest demand still on the table this round — the global bound for
-    // slot skips and ring stops.
-    double max_untaken = -kInf;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (!taken[i]) max_untaken = std::max(max_untaken, items[i].demand.value());
+    // Slot-major with strictly-greater profit: the lowest slot wins a tie,
+    // exactly as the reference's scan keeps its first maximum.
+    std::size_t pick = kInvalidId;
+    for (std::size_t k = 0; k < best.size(); ++k) {
+      if (best[k].item == kInvalidId) continue;
+      if (pick == kInvalidId || best[k].profit > best[pick].profit) pick = k;
     }
+    if (pick == kInvalidId) break;
+    const std::size_t item = best[pick].item;
+    WRSN_ASSERT(!taken[item], "slot cache kept a taken item");
+    spent += best[pick].extra;
+    seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(pick), item);
+    taken[item] = true;
+    if (item == max_holder) rescan_max_untaken();
     if (max_untaken == -kInf) break;
 
-    Joule best_profit{0.0};
-    std::size_t best_item = kInvalidId;
-    std::size_t best_slot = 0;
-    for (std::size_t slot = 0; slot + 1 <= seq.size(); ++slot) {
-      best_insertion_in_slot(waypoint(slot), waypoint(slot + 1), slot, spent,
-                             rv.available, taken, Joule{max_untaken}, best_profit,
-                             best_item, best_slot);
+    // The picked slot splits in two; both halves are new slots.
+    best[pick] = query(pick);
+    best.insert(best.begin() + static_cast<std::ptrdiff_t>(pick) + 1, query(pick + 1));
+    // Every other slot's feasible set only shrank, so its entry stays exact
+    // unless its item left that set.
+    for (std::size_t k = 0; k < best.size(); ++k) {
+      if (k == pick || k == pick + 1 || best[k].item == kInvalidId) continue;
+      if (taken[best[k].item] || spent + best[k].extra > rv.available) {
+        best[k] = query(k);
+      }
     }
-    if (best_item == kInvalidId) break;
-    const Vec2 a = waypoint(best_slot);
-    const Vec2 b = waypoint(best_slot + 1);
-    spent += params_.em * Meter{insertion_detour(a, b, items[best_item].pos)} +
-             items[best_item].demand;
-    seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(best_slot), best_item);
-    taken[best_item] = true;
+  }
+  if (auto* registry = obs::current_registry()) {
+    registry->counter("planner/slot-queries").add(queries);
   }
   return seq;
 }

@@ -27,6 +27,20 @@
 // (16) items run the reference scans directly;
 // tests/test_planner_equivalence.cpp calls the references itself to pin the
 // grid paths against them.
+//
+// Algorithm 3 keeps one cached entry per slot of the growing route: the
+// slot's best insertion (the affordable untaken item of maximum positive
+// profit, lowest index on a tie) or none. Each step picks the best entry in
+// slot order with a strict `>`, which is the reference's slot-major tie
+// rule. After an insertion only the two halves of the split slot are
+// queried afresh; any other entry is re-queried only when its item was just
+// taken or no longer fits the budget (spent + extra > available). That is
+// exact because an unchanged slot's profits are fixed and its feasible set
+// only shrinks (one more item taken, a larger `spent`): a best item still in
+// the set is still the best, ties included, and an empty slot stays empty.
+// The largest untaken demand, a pruning bound only, is rescanned only when
+// the item holding it is taken. Every slot query adds one to the telemetry
+// counter `planner/slot-queries`.
 
 #include <optional>
 #include <vector>
@@ -64,14 +78,23 @@ class PlanContext {
       const RvPlanState& rv, std::vector<bool>& taken) const;
 
  private:
-  // Best insertion of any untaken item between waypoints a and b, given the
-  // running budget; updates best_{profit,item,slot} in place (exact
-  // reference tie semantics: strictly-greater profit wins; an equal profit
-  // only wins within the same slot at a lower item index).
-  void best_insertion_in_slot(Vec2 a, Vec2 b, std::size_t slot, Joule spent,
-                              Joule available, const std::vector<bool>& taken,
-                              Joule max_untaken_demand, Joule& best_profit,
-                              std::size_t& best_item, std::size_t& best_slot) const;
+  // One slot's best insertion: the affordable untaken item of maximum
+  // positive profit, lowest index on a tie; item == kInvalidId when none.
+  // `extra` is its energy cost (detour traction + demand), kept so a later
+  // budget check needs no recomputation.
+  struct SlotBest {
+    Joule profit{0.0};
+    Joule extra{0.0};
+    std::size_t item = kInvalidId;
+  };
+
+  // Fresh best insertion of any untaken item between waypoints a and b,
+  // given the running budget. `max_untaken_demand` must bound every untaken
+  // demand from above (it only prunes).
+  [[nodiscard]] SlotBest best_insertion_in_slot(Vec2 a, Vec2 b, Joule spent,
+                                                Joule available,
+                                                const std::vector<bool>& taken,
+                                                Joule max_untaken_demand) const;
 
   const std::vector<RechargeItem>* items_;
   PlannerParams params_;

@@ -15,9 +15,9 @@ class CombinedPolicy final : public SchedulerPolicy {
     // Grid-pruned hot path (bit-identical to the reference scan).
     const PlanContext plan(ctx.items(), ctx.params(), ctx.arena());
     std::vector<bool> taken(ctx.items().size(), false);
-    std::vector<std::size_t> seq = plan.insertion_sequence(ctx.rv(), taken);
+    const std::vector<std::size_t> seq = plan.insertion_sequence(ctx.rv(), taken);
     if (seq.empty()) return fallback_single_node(ctx);
-    return DispatchDecision::plan(ctx.items(), std::move(seq));
+    return DispatchDecision::plan(ctx.items(), seq);
   }
 };
 

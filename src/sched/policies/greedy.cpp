@@ -19,7 +19,7 @@ class GreedyPolicy final : public SchedulerPolicy {
     std::vector<bool> taken(singles.size(), false);
     if (const auto next =
             greedy_next(ctx.rv(), singles, taken, ctx.params())) {
-      return DispatchDecision::plan(std::move(singles), {*next});
+      return DispatchDecision::plan(singles, {*next});
     }
     return DispatchDecision::self_charge();
   }

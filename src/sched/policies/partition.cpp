@@ -48,15 +48,11 @@ class PartitionPolicy final : public SchedulerPolicy {
       std::vector<bool> staken(singles.size(), false);
       if (const auto next =
               greedy_next(ctx.rv(), singles, staken, ctx.params())) {
-        return DispatchDecision::plan(std::move(singles), {*next});
+        return DispatchDecision::plan(singles, {*next});
       }
       return DispatchDecision::self_charge();
     }
-    // Map back to the global item indexing.
-    std::vector<std::size_t> seq;
-    seq.reserve(group_seq.size());
-    for (std::size_t gi : group_seq) seq.push_back((*best_group)[gi]);
-    return DispatchDecision::plan(items, std::move(seq));
+    return DispatchDecision::plan(group_items, group_seq);
   }
 
  private:

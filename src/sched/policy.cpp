@@ -23,6 +23,20 @@ std::vector<RechargeItem> DispatchContext::singles(
   return out;
 }
 
+DispatchDecision DispatchDecision::plan(const std::vector<RechargeItem>& over,
+                                        const std::vector<std::size_t>& seq) {
+  DispatchDecision d;
+  d.kind = Kind::kPlan;
+  d.items.reserve(seq.size());
+  d.sequence.reserve(seq.size());
+  for (const std::size_t i : seq) {
+    WRSN_ASSERT(i < over.size(), "plan sequence index out of range");
+    d.sequence.push_back(d.items.size());
+    d.items.push_back(over[i]);
+  }
+  return d;
+}
+
 DispatchDecision fallback_single_node(const DispatchContext& ctx) {
   // Aggregated batches may exceed what this RV can afford in one tour;
   // fall back to the single most profitable raw request.
@@ -30,7 +44,7 @@ DispatchDecision fallback_single_node(const DispatchContext& ctx) {
       ctx.singles(ctx.items(), DispatchContext::SinglesCritical::kInherit);
   std::vector<bool> taken(singles.size(), false);
   if (const auto next = greedy_next(ctx.rv(), singles, taken, ctx.params())) {
-    return DispatchDecision::plan(std::move(singles), {*next});
+    return DispatchDecision::plan(singles, {*next});
   }
   // Nothing affordable: top up at base, or come home.
   return DispatchDecision::self_charge();

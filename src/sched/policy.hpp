@@ -123,19 +123,17 @@ struct DispatchDecision {
   };
 
   Kind kind = Kind::kHold;
-  // kPlan only: the item list `sequence` indexes into. Policies that plan
-  // over a derived list (e.g. per-sensor singles) return that list here.
+  // kPlan only: the planned stops, in visiting order, and `sequence` over
+  // them (always 0, 1, ..., items.size() - 1).
   std::vector<RechargeItem> items;
   std::vector<std::size_t> sequence;
 
-  [[nodiscard]] static DispatchDecision plan(std::vector<RechargeItem> over,
-                                             std::vector<std::size_t> seq) {
-    DispatchDecision d;
-    d.kind = Kind::kPlan;
-    d.items = std::move(over);
-    d.sequence = std::move(seq);
-    return d;
-  }
+  // A plan visiting over[seq[0]], over[seq[1]], ...: copies only those
+  // items, so a plan over a round's whole item list (tens of thousands at
+  // scale) costs what it visits. `over` may be the round's items or a
+  // derived list (e.g. per-sensor singles).
+  [[nodiscard]] static DispatchDecision plan(const std::vector<RechargeItem>& over,
+                                             const std::vector<std::size_t>& seq);
   [[nodiscard]] static DispatchDecision return_to_base() {
     DispatchDecision d;
     d.kind = Kind::kReturnToBase;

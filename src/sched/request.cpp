@@ -16,23 +16,35 @@ void RechargeNodeList::add(RechargeRequest request) {
   WRSN_REQUIRE(request.demand.value() >= 0.0, "demand must be non-negative");
   WRSN_REQUIRE(!contains(request.sensor), "sensor already has a pending request");
   if (request.sensor >= slot_.size()) slot_.resize(request.sensor + 1, 0);
-  slot_[request.sensor] = requests_.size() + 1;
-  requests_.push_back(std::move(request));
+  slot_[request.sensor] = entries_.size() + 1;
+  entries_.push_back(std::move(request));
+  ++live_;
 }
 
 bool RechargeNodeList::remove(SensorId sensor) {
   const std::size_t slot = slot_of(sensor);
   if (slot == 0) return false;
-  requests_.erase(requests_.begin() + static_cast<std::ptrdiff_t>(slot - 1));
+  entries_[slot - 1].sensor = kInvalidId;
   slot_[sensor] = 0;
-  for (std::size_t i = slot - 1; i < requests_.size(); ++i) {
-    slot_[requests_[i].sensor] = i + 1;
-  }
+  --live_;
+  if (tombstones() > live_) compact();
   return true;
 }
 
+void RechargeNodeList::compact() {
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].sensor == kInvalidId) continue;
+    if (out != i) entries_[out] = std::move(entries_[i]);
+    slot_[entries_[out].sensor] = out + 1;
+    ++out;
+  }
+  entries_.resize(out);
+}
+
 void RechargeNodeList::clear() {
-  requests_.clear();
+  entries_.clear();
+  live_ = 0;
   std::fill(slot_.begin(), slot_.end(), 0);
 }
 
@@ -40,23 +52,32 @@ bool RechargeNodeList::contains(SensorId sensor) const {
   return slot_of(sensor) != 0;
 }
 
+std::vector<RechargeRequest> RechargeNodeList::requests() const {
+  std::vector<RechargeRequest> out;
+  out.reserve(live_);
+  for_each([&](const RechargeRequest& r) { out.push_back(r); });
+  return out;
+}
+
 bool RechargeNodeList::consistent() const {
   std::size_t indexed = 0;
   for (SensorId s = 0; s < slot_.size(); ++s) {
     const std::size_t slot = slot_[s];
     if (slot == 0) continue;
-    if (slot > requests_.size()) return false;
-    if (requests_[slot - 1].sensor != s) return false;
+    if (slot > entries_.size()) return false;
+    if (entries_[slot - 1].sensor != s) return false;
     ++indexed;
   }
-  return indexed == requests_.size();
+  std::size_t live = 0;
+  for_each([&](const RechargeRequest&) { ++live; });
+  return indexed == live_ && live == live_ && tombstones() <= live_;
 }
 
 void RechargeNodeList::update(SensorId sensor, Joule demand, bool critical,
                               double fraction) {
   const std::size_t slot = slot_of(sensor);
   WRSN_REQUIRE(slot != 0, "no pending request for sensor");
-  RechargeRequest& r = requests_[slot - 1];
+  RechargeRequest& r = entries_[slot - 1];
   r.demand = demand;
   r.critical = critical;
   r.fraction = fraction;

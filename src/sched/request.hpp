@@ -29,6 +29,15 @@ struct RechargeRequest {
   double fraction = 0.0;
 };
 
+// The pending requests in arrival order, which is the planner contract:
+// every walk (collect_unclaimed, the snapshot writer, requests()) sees the
+// live requests oldest first. A remove only turns its entry into a
+// tombstone (sensor == kInvalidId) and clears the sensor's slot, so it is
+// O(1); once the tombstones outnumber the live entries the vector is
+// compacted in one stable pass, which keeps the arrival order and makes a
+// remove amortised O(1) even when ~50 000 requests wait at large n. A
+// tombstone is invisible through the interface: size(), empty(),
+// contains() and every walk count only live requests.
 class RechargeNodeList {
  public:
   void add(RechargeRequest request);
@@ -36,25 +45,39 @@ class RechargeNodeList {
   bool remove(SensorId sensor);
   void clear();
 
-  [[nodiscard]] bool empty() const { return requests_.empty(); }
-  [[nodiscard]] std::size_t size() const { return requests_.size(); }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const { return live_; }
   [[nodiscard]] bool contains(SensorId sensor) const;
-  [[nodiscard]] const std::vector<RechargeRequest>& requests() const { return requests_; }
+  // Removed entries still awaiting compaction; never more than size().
+  [[nodiscard]] std::size_t tombstones() const { return entries_.size() - live_; }
+  // Copy of the live requests, oldest first. Hot paths use for_each.
+  [[nodiscard]] std::vector<RechargeRequest> requests() const;
+  // Calls fn(const RechargeRequest&) on every live request, oldest first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const RechargeRequest& r : entries_) {
+      if (r.sensor != kInvalidId) fn(r);
+    }
+  }
 
   // Refreshes demand/critical/fraction of an existing request (levels keep
   // dropping while the request waits).
   void update(SensorId sensor, Joule demand, bool critical, double fraction);
 
-  // Structural invariant: every slot_ entry points at the request it indexes
-  // and every request has a slot. O(N); meant for WRSN_DEBUG_ASSERT after
+  // Structural invariant: every slot_ entry points at the live request it
+  // indexes, every live request has a slot, and tombstones never outnumber
+  // live requests. O(N); meant for WRSN_DEBUG_ASSERT after
   // remove/failover re-injection, not for hot paths.
   [[nodiscard]] bool consistent() const;
 
  private:
   [[nodiscard]] std::size_t slot_of(SensorId sensor) const;
+  void compact();
 
-  std::vector<RechargeRequest> requests_;  // arrival order (planner contract)
-  // slot_[s] = position of s's request in requests_ plus one, 0 when absent.
+  // Arrival order, tombstones included (see the class comment).
+  std::vector<RechargeRequest> entries_;
+  std::size_t live_ = 0;
+  // slot_[s] = position of s's request in entries_ plus one, 0 when absent.
   // The list can hold thousands of waiting requests at large n, so the
   // per-dispatch contains/update lookups must not be linear scans.
   std::vector<std::size_t> slot_;

@@ -404,9 +404,8 @@ struct SnapshotAccess {
         w.requests_.add(req);  // arrival order rebuilds the slot index
       }
     } else {
-      const auto& reqs = w.requests_.requests();
-      ar.u64(reqs.size());
-      for (const RechargeRequest& req : reqs) {
+      ar.u64(w.requests_.size());
+      w.requests_.for_each([&](const RechargeRequest& req) {
         io_index(ar, req.sensor, request_sensor);
         io_index(ar, req.cluster, request_cluster);
         ar.f64(req.pos.x);
@@ -414,7 +413,7 @@ struct SnapshotAccess {
         ar.f64(req.demand.value());
         ar.boolean(req.critical);
         ar.f64(req.fraction);
-      }
+      });
     }
     ar.vec(w.request_time_);
     sized(w.request_time_, num_sensors, "request times");

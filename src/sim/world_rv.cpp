@@ -19,18 +19,15 @@ void World::collect_unclaimed(std::vector<RechargeItem>& items,
   // values (the base station learns levels from status reports).
   unclaimed_scratch_.clear();
   arrival.clear();
-  for (const RechargeRequest& r : requests_.requests()) {
-    if (claimed_.contains(r.sensor)) continue;
+  requests_.for_each([&](const RechargeRequest& r) {
+    if (claimed_.contains(r.sensor)) return;
     settle_sensor(r.sensor);  // decision point: planners see current levels
     requests_.update(r.sensor, net_.sensor(r.sensor).battery.demand(),
                      sensor_critical(r.sensor),
                      net_.sensor(r.sensor).battery.fraction());
-    unclaimed_scratch_.push_back(r);
-    unclaimed_scratch_.back().demand = net_.sensor(r.sensor).battery.demand();
-    unclaimed_scratch_.back().critical = sensor_critical(r.sensor);
-    unclaimed_scratch_.back().fraction = net_.sensor(r.sensor).battery.fraction();
+    unclaimed_scratch_.push_back(r);  // `r` is the entry update() refreshed
     arrival.push_back(r.sensor);
-  }
+  });
   items = aggregate_requests(unclaimed_scratch_);
 }
 

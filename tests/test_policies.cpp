@@ -229,8 +229,9 @@ TEST(EdfPolicy, PicksLowestBatteryFraction) {
 }
 
 TEST(GreedyPolicy, PlansOverExpandedSingles) {
-  // A two-sensor batch: greedy ignores the aggregation and returns a plan
-  // over per-sensor singles (one destination per step, Algorithm 2).
+  // A two-sensor batch: greedy ignores the aggregation and plans over
+  // per-sensor singles (one destination per step, Algorithm 2); the
+  // decision carries only the one single it visits.
   Round round;
   round.items.push_back(item_at({110.0, 100.0}, 900.0, {1, 2}));
   round.sensors[1] = SensorView{{109.0, 100.0}, Joule{400.0}, false};
@@ -239,7 +240,7 @@ TEST(GreedyPolicy, PlansOverExpandedSingles) {
   const DispatchDecision d = make("greedy")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
   ASSERT_EQ(d.sequence.size(), 1u);
-  EXPECT_EQ(d.items.size(), 2u);  // singles, not the original batch
+  EXPECT_EQ(d.items.size(), 1u);  // only the visited stop
   EXPECT_EQ(d.items[d.sequence[0]].sensors.size(), 1u);
 }
 

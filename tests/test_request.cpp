@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "sched/request.hpp"
 
 namespace wrsn {
@@ -45,6 +50,87 @@ TEST(RechargeNodeList, UpdateRefreshesFields) {
   EXPECT_DOUBLE_EQ(list.requests()[0].fraction, 0.42);
   EXPECT_TRUE(list.requests()[0].critical);
   EXPECT_THROW(list.update(9, Joule{1.0}, false, 0.5), InvalidArgument);
+}
+
+TEST(RechargeNodeList, RandomOperationsMatchAVectorOracle) {
+  // Random add/remove/update sequences against a plain vector kept in
+  // arrival order: removals leave tombstones and compaction runs many times,
+  // yet every observable stays equal to the oracle's after each operation.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Xoshiro256 rng(seed);
+    RechargeNodeList list;
+    std::vector<RechargeRequest> oracle;
+    const SensorId universe = 8 + static_cast<SensorId>(rng.uniform_int(64));
+    std::size_t compactions = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const SensorId s = static_cast<SensorId>(rng.uniform_int(universe));
+      const auto it = std::find_if(oracle.begin(), oracle.end(),
+                                   [&](const RechargeRequest& r) { return r.sensor == s; });
+      // Alternating fill and drain phases grow the list and then thin it
+      // out, so compaction runs at many sizes.
+      const double add_share = (op / 150) % 2 == 0 ? 0.6 : 0.2;
+      const double roll = rng.uniform();
+      if (roll < add_share) {
+        if (it != oracle.end()) continue;
+        const RechargeRequest r =
+            make_request(s, static_cast<ClusterId>(s % 7), {rng.uniform(), rng.uniform()},
+                         rng.uniform(0.0, 100.0), rng.uniform() < 0.3);
+        list.add(r);
+        oracle.push_back(r);
+      } else if (roll < add_share + 0.4) {
+        const std::size_t before = list.tombstones();
+        EXPECT_EQ(list.remove(s), it != oracle.end());
+        if (it != oracle.end()) {
+          oracle.erase(it);
+          if (list.tombstones() < before) ++compactions;
+        }
+      } else if (it != oracle.end()) {
+        const double d = rng.uniform(0.0, 100.0);
+        const double f = rng.uniform();
+        list.update(s, Joule{d}, d > 50.0, f);
+        it->demand = Joule{d};
+        it->critical = d > 50.0;
+        it->fraction = f;
+      }
+      ASSERT_TRUE(list.consistent()) << "seed " << seed << " op " << op;
+      ASSERT_LE(list.tombstones(), list.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(list.size(), oracle.size());
+      ASSERT_EQ(list.empty(), oracle.empty());
+      for (SensorId q = 0; q < universe; ++q) {
+        const bool want = std::any_of(oracle.begin(), oracle.end(),
+                                      [&](const RechargeRequest& r) { return r.sensor == q; });
+        ASSERT_EQ(list.contains(q), want) << "sensor " << q;
+      }
+      const std::vector<RechargeRequest> got = list.requests();
+      ASSERT_EQ(got.size(), oracle.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].sensor, oracle[i].sensor) << "arrival order, index " << i;
+        ASSERT_EQ(got[i].cluster, oracle[i].cluster);
+        ASSERT_EQ(got[i].pos, oracle[i].pos);
+        ASSERT_EQ(got[i].demand.value(), oracle[i].demand.value());
+        ASSERT_EQ(got[i].critical, oracle[i].critical);
+        ASSERT_EQ(got[i].fraction, oracle[i].fraction);
+      }
+    }
+    EXPECT_GT(compactions, 5u) << "seed " << seed;
+  }
+}
+
+TEST(RechargeNodeList, RemoveLeavesATombstoneUntilTheDeadOutnumberTheLive) {
+  RechargeNodeList list;
+  for (SensorId s = 0; s < 4; ++s) list.add(make_request(s, 0, {0, 0}, 1.0));
+  EXPECT_TRUE(list.remove(1));
+  EXPECT_EQ(list.tombstones(), 1u);
+  EXPECT_TRUE(list.remove(2));
+  EXPECT_EQ(list.tombstones(), 2u);  // 2 dead, 2 live: not yet
+  EXPECT_TRUE(list.remove(0));       // 3 dead, 1 live: compact
+  EXPECT_EQ(list.tombstones(), 0u);
+  EXPECT_EQ(list.size(), 1u);
+  list.add(make_request(1, 0, {0, 0}, 1.0));
+  ASSERT_EQ(list.requests().size(), 2u);
+  EXPECT_EQ(list.requests()[0].sensor, 3u);
+  EXPECT_EQ(list.requests()[1].sensor, 1u);
+  EXPECT_TRUE(list.consistent());
 }
 
 TEST(Aggregate, ClusterRequestsFoldIntoOneItem) {

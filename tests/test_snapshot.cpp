@@ -610,6 +610,37 @@ void expect_rejected(const WorldSnapshot& snap, const std::string& expect) {
   }
 }
 
+// A served request leaves a tombstone in the recharge list until enough of
+// them pile up for a compaction. A checkpoint taken while some are present
+// writes only the live requests, so the restored (compacted) list writes the
+// same bytes, and both worlds stay byte-identical as they run on.
+TEST(SnapshotFile, RecheckpointWithTombstonesIsByteIdentical) {
+  SimConfig cfg;
+  cfg.num_sensors = 120;
+  cfg.num_targets = 5;
+  cfg.num_rvs = 2;
+  cfg.field_side = meters(100.0);
+  cfg.sim_duration = days(4.0);
+  cfg.radio.listen_duty_cycle = 0.25;  // brisk demand
+  cfg.scheduler = "combined";
+  cfg.seed = 808;
+  PlantableWorld w(cfg);
+  double day = 0.0;
+  while (w.requests_.tombstones() == 0 && day < 3.0) {
+    day += 0.05;
+    w.run_until(days(day));
+  }
+  ASSERT_GT(w.requests_.tombstones(), 0u) << "no tombstones by day " << day;
+  ASSERT_GT(w.requests_.size(), 0u);
+
+  const WorldSnapshot snap = w.checkpoint();
+  World restored(deserialize_snapshot(serialize_snapshot(snap)));
+  EXPECT_EQ(restored.checkpoint().state, snap.state);
+  w.run_until(days(day + 0.5));
+  restored.run_until(days(day + 0.5));
+  EXPECT_EQ(restored.checkpoint().state, w.checkpoint().state);
+}
+
 TEST(SnapshotHostile, UnpatchedSnapshotRestores) {
   const auto [snap, at] = with_event_section();
   EXPECT_GT(get_u64(snap.state, at), 0u);  // the run has pending events

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -65,6 +67,24 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                                    if (i == 3) throw std::runtime_error("bad index");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForFinishesEveryTaskBeforeRethrowing) {
+  // Task 0 throws at once while the slow tasks behind it are still queued;
+  // they hold a reference to the caller's function, so parallel_for may only
+  // rethrow once every one of them has finished.
+  ThreadPool pool(2);
+  constexpr std::size_t kTasks = 12;
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(pool.parallel_for(kTasks,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("first");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kTasks - 1);
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
