@@ -8,6 +8,20 @@
 
 namespace wrsn {
 
+namespace {
+
+// Debug oracle of update_routing: the repaired forest equals a fresh full
+// build bit for bit, and its child links match its parents.
+[[maybe_unused]] bool matches_full_build(const RoutingPolicy& router,
+                                         const RoutingBuildInput& in,
+                                         const RouteTable& table) {
+  RouteTable fresh;
+  router.build(in, fresh);
+  return fresh.same_forest(table) && table.links_consistent();
+}
+
+}  // namespace
+
 Network::Network(const SimConfig& config, Xoshiro256& deploy_rng,
                  Xoshiro256& target_rng)
     : config_(config),
@@ -72,8 +86,6 @@ void Network::build_routes(const std::vector<bool>& alive_mask) {
 }
 
 bool Network::rebuild_routing() {
-  // An unchanged mask must still report false: a rebuild makes the caller
-  // reroute every flow.
   bool changed = !routing_.built() || last_alive_mask_.size() != sensors_.size();
   for (std::size_t i = 0; !changed && i < sensors_.size(); ++i) {
     changed = last_alive_mask_[i] != sensors_[i].alive();
@@ -83,9 +95,24 @@ bool Network::rebuild_routing() {
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     last_alive_mask_[i] = sensors_[i].alive();
   }
-  std::swap(previous_routing_, routing_);
   build_routes(last_alive_mask_);
   return true;
+}
+
+bool Network::update_routing(std::span<const SensorId> flipped) {
+  WRSN_REQUIRE(routing_.built(), "update_routing needs a built forest");
+  for (const SensorId s : flipped) {
+    WRSN_REQUIRE(s < sensors_.size(), "flipped sensor id out of range");
+    WRSN_REQUIRE(last_alive_mask_[s] != sensors_[s].alive(),
+                 "flipped sensor's alive flag matches the routing mask");
+    last_alive_mask_[s] = sensors_[s].alive();
+  }
+  const RoutingBuildInput in{&graph_, &node_positions_, &last_alive_mask_};
+  const bool repaired = router_->repair(in, flipped, routing_);
+  if (!repaired) router_->build(in, routing_);
+  WRSN_DEBUG_ASSERT(!repaired || matches_full_build(*router_, in, routing_),
+                    "repaired routing forest differs from a full build");
+  return repaired;
 }
 
 void Network::restore_routing(const std::vector<bool>& alive_mask) {

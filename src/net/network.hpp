@@ -5,6 +5,7 @@
 // RoutingPolicy named in SimConfig::routing.
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,14 +69,16 @@ class Network {
   [[nodiscard]] const CommGraph& graph() const { return graph_; }
   [[nodiscard]] const RouteTable& routing() const { return routing_; }
 
-  // Rebuilds the routing forest over currently-alive sensors. Call after any
-  // death or recharge-revival. Returns true when the alive mask actually
-  // changed since the previous build (callers use this to skip reroutes);
-  // the replaced forest then stays readable as previous_routing() until the
-  // next rebuild, so the flows laid on it can be retracted
-  // (TrafficModel::reroute).
+  // Rebuilds the routing forest over currently-alive sensors with a full
+  // build. Returns true when the alive mask actually changed since the
+  // previous build (or none was built yet); an unchanged mask keeps the
+  // forest. Compares every sensor: the World uses update_routing().
   bool rebuild_routing();
-  [[nodiscard]] const RouteTable& previous_routing() const { return previous_routing_; }
+  // Brings the forest up to date after alive flips. `flipped` lists the
+  // sensors whose alive flag differs from last_alive_mask(), each once; the
+  // policy repairs the forest in place when it can (shortest_path) and is
+  // rebuilt otherwise. Returns true for a repair. O(flips) plus the repair.
+  bool update_routing(std::span<const SensorId> flipped);
 
   // Checkpoint support: the mask the current routing forest was built from.
   // Can lag the actual alive flags (a death crossing may be pending), so a
@@ -99,7 +102,6 @@ class Network {
   std::vector<Vec2> node_positions_;  // sensors then BS, graph node order
   std::unique_ptr<RoutingPolicy> router_;
   RouteTable routing_;
-  RouteTable previous_routing_;
   std::vector<bool> last_alive_mask_;
 
   void build_routes(const std::vector<bool>& alive_mask);

@@ -26,7 +26,7 @@ NetworkStats compute_stats(const Network& net) {
   stats.avg_degree = n > 0 ? static_cast<double>(degree_sum) / static_cast<double>(n)
                            : 0.0;
 
-  const RouteView& tree = net.routing();
+  const RouteTable& tree = net.routing();
   WRSN_REQUIRE(tree.built(),
                "compute_stats needs a routing forest: call rebuild_routing() first");
   double hops_sum = 0.0;

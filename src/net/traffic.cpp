@@ -1,6 +1,7 @@
 #include "net/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -33,19 +34,20 @@ HopLink hop_link(const LinkConfig& link, double comm_range, double len) {
   return {(1.0 - all_fail) / (1.0 - p), 1.0 - all_fail};
 }
 
-// Calls f(id) for each of the `count` set flags, in ascending id; stops at
-// the last one instead of walking every slot.
+// Calls f(id) for each of the `count` set bits, in ascending id, a word
+// at a time; stops at the last one instead of walking every word.
 template <typename F>
-void for_each_present(const std::vector<std::uint8_t>& present, std::size_t count,
+void for_each_present(const std::vector<std::uint64_t>& present, std::size_t count,
                       F&& f) {
-  for (SensorId s = 0; count > 0; ++s) {
-    if (present[s] == 0) continue;
-    --count;
-    f(s);
+  for (std::size_t w = 0; count > 0; ++w) {
+    for (std::uint64_t bits = present[w]; bits != 0; bits &= bits - 1) {
+      f(static_cast<SensorId>((w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+      --count;
+    }
   }
 }
 
-bool reaches_base(const RouteView& routes, SensorId source) {
+bool reaches_base(const RouteTable& routes, SensorId source) {
   return routes.built() && routes.reachable(source);
 }
 
@@ -60,7 +62,7 @@ void bump(std::uint32_t& flows, int sign) {
 }  // namespace
 
 template <typename F>
-void TrafficModel::for_each_hop(const RouteView& routes, SensorId source, F&& f) {
+void TrafficModel::for_each_hop(const RouteTable& routes, SensorId source, F&& f) {
   if (!reaches_base(routes, source)) return;
   for (std::size_t node = source; routes.next_hop(node) != kInvalidId;
        node = routes.next_hop(node)) {
@@ -82,7 +84,7 @@ void TrafficModel::reset(std::size_t num_sensors, double rate_pps) {
   weighted_hops_ = 0.0;
   delivering_rate_ = 0.0;
   delivering_sources_ = 0;
-  present_.assign(num_sensors, 0);
+  present_.assign((num_sensors + 63) / 64, 0);
   num_sources_ = 0;
 }
 
@@ -101,7 +103,7 @@ inline void TrafficModel::count(std::size_t node, int sign, bool relay) {
   touch(static_cast<SensorId>(node));
 }
 
-std::size_t TrafficModel::count_path(const RouteView& routes, SensorId source,
+std::size_t TrafficModel::count_path(const RouteTable& routes, SensorId source,
                                      int sign) {
   if (!reaches_base(routes, source)) {
     count(source, sign, false);
@@ -143,7 +145,7 @@ void TrafficModel::account_lossless(std::size_t hops, bool reachable, int sign) 
   account(r, hops, 1.0, sign);
 }
 
-void TrafficModel::apply(const RouteView& routes, SensorId source, int sign) {
+void TrafficModel::apply(const RouteTable& routes, SensorId source, int sign) {
   const bool reachable = reaches_base(routes, source);
   touch(source);
   if (!lossy()) {
@@ -178,28 +180,28 @@ void TrafficModel::apply(const RouteView& routes, SensorId source, int sign) {
   account(incoming, hops, path_success, sign);
 }
 
-void TrafficModel::add_source(const RouteView& routes, SensorId source) {
-  WRSN_REQUIRE(source < present_.size(), "source id out of range");
-  WRSN_REQUIRE(present_[source] == 0, "source already registered");
-  present_[source] = 1;
+void TrafficModel::add_source(const RouteTable& routes, SensorId source) {
+  WRSN_REQUIRE(source < num_sensors(), "source id out of range");
+  WRSN_REQUIRE(!has_source(source), "source already registered");
+  set_present(source, true);
   ++num_sources_;
   apply(routes, source, +1);
 }
 
-void TrafficModel::remove_source(const RouteView& routes, SensorId source) {
+void TrafficModel::remove_source(const RouteTable& routes, SensorId source) {
   WRSN_REQUIRE(has_source(source), "source not registered");
   apply(routes, source, -1);
-  present_[source] = 0;
+  set_present(source, false);
   if (--num_sources_ == 0) offered_rate_ = 0.0;  // exact quiescence
 }
 
-std::size_t TrafficModel::swap_source(const RouteView& routes, SensorId old_source,
+std::size_t TrafficModel::swap_source(const RouteTable& routes, SensorId old_source,
                                       SensorId new_source) {
   WRSN_REQUIRE(has_source(old_source), "source not registered");
-  WRSN_REQUIRE(new_source < present_.size(), "source id out of range");
-  WRSN_REQUIRE(present_[new_source] == 0, "source already registered");
-  present_[old_source] = 0;
-  present_[new_source] = 1;
+  WRSN_REQUIRE(new_source < num_sensors(), "source id out of range");
+  WRSN_REQUIRE(!has_source(new_source), "source already registered");
+  set_present(old_source, false);
+  set_present(new_source, true);
   const bool old_up = reaches_base(routes, old_source);
   const bool new_up = reaches_base(routes, new_source);
   std::size_t walked = 0;
@@ -252,16 +254,18 @@ std::size_t TrafficModel::swap_source(const RouteView& routes, SensorId old_sour
   return walked;
 }
 
-void TrafficModel::reroute(const RouteView& from, const RouteView& to) {
-  // Retract every flow, then re-add each, both passes in ascending id: the
-  // same arithmetic as one remove_source() per source followed by one
-  // add_source() per source.
-  for_each_present(present_, num_sources_, [&](SensorId s) { apply(from, s, -1); });
+void TrafficModel::retract_all(const RouteTable& routes) {
+  // With readd_all(): the same arithmetic as one remove_source() per source
+  // followed by one add_source() per source.
+  for_each_present(present_, num_sources_, [&](SensorId s) { apply(routes, s, -1); });
   offered_rate_ = 0.0;
-  for_each_present(present_, num_sources_, [&](SensorId s) { apply(to, s, +1); });
 }
 
-void TrafficModel::serialize(BinWriter& w, const RouteView& routes) const {
+void TrafficModel::readd_all(const RouteTable& routes) {
+  for_each_present(present_, num_sources_, [&](SensorId s) { apply(routes, s, +1); });
+}
+
+void TrafficModel::serialize(BinWriter& w, const RouteTable& routes) const {
   // The rate arrays as u64-counted f64 vectors, lossless ones from counts.
   w.size(tx_rate_.size());
   for (SensorId k = 0; k < tx_rate_.size(); ++k) w.f64(tx_rate(k));
@@ -302,7 +306,7 @@ void TrafficModel::serialize(BinWriter& w, const RouteView& routes) const {
   });
 }
 
-void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
+void TrafficModel::deserialize(BinReader& r, const RouteTable& routes) {
   // The node count is fixed at construction; every restored id indexes the
   // per-node rate arrays, so each is checked against it.
   const std::size_t nodes = tx_rate_.size();
@@ -326,7 +330,7 @@ void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
   r.f64(delivering_rate_);
   r.size(delivering_sources_);
   const std::size_t n = r.count(8);
-  present_.assign(nodes, 0);
+  present_.assign((nodes + 63) / 64, 0);
   num_sources_ = 0;
   tx_flows_.assign(nodes, 0);
   rx_flows_.assign(nodes, 0);
@@ -346,7 +350,7 @@ void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
     r.vec(success);
     double path_success = 1.0;
     r.f64(path_success);
-    if (present_[s] != 0) reject("source " + std::to_string(source) + " recorded twice");
+    if (has_source(s)) reject("source " + std::to_string(source) + " recorded twice");
     if (rate_pps != rate_pps_) {
       reject("flow of source " + std::to_string(source) + " has rate " +
              std::to_string(rate_pps) + " pkt/s, not the configured " +
@@ -372,7 +376,7 @@ void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
       reject("flow of source " + std::to_string(source) +
              " disagrees with the routing forest");
     }
-    present_[s] = 1;
+    set_present(s, true);
     ++num_sources_;
     if (lossy()) continue;
     if (path.empty()) ++tx_flows_[s];
@@ -393,7 +397,7 @@ void TrafficModel::deserialize(BinReader& r, const RouteView& routes) {
   rx_rate_.assign(nodes, 0.0);
 }
 
-bool TrafficModel::counts_match(const RouteView& routes) const {
+bool TrafficModel::counts_match(const RouteTable& routes) const {
   if (lossy()) return true;
   std::vector<std::uint32_t> tx(tx_flows_.size(), 0);
   std::vector<std::uint32_t> rx(rx_flows_.size(), 0);

@@ -10,10 +10,10 @@
 // Contract: every source emits the model's one packet rate, fixed at
 // construction, and every flow follows the routing forest the caller
 // passes. The caller passes the forest the flows were laid on to every
-// call, and when the forest changes it hands both forests to reroute(),
-// which retracts each flow on the old one and re-adds it on the new one.
-// Nothing about a path is stored: a flow's route is re-read from the
-// forest whenever it is needed.
+// call, and when the forest changes it calls retract_all() on the forest
+// before the change and readd_all() on the forest after it. Nothing about
+// a path is stored: a flow's route is re-read from the forest whenever it
+// is needed.
 //
 // Lossless flows (link layer off, the default) keep an integer flow count
 // per node: tx counts the flows a node transmits (its own and relayed),
@@ -36,7 +36,8 @@
 // with exact snap-backs at quiescence in both modes, applied per flow in the
 // order a remove followed by an add would apply them.
 //
-// Ordering invariant: reroute() and serialize() visit the registered
+// Ordering invariant: retract_all(), readd_all() and serialize() visit the
+// registered
 // sources in ascending SensorId. Lossy rates and the aggregates accumulate
 // floating-point sums, so that order is part of the numerics a restored run
 // reproduces.
@@ -72,27 +73,32 @@ class TrafficModel {
   [[nodiscard]] std::size_t num_sources() const { return num_sources_; }
   [[nodiscard]] double rate_pps() const { return rate_pps_; }
   [[nodiscard]] bool has_source(SensorId s) const {
-    return s < present_.size() && present_[s] != 0;
+    return s < num_sensors() && ((present_[s >> 6] >> (s & 63)) & 1) != 0;
   }
 
   // Registers `source` along its route in `routes`. A source whose route is
   // unreachable still spends transmit energy on its own packets (it keeps
   // trying) but relays nothing. A source may be added only once.
-  void add_source(const RouteView& routes, SensorId source);
+  void add_source(const RouteTable& routes, SensorId source);
   // Retracts `source`'s flow; `routes` is the forest it was added on.
-  void remove_source(const RouteView& routes, SensorId source);
+  void remove_source(const RouteTable& routes, SensorId source);
   // Moves a flow from `old_source` (registered) to `new_source` (not
   // registered): the same rates and aggregates as remove_source(old) then
   // add_source(new). Lossless flows walk only the two branches below the
   // node where the routes meet; lossy ones walk both full paths. Returns the
   // number of nodes walked.
-  std::size_t swap_source(const RouteView& routes, SensorId old_source,
+  std::size_t swap_source(const RouteTable& routes, SensorId old_source,
                           SensorId new_source);
 
-  // Re-lays every flow after a forest change: retracts each on `from` (the
-  // forest the flows follow), then re-adds each on `to`, both passes in
-  // ascending id.
-  void reroute(const RouteView& from, const RouteView& to);
+  // Re-lays every flow across a forest change, in two passes in ascending
+  // id: retract_all() takes each flow off `routes`, the forest the flows
+  // follow, before the change; readd_all() lays each on `routes`, the
+  // changed forest. Between the two the sources stay registered but carry
+  // no flow. Every flow moves, not only those whose path changed: the
+  // delivery aggregates are floating-point running sums, so their bits
+  // depend on the whole sequence of retractions and additions.
+  void retract_all(const RouteTable& routes);
+  void readd_all(const RouteTable& routes);
 
   [[nodiscard]] double tx_rate(SensorId s) const {
     return lossy() ? tx_rate_[s] : rate_pps_ * static_cast<double>(tx_flows_[s]);
@@ -119,7 +125,7 @@ class TrafficModel {
   }
 
   // Optional observer: every sensor whose tx/rx rate is touched by an
-  // add/remove/swap/reroute is marked in `log` (DirtySet dedupes repeats at
+  // add/remove/swap/retract/re-add is marked in `log` (DirtySet dedupes repeats at
   // insert, so touching a busy relay on every route change stays O(1)). The
   // world uses this to mark drains dirty instead of rescanning all sensors.
   // Pass nullptr to detach; the log must outlive the model while attached.
@@ -138,15 +144,19 @@ class TrafficModel {
   // tx/rx rates that are not the flow counts the paths imply times the
   // rate. The rate and the link model are config, not state: construct
   // and set_link_model() as the checkpointed run did before deserialize().
-  void serialize(BinWriter& w, const RouteView& routes) const;
-  void deserialize(BinReader& r, const RouteView& routes);
+  void serialize(BinWriter& w, const RouteTable& routes) const;
+  void deserialize(BinReader& r, const RouteTable& routes);
 
   // Debug oracle: recounts every lossless flow from scratch along `routes`
   // and compares the per-node counts and rates; always true for lossy flows.
-  [[nodiscard]] bool counts_match(const RouteView& routes) const;
+  [[nodiscard]] bool counts_match(const RouteTable& routes) const;
 
  private:
   [[nodiscard]] bool lossy() const { return link_.enabled; }
+  void set_present(SensorId s, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+    present_[s >> 6] = on ? present_[s >> 6] | bit : present_[s >> 6] & ~bit;
+  }
   void touch(SensorId s) {
     if (touch_log_ != nullptr) touch_log_->add(s);
   }
@@ -154,7 +164,7 @@ class TrafficModel {
   // transmitted and, unless `node` is the flow's source, received.
   void count(std::size_t node, int sign, bool relay);
   // Adds sign x the flow of `source` along its full route in `routes`.
-  void apply(const RouteView& routes, SensorId source, int sign);
+  void apply(const RouteTable& routes, SensorId source, int sign);
   // The aggregate part of apply() for a lossless flow of `hops` hops.
   void account_lossless(std::size_t hops, bool reachable, int sign);
   // The delivering-flow sums, shared by both modes.
@@ -162,11 +172,11 @@ class TrafficModel {
                int sign);
   // Lossless counts along `source`'s full route (its own slot only when
   // unreachable); returns the nodes walked.
-  std::size_t count_path(const RouteView& routes, SensorId source, int sign);
+  std::size_t count_path(const RouteTable& routes, SensorId source, int sign);
   // Calls f(node) for every node of `source`'s route in `routes`, the
   // source first and the base station excluded; nothing when unreachable.
   template <typename F>
-  static void for_each_hop(const RouteView& routes, SensorId source, F&& f);
+  static void for_each_hop(const RouteTable& routes, SensorId source, F&& f);
 
   double rate_pps_ = 0.0;
   // Per-node rates of lossy flows (unused, all 0, when lossless).
@@ -185,7 +195,7 @@ class TrafficModel {
   double weighted_hops_ = 0.0;
   double delivering_rate_ = 0.0;
   std::size_t delivering_sources_ = 0;
-  std::vector<std::uint8_t> present_;  // one flag per sensor
+  std::vector<std::uint64_t> present_;  // one bit per sensor
   std::size_t num_sources_ = 0;
   DirtySet* touch_log_ = nullptr;
   LinkConfig link_;

@@ -754,9 +754,13 @@ void World::load_state(const WorldSnapshot& snap) {
   SnapshotAccess::io(*this, r);
   r.expect_end();
   // The restored alive flags may differ from the ones the routing mask was
-  // built from (a death crossing may be pending), so the next recluster
-  // must compare them.
-  routing_stale_ = true;
+  // built from (a death crossing may be pending): the next refresh_routing
+  // applies those flips.
+  const std::vector<bool>& mask = net_.last_alive_mask();
+  routing_flips_.clear();
+  for (SensorId s = 0; s < net_.num_sensors(); ++s) {
+    if (mask[s] != net_.sensor(s).alive()) routing_flips_.add(s);
+  }
   // The candidate cache is not state: the next teleport recluster refreshes
   // every list and re-admits every cluster, which reproduces the clusters
   // an uninterrupted run holds.

@@ -69,6 +69,7 @@ World::World(const SimConfig& config, StaticPart)
   active_monitor_.assign(config_.num_targets, kInvalidId);
   rotors_.resize(config_.num_targets);
   alive_flips_.reset(config_.num_sensors);
+  routing_flips_.reset(config_.num_sensors);
   refreshed_targets_.reset(config_.num_targets);
   readmit_marks_.reset(config_.num_targets);
   visited_sensors_.reset(config_.num_sensors);
@@ -158,6 +159,9 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
     drain_update_counter_ = nullptr;
     readmitted_counter_ = nullptr;
     branch_counter_ = nullptr;
+    route_repair_counter_ = nullptr;
+    route_build_counter_ = nullptr;
+    route_node_counter_ = nullptr;
     fault_lost_counter_ = nullptr;
     fault_retried_counter_ = nullptr;
     fault_expired_counter_ = nullptr;
@@ -176,6 +180,9 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
   drain_update_counter_ = &registry->counter("world/drain-updates");
   readmitted_counter_ = &registry->counter("activity/readmitted-targets");
   branch_counter_ = &registry->counter("traffic/branch-nodes");
+  route_repair_counter_ = &registry->counter("routing/repairs");
+  route_build_counter_ = &registry->counter("routing/full-builds");
+  route_node_counter_ = &registry->counter("routing/repaired-nodes");
   fault_lost_counter_ = &registry->counter("fault/requests-lost");
   fault_retried_counter_ = &registry->counter("fault/requests-retried");
   fault_expired_counter_ = &registry->counter("fault/requests-expired");
@@ -455,7 +462,7 @@ void World::schedule_crossing(SensorId s) {
 // ---------------------------------------------------------------------------
 
 void World::on_sensor_alive_changed(SensorId s, bool alive_now) {
-  routing_stale_ = true;
+  routing_flips_.add(s);
   alive_flips_.add(s);
   if (alive_now) {
     ++alive_count_;
@@ -512,12 +519,26 @@ void World::recompute_covered(TargetId t) {
 }
 
 void World::refresh_routing() {
-  // No alive flip since the last rebuild means the mask is unchanged, and
-  // Network::rebuild_routing would return false anyway.
-  if (!routing_stale_) return;
-  routing_stale_ = false;
-  if (!net_.rebuild_routing()) return;
-  traffic_.reroute(net_.previous_routing(), net_.routing());
+  // A sensor that flipped twice since the last refresh is back at its mask
+  // bit and changes nothing.
+  if (routing_flips_.empty()) return;
+  flipped_scratch_.clear();
+  const std::vector<bool>& mask = net_.last_alive_mask();
+  routing_flips_.flush([&](std::size_t s) {
+    if (mask[s] != net_.sensor(s).alive()) flipped_scratch_.push_back(s);
+  });
+  if (flipped_scratch_.empty()) return;
+  traffic_.retract_all(net_.routing());
+  const bool repaired = net_.update_routing(flipped_scratch_);
+  traffic_.readd_all(net_.routing());
+  if (repaired) {
+    if (route_repair_counter_ != nullptr) route_repair_counter_->add();
+    if (route_node_counter_ != nullptr) {
+      route_node_counter_->add(net_.routing().repaired_nodes());
+    }
+  } else if (route_build_counter_ != nullptr) {
+    route_build_counter_->add();
+  }
   WRSN_DEBUG_ASSERT(traffic_.counts_match(net_.routing()),
                     "traffic counts differ from a recount after a reroute");
 }

@@ -308,8 +308,9 @@ class World {
   void set_covered(TargetId t, bool v);
   void set_coverable(TargetId t, bool v);
   void recompute_covered(TargetId t);
-  // Network::rebuild_routing, skipped while no alive flip happened since
-  // the last call (routing_stale_); a changed forest re-lays every flow.
+  // Network::update_routing over the sensors whose alive flag differs from
+  // the forest's mask (routing_flips_ narrowed to those), every flow
+  // retracted before and re-laid after; nothing when none differs.
   void refresh_routing();
   // Debug check after a recluster: every drain current (drain_held excepted),
   // target mirrors and monitors on members only, monitors exactly the
@@ -483,9 +484,11 @@ class World {
   std::size_t covered_count_ = 0;                // coverable AND covered
   std::vector<bool> covered_;                    // per target
   std::vector<std::size_t> alive_members_;       // per target, alive members
-  // Set by every alive flip, cleared by refresh_routing; restored worlds
-  // start with it set.
-  bool routing_stale_ = true;
+  // Every sensor whose alive flag flipped since the last refresh_routing
+  // (a restore marks those that differ from the restored mask);
+  // flipped_scratch_ holds the ones still differing, ascending.
+  DirtySet routing_flips_;
+  std::vector<SensorId> flipped_scratch_;
 
   // Dispatch-round scratch: the arena backs PlanContext's per-RV tables,
   // the vectors are reused across rounds to avoid reallocating the item /
@@ -532,6 +535,9 @@ class World {
   obs::Counter* drain_update_counter_ = nullptr;  // drain changes applied
   obs::Counter* readmitted_counter_ = nullptr;    // clusters re-admitted
   obs::Counter* branch_counter_ = nullptr;        // nodes walked by swaps
+  obs::Counter* route_repair_counter_ = nullptr;  // forests repaired in place
+  obs::Counter* route_build_counter_ = nullptr;   // full forest rebuilds
+  obs::Counter* route_node_counter_ = nullptr;    // nodes repairs rewrote
   obs::Counter* fault_lost_counter_ = nullptr;
   obs::Counter* fault_retried_counter_ = nullptr;
   obs::Counter* fault_expired_counter_ = nullptr;

@@ -29,7 +29,7 @@ void MapTrafficModel::set_link_model(const LinkConfig& link, double comm_range) 
   link_comm_range_ = comm_range;
 }
 
-void MapTrafficModel::capture_link(const RouteView& routes,
+void MapTrafficModel::capture_link(const RouteTable& routes,
                                 SourceFlow& flow) const {
   if (!link_.enabled || flow.relay_path.empty()) return;
   const double retx = static_cast<double>(link_.max_retx);
@@ -123,7 +123,7 @@ void MapTrafficModel::apply(const SourceFlow& flow, SensorId source, double sign
   }
 }
 
-void MapTrafficModel::add_source(const RouteView& routes, SensorId source) {
+void MapTrafficModel::add_source(const RouteTable& routes, SensorId source) {
   WRSN_REQUIRE(source < tx_rate_.size(), "source id out of range");
   WRSN_REQUIRE(!routes_.contains(source), "source already registered");
 
@@ -145,7 +145,7 @@ void MapTrafficModel::remove_source(SensorId source) {
   if (routes_.empty()) offered_rate_ = 0.0;  // exact quiescence
 }
 
-void MapTrafficModel::reroute(const RouteView& routes) {
+void MapTrafficModel::reroute(const RouteTable& routes) {
   for (const auto& [source, flow] : routes_) apply(flow, source, -1.0);
   offered_rate_ = 0.0;
   for (auto& [source, flow] : routes_) {

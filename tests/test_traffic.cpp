@@ -95,13 +95,15 @@ TEST_F(TrafficTest, RerouteFollowsNewTree) {
   // Node 1 dies: the route breaks, reroute keeps the source registered but
   // with no deliverable path.
   const RouteTable broken = build({true, false, true});
-  traffic_.reroute(tree_, broken);
+  traffic_.retract_all(tree_);
+  traffic_.readd_all(broken);
   EXPECT_EQ(traffic_.num_sources(), 1u);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.25);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.0);
   // Node 1 revives: delivery resumes.
-  traffic_.reroute(broken, tree_);
+  traffic_.retract_all(broken);
+  traffic_.readd_all(tree_);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.25);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.25);
 }
@@ -245,7 +247,8 @@ TEST_F(LossyTrafficTest, RerouteRecapturesLinkQuality) {
   traffic_.reset(3, 1.0);
   traffic_.add_source(tree_, 0);
   const double before = traffic_.delivery_rate();
-  traffic_.reroute(tree_, tree_);  // same forest: the factors reproduce exactly
+  traffic_.retract_all(tree_);  // same forest: the factors reproduce exactly
+  traffic_.readd_all(tree_);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), before);
   EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
 }

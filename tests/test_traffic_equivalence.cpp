@@ -6,7 +6,8 @@
 // Both models are driven through the same randomized add / remove / swap /
 // reroute sequences over several route tables, unreachable sources
 // included, with the link layer off and on and one packet rate per model.
-// The forest changes only through reroute(), so the flows always follow it.
+// The forest changes only through a reroute (retract_all() on the old
+// forest, readd_all() on the new one), so the flows always follow it.
 // After every operation the two must agree bit for bit on every per-node
 // rate and aggregate and write byte-identical checkpoints. Adds, removes and
 // reroutes must have marked the same touched sensors in the same order; a
@@ -83,7 +84,7 @@ LinkConfig lossy_link(bool enabled) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-std::string checkpoint(const TrafficModel& m, const RouteView& routes) {
+std::string checkpoint(const TrafficModel& m, const RouteTable& routes) {
   BinWriter w;
   m.serialize(w, routes);
   return w.take();
@@ -125,7 +126,7 @@ void expect_swap_marks(const Pair& p, const std::vector<double>& tx_before,
   }
 }
 
-void expect_same(Pair& p, const RouteView& routes, const std::string& where,
+void expect_same(Pair& p, const RouteTable& routes, const std::string& where,
                  bool same_marks) {
   const std::size_t n = p.oracle.num_sensors();
   ASSERT_EQ(p.fast.num_sources(), p.oracle.num_sources()) << where;
@@ -212,7 +213,8 @@ TEST_P(TrafficEquivalence, RandomOperationSequencesAreBitIdentical) {
       what = "swap " + std::to_string(old) + " -> " + std::to_string(s);
     } else {
       const RouteTable* next = &field.tables[rng.uniform_int(field.tables.size())];
-      p.fast.reroute(*table, *next);
+      p.fast.retract_all(*table);
+      p.fast.readd_all(*next);
       p.oracle.reroute(*next);
       table = next;
       what = "reroute";
