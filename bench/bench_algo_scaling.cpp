@@ -7,7 +7,6 @@
 #include "activity/clustering.hpp"
 #include "core/rng.hpp"
 #include "net/deployment.hpp"
-#include "sched/kmeans.hpp"
 #include "sched/planner.hpp"
 #include "sched/tsp.hpp"
 #include "sim/world.hpp"

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/json.hpp"
@@ -176,6 +177,7 @@ int main(int argc, char** argv) {
   JsonWriter w;
   w.begin_object()
       .field("schema", "wrsn.bench_event_queue.v1")
+      .field("cores", static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .field("quick", quick)
       .field("ops", static_cast<std::uint64_t>(ops))
       .key("results")

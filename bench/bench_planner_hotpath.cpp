@@ -1,11 +1,10 @@
 // bench_planner_hotpath — old-vs-new timing for the grid-pruned planners.
 //
 // Measures ns/op for the reference linear scans against their pruned
-// replacements — PlanContext's greedy_next and insertion_sequence, the
-// Hamerly k-means — at n in {100, 500, 2000, 10000} (constant item density:
-// the field side grows with sqrt(n)), plus one dispatch round of the
-// partition policy (`partition_round`), and writes a machine-readable JSON
-// report:
+// replacements — PlanContext's greedy_next and insertion_sequence — at n in
+// {100, 500, 2000, 10000} (constant item density: the field side grows with
+// sqrt(n)), plus one dispatch round of the partition policy
+// (`partition_round`), and writes a machine-readable JSON report:
 //
 //   bench_planner_hotpath [--quick] [--out FILE]
 //
@@ -31,7 +30,6 @@
 
 #include "core/json.hpp"
 #include "core/rng.hpp"
-#include "sched/kmeans.hpp"
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
 #include "sched/policy.hpp"
@@ -178,34 +176,6 @@ void run_size(std::size_t n, std::vector<Row>& rows) {
           return sum;
         });
     add("insertion_sequence", ref, opt);
-  }
-
-  std::vector<Vec2> points;
-  points.reserve(n);
-  for (const RechargeItem& it : items) points.push_back(it.pos);
-
-  {
-    const std::size_t k = 16;
-    const auto [ref, opt] = time_kernel_pair(
-        [&] {
-          Xoshiro256 r(42);
-          const auto res = kmeans_reference(points, k, r);
-          double sum = res.wcss + static_cast<double>(res.iterations);
-          for (const std::size_t a : res.assignment) {
-            sum += static_cast<double>(a);
-          }
-          return sum;
-        },
-        [&] {
-          Xoshiro256 r(42);
-          const auto res = kmeans(points, k, r);
-          double sum = res.wcss + static_cast<double>(res.iterations);
-          for (const std::size_t a : res.assignment) {
-            sum += static_cast<double>(a);
-          }
-          return sum;
-        });
-    add("kmeans_k16", ref, opt);
   }
 }
 

@@ -119,6 +119,7 @@ def run(argv: list[str] | None = None) -> int:
         if qreport.get("schema") != "wrsn.bench_event_queue.v1":
             print(f"unexpected schema in {args.queue_out}", file=sys.stderr)
             return 2
+        print(f"\ncores: {qreport.get('cores', '?')}")
         print(f"\n{'dist':<10} {'size':>8} {'heap ns/op':>12} "
               f"{'calendar ns/op':>15} {'speedup':>9}")
         for r in qreport["results"]:

@@ -23,17 +23,10 @@ struct KMeansResult {
 
 // Runs Lloyd's algorithm on `points` with k clusters. If k >= points.size()
 // each point gets its own cluster. `max_iterations` bounds the Lloyd loop.
-// The production path prunes assignment scans with Elkan/Hamerly-style
-// triangle-inequality bounds but is bit-identical to kmeans_reference on every input
-// (same RNG consumption, same assignment, centroids, wcss and iteration
-// count); inputs below a small size cutoff run the reference directly.
+// Each iteration scans every point against every centroid: the recharge
+// lists clustered here average a few points, too few for pruning to pay.
 [[nodiscard]] KMeansResult kmeans(const std::vector<Vec2>& points, std::size_t k,
                                   Xoshiro256& rng, std::size_t max_iterations = 100);
-
-// Plain Lloyd reference (full O(n*k) scan per iteration); identical output.
-[[nodiscard]] KMeansResult kmeans_reference(const std::vector<Vec2>& points,
-                                            std::size_t k, Xoshiro256& rng,
-                                            std::size_t max_iterations = 100);
 
 // WCSS of an arbitrary assignment (used by tests to verify local optimality).
 [[nodiscard]] double wcss_of(const std::vector<Vec2>& points,

@@ -47,15 +47,11 @@ double cell_size_for(double extent, std::size_t n) {
 }  // namespace
 
 PlanContext::PlanContext(const std::vector<RechargeItem>& items,
-                         const PlannerParams& params, PlanArena* arena)
+                         const PlannerParams& params)
     : items_(&items),
       params_(params),
       grid_(field_extent(items, params.base),
-            cell_size_for(field_extent(items, params.base), items.size())),
-      base_dist_(ArenaAllocator<double>(arena)),
-      critical_(ArenaAllocator<std::size_t>(arena)),
-      cell_max_demand_(ArenaAllocator<double>(arena)),
-      cell_max_demand_noncrit_(ArenaAllocator<double>(arena)) {
+            cell_size_for(field_extent(items, params.base), items.size())) {
   const std::size_t n = items.size();
   std::vector<Vec2> positions;
   positions.reserve(n);

@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "geom/grid.hpp"
-#include "sched/arena.hpp"
 #include "sched/planner.hpp"
 #include "sched/request.hpp"
 
@@ -55,12 +54,8 @@ namespace wrsn {
 class PlanContext {
  public:
   // `items` and `params` must outlive the context; the item list must not
-  // change while the context is in use (the `taken` mask may). When `arena`
-  // is non-null the precomputed tables are bump-allocated from it (freed
-  // wholesale at the arena's next reset, which must not happen while the
-  // context is alive); a null arena falls back to the heap.
-  PlanContext(const std::vector<RechargeItem>& items, const PlannerParams& params,
-              PlanArena* arena = nullptr);
+  // change while the context is in use (the `taken` mask may).
+  PlanContext(const std::vector<RechargeItem>& items, const PlannerParams& params);
 
   [[nodiscard]] const std::vector<RechargeItem>& items() const { return *items_; }
   [[nodiscard]] const PlannerParams& params() const { return params_; }
@@ -99,10 +94,10 @@ class PlanContext {
   const std::vector<RechargeItem>* items_;
   PlannerParams params_;
   SpatialGrid grid_;
-  ArenaVector<double> base_dist_;        // item -> distance to base
-  ArenaVector<std::size_t> critical_;    // critical item indices, ascending
-  ArenaVector<double> cell_max_demand_;  // over all items in the cell
-  ArenaVector<double> cell_max_demand_noncrit_;
+  std::vector<double> base_dist_;        // item -> distance to base
+  std::vector<std::size_t> critical_;    // critical item indices, ascending
+  std::vector<double> cell_max_demand_;  // over all items in the cell
+  std::vector<double> cell_max_demand_noncrit_;
   double max_demand_noncrit_ = 0.0;      // global bound for ring stops
 };
 

@@ -13,7 +13,7 @@ class CombinedPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
     // Grid-pruned hot path (bit-identical to the reference scan).
-    const PlanContext plan(ctx.items(), ctx.params(), ctx.arena());
+    const PlanContext plan(ctx.items(), ctx.params());
     std::vector<bool> taken(ctx.items().size(), false);
     const std::vector<std::size_t> seq = plan.insertion_sequence(ctx.rv(), taken);
     if (seq.empty()) return fallback_single_node(ctx);

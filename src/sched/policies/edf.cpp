@@ -2,6 +2,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
@@ -11,6 +12,7 @@ namespace {
 class EdfPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
+    WRSN_OBS_SCOPE("planner/edf");
     std::vector<bool> taken(ctx.items().size(), false);
     if (const auto next =
             edf_next(ctx.rv(), ctx.items(), taken, ctx.params())) {

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
@@ -12,6 +13,7 @@ namespace {
 class FcfsPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
+    WRSN_OBS_SCOPE("planner/fcfs");
     // The oldest unclaimed request decides which batch goes next (the
     // arrival order preserves the recharge node list's FIFO contract). A
     // batch whose tour cost exceeds the RV's budget is skipped in favour of

@@ -2,6 +2,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "sched/planner.hpp"
 #include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
@@ -12,6 +13,7 @@ namespace {
 class NearestFirstPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
+    WRSN_OBS_SCOPE("planner/nearest-first");
     std::vector<bool> taken(ctx.items().size(), false);
     if (const auto next = nearest_next(ctx.rv(), ctx.items(), taken, ctx.params())) {
       return DispatchDecision::plan(ctx.items(), {*next});

@@ -38,7 +38,7 @@ class PartitionPolicy final : public SchedulerPolicy {
     group_items.reserve(best_group->size());
     for (std::size_t i : *best_group) group_items.push_back(items[i]);
     std::vector<bool> group_taken(group_items.size(), false);
-    const PlanContext group_ctx(group_items, ctx.params(), ctx.arena());
+    const PlanContext group_ctx(group_items, ctx.params());
     const auto group_seq = group_ctx.insertion_sequence(ctx.rv(), group_taken);
     if (group_seq.empty()) {
       // Unaffordable as aggregates: serve the best raw node within the

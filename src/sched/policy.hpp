@@ -27,7 +27,6 @@
 #include "core/units.hpp"
 #include "geom/vec2.hpp"
 #include "net/ids.hpp"
-#include "sched/arena.hpp"
 #include "sched/planner.hpp"
 #include "sched/request.hpp"
 
@@ -53,7 +52,7 @@ class DispatchContext {
                   std::size_t rv_id, const std::vector<Vec2>& fleet_positions,
                   std::size_t num_groups, Xoshiro256& sched_rng,
                   const std::vector<SensorId>& arrival_order,
-                  SensorViewFn sensor_view, PlanArena* arena = nullptr)
+                  SensorViewFn sensor_view)
       : items_(&items),
         rv_(&rv),
         params_(&params),
@@ -62,8 +61,7 @@ class DispatchContext {
         num_groups_(num_groups),
         rng_(&sched_rng),
         arrival_(&arrival_order),
-        view_(std::move(sensor_view)),
-        arena_(arena) {}
+        view_(std::move(sensor_view)) {}
 
   // Aggregated unclaimed recharge items (cluster batches / lone nodes).
   [[nodiscard]] const std::vector<RechargeItem>& items() const {
@@ -88,10 +86,6 @@ class DispatchContext {
     return *arrival_;
   }
   [[nodiscard]] SensorView sensor(SensorId s) const { return view_(s); }
-  // Scratch arena for this round's plan construction (PlanContext tables).
-  // Reset by the World between rounds; null when the caller provides none
-  // (tests), in which case consumers fall back to the heap.
-  [[nodiscard]] PlanArena* arena() const { return arena_; }
 
   // Expands cluster batches into per-sensor single-node items (fresh
   // position and demand). kFresh re-evaluates each sensor's critical flag;
@@ -110,7 +104,6 @@ class DispatchContext {
   Xoshiro256* rng_;
   const std::vector<SensorId>* arrival_;
   SensorViewFn view_;
-  PlanArena* arena_ = nullptr;
 };
 
 // What a policy asks the World to do with the RV this round.

@@ -41,7 +41,6 @@
 #include "obs/spans.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "sched/arena.hpp"
 #include "sched/planner.hpp"
 #include "sched/policy.hpp"
 #include "sched/request.hpp"
@@ -490,11 +489,9 @@ class World {
   DirtySet routing_flips_;
   std::vector<SensorId> flipped_scratch_;
 
-  // Dispatch-round scratch: the arena backs PlanContext's per-RV tables,
-  // the vectors are reused across rounds to avoid reallocating the item /
-  // fleet / arrival lists every dispatch. items_scratch_ and
+  // Dispatch-round scratch, reused across rounds to avoid reallocating the
+  // item / fleet / arrival lists every dispatch. items_scratch_ and
   // arrival_scratch_ hold the round's request snapshot (see dispatch()).
-  PlanArena plan_arena_;
   std::vector<RechargeRequest> unclaimed_scratch_;
   std::vector<RechargeItem> items_scratch_;
   std::vector<Vec2> fleet_scratch_;

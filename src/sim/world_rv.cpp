@@ -70,10 +70,7 @@ void World::dispatch() {
     }
 
     // Assemble the read-only facade the policy plans against. Fleet
-    // positions are per RV: return_to_base at the dock snaps rv.pos. All
-    // plan-round allocations come from reused scratch vectors plus the bump
-    // arena (reset per RV; any PlanContext the policy built is gone by then).
-    plan_arena_.reset();
+    // positions are per RV: return_to_base at the dock snaps rv.pos.
     const RvPlanState state{rv.pos, rv.battery.level() - rv_reserve()};
     fleet_scratch_.clear();
     fleet_scratch_.reserve(rvs_.size());
@@ -85,8 +82,7 @@ void World::dispatch() {
           return SensorView{net_.sensor(s).pos,
                             net_.sensor(s).battery.demand(),
                             sensor_critical(s)};
-        },
-        &plan_arena_);
+        });
 
     const DispatchDecision decision = policy_->decide(ctx);
     switch (decision.kind) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "core/error.hpp"
@@ -119,6 +121,72 @@ TEST(KMeans, NoEmptyClustersOnDistinctPoints) {
   const auto r = kmeans(pts, 5, rng);
   std::set<std::size_t> used(r.assignment.begin(), r.assignment.end());
   EXPECT_EQ(used.size(), 5u);
+}
+
+// FNV-1a over the assignment vector, one value at a time.
+std::uint64_t assignment_hash(const std::vector<std::size_t>& assignment) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::size_t a : assignment) {
+    h ^= static_cast<std::uint64_t>(a);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pinned Lloyd runs: the exact assignment, iteration count, wcss bits and
+// RNG consumption of kmeans() on fixed inputs, from the 40-point lists the
+// planner mostly sees up to the 691-point lists of the largest dispatch
+// rounds. Any change to the seeding draws, the assignment scan or the
+// update step moves at least one of these numbers. The square lattices (10 m
+// spacing) put points at equal distance from several centroids, so they
+// also pin the tie rules; the 2x2 lattice holds 16 copies of each point, so
+// k-means++ duplicates centroids and Lloyd re-seeds empty clusters until
+// the iteration cap (101 iterations: not converged).
+TEST(KMeans, GoldenLloydRuns) {
+  struct Golden {
+    std::size_t lattice_side;  // 0: uniform random points
+    std::size_t n;
+    std::size_t k;
+    std::uint64_t assignment_hash;
+    std::size_t iterations;
+    std::uint64_t wcss_bits;
+    std::uint64_t rng_after;
+  };
+  const Golden cases[] = {
+      {0, 40, 3, 0xc6220e0c9d11e61full, 3, 0x40f7626ccbb5afb1ull, 0x7335deba4e4a87e1ull},
+      {0, 64, 3, 0xc266eb11f73ef031ull, 8, 0x41030d20184a7bc4ull, 0x651c5f6a8ad91148ull},
+      {0, 200, 16, 0xf62887f3a26f7ec6ull, 8, 0x40f08ce3c7eddea0ull, 0xde823efaf5b493abull},
+      {0, 691, 3, 0xcd374ce82feceb0eull, 42, 0x413a3e9258bc7690ull, 0xeccd82c74af66eccull},
+      {0, 691, 16, 0x0395743305aea05bull, 22, 0x41114e1a16ccde95ull, 0xba19989be197d898ull},
+      {8, 64, 3, 0xde0dc40578338babull, 4, 0x40d9d3a532532531ull, 0x217e22e5bcddb813ull},
+      {10, 100, 16, 0x6e93f87af447ec8cull, 7, 0x40c3ce3cf3cf3cf4ull, 0x5f9184302fb7ba7eull},
+      {2, 64, 16, 0x58d6c1f3b19a314bull, 101, 0x0ull, 0xbc623a779ab5d1ceull},
+  };
+  for (const Golden& g : cases) {
+    Xoshiro256 rng(1000 + g.n + g.k);
+    std::vector<Vec2> pts;
+    if (g.lattice_side > 0) {
+      const std::size_t side = g.lattice_side;
+      for (std::size_t i = 0; i < g.n; ++i) {
+        pts.push_back({10.0 * static_cast<double>(i % side),
+                       10.0 * static_cast<double>((i / side) % side)});
+      }
+    } else {
+      pts = deploy_uniform(g.n, 200.0, rng);
+    }
+    const auto r = kmeans(pts, g.k, rng);
+    const std::uint64_t wcss_bits = std::bit_cast<std::uint64_t>(r.wcss);
+    const std::uint64_t rng_after = rng.next();
+    EXPECT_EQ(r.converged, r.iterations <= 100) << "n=" << g.n << " k=" << g.k;
+    EXPECT_EQ(assignment_hash(r.assignment), g.assignment_hash)
+        << "n=" << g.n << " k=" << g.k << std::hex << " hash=0x"
+        << assignment_hash(r.assignment);
+    EXPECT_EQ(r.iterations, g.iterations) << "n=" << g.n << " k=" << g.k;
+    EXPECT_EQ(wcss_bits, g.wcss_bits)
+        << "n=" << g.n << " k=" << g.k << std::hex << " wcss_bits=0x" << wcss_bits;
+    EXPECT_EQ(rng_after, g.rng_after)
+        << "n=" << g.n << " k=" << g.k << std::hex << " rng_after=0x" << rng_after;
+  }
 }
 
 TEST(KMeans, WcssOfValidation) {

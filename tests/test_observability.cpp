@@ -110,6 +110,25 @@ TEST(Observability, TelemetryRegistryDoesNotPerturb) {
   EXPECT_GT(registry.timer("planner/greedy").count(), 0u);
 }
 
+// The extension baselines time their own decide() under planner/<name>, and
+// that timer leaves the report byte-identical too.
+class BaselineSchedulerTelemetry : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BaselineSchedulerTelemetry, RecordsPlannerTimerWithoutPerturbing) {
+  SimConfig cfg = obs_config();
+  cfg.scheduler = GetParam();
+  World plain(cfg);
+  World instrumented(cfg);
+  obs::TelemetryRegistry registry;
+  instrumented.set_telemetry(&registry);
+  EXPECT_EQ(to_json(plain.run()), to_json(instrumented.run()));
+  const std::string scope = std::string("planner/") + GetParam();
+  EXPECT_GT(registry.timer(scope).count(), 0u) << scope;
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, BaselineSchedulerTelemetry,
+                         ::testing::Values("nearest-first", "fcfs", "edf"));
+
 // The recluster timer's sub-phases each time every global recluster once.
 // Teleport motion (obs_config's default) reclusters on every target move;
 // the constructor's recluster runs before the registry is attached.

@@ -1,8 +1,7 @@
-// Property tests: the grid-pruned planners (sched/plan_context.hpp) and the
-// Hamerly-pruned k-means (sched/kmeans.cpp) must be bit-identical to the
-// linear-scan reference implementations on every input — same picks, same
-// sequences, same clusterings. Instances are sized past the small-n
-// reference dispatch thresholds so the pruned code paths are what actually
+// Property tests: the grid-pruned planners (sched/plan_context.hpp) must be
+// bit-identical to the linear-scan reference implementations on every
+// input — same picks, same sequences. Instances are sized past the small-n
+// reference dispatch threshold so the pruned code paths are what actually
 // runs.
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "core/rng.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/kmeans.hpp"
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
 #include "sched/profit.hpp"
@@ -99,33 +97,6 @@ TEST(PlannerEquivalence, InsertionSequenceMatchesReference) {
     const auto opt = ctx.insertion_sequence(inst.rv, taken_opt);
     ASSERT_EQ(ref, opt) << "trial " << t;
     ASSERT_EQ(taken_ref, taken_opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, KMeansMatchesReference) {
-  Xoshiro256 rng(7007);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    const std::size_t k = 1 + rng.uniform_int(12);
-    // Identically seeded RNG copies: both paths must consume the stream the
-    // same way (k-means++ is shared; Lloyd draws nothing).
-    const std::uint64_t seed = rng.next();
-    Xoshiro256 r_ref(seed);
-    Xoshiro256 r_opt(seed);
-    const auto ref = kmeans_reference(points, k, r_ref);
-    const auto opt = kmeans(points, k, r_opt);
-    ASSERT_EQ(ref.assignment, opt.assignment) << "trial " << t;
-    ASSERT_EQ(ref.centroids.size(), opt.centroids.size()) << "trial " << t;
-    for (std::size_t c = 0; c < ref.centroids.size(); ++c) {
-      ASSERT_EQ(ref.centroids[c].x, opt.centroids[c].x) << "trial " << t;
-      ASSERT_EQ(ref.centroids[c].y, opt.centroids[c].y) << "trial " << t;
-    }
-    ASSERT_EQ(ref.wcss, opt.wcss) << "trial " << t;
-    ASSERT_EQ(ref.iterations, opt.iterations) << "trial " << t;
-    ASSERT_EQ(ref.converged, opt.converged) << "trial " << t;
   }
 }
 
