@@ -165,7 +165,8 @@ void balanced_clustering(const std::vector<std::vector<SensorId>>& candidates,
   }
 }
 
-RebalanceResult rebalance_dirty(ClusterSet& clusters, SensorPosFn sensor_pos,
+RebalanceResult rebalance_dirty(ClusterSet& clusters,
+                                const std::vector<Vec2>& sensor_pos,
                                 const std::vector<Vec2>& target_pos,
                                 double sensing_range,
                                 const std::vector<SensorId>& dirty) {
@@ -176,7 +177,7 @@ RebalanceResult rebalance_dirty(ClusterSet& clusters, SensorPosFn sensor_pos,
   // Fresh candidate sets for the dirty sensors only, by full target scan.
   std::vector<std::vector<TargetId>> cand(dirty.size());
   for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const Vec2 p = sensor_pos(dirty[i]);
+    const Vec2 p = sensor_pos[dirty[i]];
     for (TargetId t = 0; t < target_pos.size(); ++t) {
       if (squared_distance(p, target_pos[t]) <= r2) cand[i].push_back(t);
     }

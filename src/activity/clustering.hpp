@@ -104,36 +104,15 @@ struct RebalanceResult {
   std::vector<TargetId> affected;   // clusters whose member set changed (sorted)
 };
 
-// Non-owning position callback for rebalance_dirty: two raw pointers, no
-// allocation or type-erasure bookkeeping (a std::function here showed up in
-// event-loop profiles — rebalance runs on every target waypoint step). The
-// referenced callable must outlive the rebalance_dirty call, which is always
-// the case for a call-site lambda.
-class SensorPosFn {
- public:
-  template <typename F>
-  // NOLINTNEXTLINE(google-explicit-constructor): intentionally implicit
-  SensorPosFn(const F& f)
-      : obj_(&f), call_([](const void* o, SensorId s) -> Vec2 {
-          return (*static_cast<const F*>(o))(s);
-        }) {}
-
-  Vec2 operator()(SensorId s) const { return call_(obj_, s); }
-
- private:
-  const void* obj_;
-  Vec2 (*call_)(const void*, SensorId);
-};
-
 // Re-runs Algorithm 1's assignment rule for `dirty` only (sorted ascending,
 // no duplicates, eligible sensors): refreshes their candidate sets/loads
 // against the current target positions, detaches them, and re-admits them
 // fewest-choices-first into the smallest candidate cluster (ties by target
 // id). All other memberships are left untouched; cluster sizes seen during
-// re-admission include them. `sensor_pos` maps a sensor id to its position
-// so callers need not materialize an O(N) position vector per call.
+// re-admission include them. Candidates come from a scan of every target;
+// the simulator uses the candidate-set overload below instead.
 [[nodiscard]] RebalanceResult rebalance_dirty(ClusterSet& clusters,
-                                              SensorPosFn sensor_pos,
+                                              const std::vector<Vec2>& sensor_pos,
                                               const std::vector<Vec2>& target_pos,
                                               double sensing_range,
                                               const std::vector<SensorId>& dirty);

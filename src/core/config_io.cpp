@@ -1,9 +1,10 @@
 #include "core/config_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
-#include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "core/error.hpp"
 #include "net/routing.hpp"
@@ -13,50 +14,11 @@ namespace wrsn {
 
 namespace {
 
-struct KeyHandler {
-  std::string name;
-  std::function<std::string(const SimConfig&)> get;
-  std::function<void(SimConfig&, const std::string&)> set;
-};
-
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r\n");
   if (begin == std::string::npos) return "";
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  const std::string v = trim(value);
-  std::size_t consumed = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &consumed);
-  } catch (const std::exception&) {
-    throw InvalidArgument("config key '" + key + "': cannot parse number '" + v + "'");
-  }
-  WRSN_REQUIRE(consumed == v.size(),
-               "config key '" + key + "': trailing junk in '" + v + "'");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  const std::string v = trim(value);
-  const std::optional<std::uint64_t> out = parse_decimal_u64(v);
-  if (!out) {
-    throw InvalidArgument("config key '" + key +
-                          "' requires a non-negative integer below 2^64, got '" +
-                          v + "'");
-  }
-  return *out;
-}
-
-bool parse_bool(const std::string& key, const std::string& value) {
-  const std::string v = trim(value);
-  if (v == "true" || v == "1" || v == "on" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "off" || v == "no") return false;
-  throw InvalidArgument("config key '" + key + "': expected a boolean, got '" + v +
-                        "'");
 }
 
 // Shortest round-trip formatting: the printed text parses back to the same
@@ -69,319 +31,204 @@ std::string fmt(double v) {
   return std::string(buf, ptr);
 }
 
-// The trimmed name, once `registry` knows it.
-template <class Policy>
-std::string registered(const Registry<Policy>& registry, const std::string& value) {
-  std::string name = trim(value);
-  registry.require(name);
-  return name;
+[[noreturn]] void reject(const char* key, const char* expected, const std::string& got) {
+  throw InvalidArgument("config key '" + std::string(key) + "' requires " + expected +
+                        ", got '" + got + "'");
 }
 
-// A closed enum knob read through its name table; `field` selects the
-// member on a const or mutable config, `kind` names it in errors.
-template <class Enum, std::size_t N, class Field>
-KeyHandler enum_key(std::string key, const char* kind, const EnumName<Enum> (&table)[N],
-                    Field field) {
-  return {std::move(key),
-          [&table, field](const SimConfig& c) { return enum_name(table, field(c)); },
-          [&table, kind, field](SimConfig& c, const std::string& v) {
-            const std::string name = trim(v);
-            for (const EnumName<Enum>& e : table) {
-              if (name == e.name) {
-                field(c) = e.value;
-                return;
-              }
-            }
-            throw unknown_name(kind, name, enum_names(table));
-          }};
-}
+// --- key rows --------------------------------------------------------------
+// One row type per kind of key: get() prints the member, set() parses text
+// into it. `T` is the member's type, const on the read-only walks, which
+// never instantiate set().
 
-const std::vector<KeyHandler>& handlers() {
-  static const std::vector<KeyHandler> kHandlers = {
-      {"num_sensors",
-       [](const SimConfig& c) { return std::to_string(c.num_sensors); },
-       [](SimConfig& c, const std::string& v) {
-         c.num_sensors = parse_u64("num_sensors", v);
-       }},
-      {"num_targets",
-       [](const SimConfig& c) { return std::to_string(c.num_targets); },
-       [](SimConfig& c, const std::string& v) {
-         c.num_targets = parse_u64("num_targets", v);
-       }},
-      {"num_rvs", [](const SimConfig& c) { return std::to_string(c.num_rvs); },
-       [](SimConfig& c, const std::string& v) { c.num_rvs = parse_u64("num_rvs", v); }},
-      {"field_side_m",
-       [](const SimConfig& c) { return fmt(c.field_side.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.field_side = meters(parse_double("field_side_m", v));
-       }},
-      {"comm_range_m",
-       [](const SimConfig& c) { return fmt(c.comm_range.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.comm_range = meters(parse_double("comm_range_m", v));
-       }},
-      {"sensing_range_m",
-       [](const SimConfig& c) { return fmt(c.sensing_range.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.sensing_range = meters(parse_double("sensing_range_m", v));
-       }},
-      {"sim_days",
-       [](const SimConfig& c) { return fmt(c.sim_duration.value() / 86400.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.sim_duration = days(parse_double("sim_days", v));
-       }},
-      {"target_period_h",
-       [](const SimConfig& c) { return fmt(c.target_period.value() / 3600.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.target_period = hours(parse_double("target_period_h", v));
-       }},
-      {"data_rate_pkt_per_min",
-       [](const SimConfig& c) { return fmt(c.data_rate_pkt_per_min); },
-       [](SimConfig& c, const std::string& v) {
-         c.data_rate_pkt_per_min = parse_double("data_rate_pkt_per_min", v);
-       }},
-      enum_key("target_motion", "target motion", kTargetMotionNames,
-               [](auto& c) -> auto& { return c.target_motion; }),
-      {"target_speed_m_per_s",
-       [](const SimConfig& c) { return fmt(c.target_speed.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.target_speed = MeterPerSecond{parse_double("target_speed_m_per_s", v)};
-       }},
-      {"scheduler", [](const SimConfig& c) { return c.scheduler; },
-       [](SimConfig& c, const std::string& v) {
-         c.scheduler = registered(SchedulerRegistry::instance(), v);
-       }},
-      {"routing", [](const SimConfig& c) { return c.routing; },
-       [](SimConfig& c, const std::string& v) {
-         c.routing = registered(RoutingRegistry::instance(), v);
-       }},
-      {"threads", [](const SimConfig& c) { return std::to_string(c.threads); },
-       [](SimConfig& c, const std::string& v) { c.threads = parse_u64("threads", v); }},
-      enum_key("activation", "activation policy", kActivationPolicyNames,
-               [](auto& c) -> auto& { return c.activation; }),
-      {"two_opt_tours",
-       [](const SimConfig& c) { return c.two_opt_tours ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.two_opt_tours = parse_bool("two_opt_tours", v);
-       }},
-      {"energy_request_control",
-       [](const SimConfig& c) { return c.energy_request_control ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.energy_request_control = parse_bool("energy_request_control", v);
-       }},
-      {"energy_request_percentage",
-       [](const SimConfig& c) { return fmt(c.energy_request_percentage); },
-       [](SimConfig& c, const std::string& v) {
-         c.energy_request_percentage = parse_double("energy_request_percentage", v);
-       }},
-      {"activation_slot_min",
-       [](const SimConfig& c) { return fmt(c.activation_slot.value() / 60.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.activation_slot = minutes(parse_double("activation_slot_min", v));
-       }},
-      {"critical_fraction",
-       [](const SimConfig& c) { return fmt(c.critical_fraction); },
-       [](SimConfig& c, const std::string& v) {
-         c.critical_fraction = parse_double("critical_fraction", v);
-       }},
-      {"radio.listen_duty_cycle",
-       [](const SimConfig& c) { return fmt(c.radio.listen_duty_cycle); },
-       [](SimConfig& c, const std::string& v) {
-         c.radio.listen_duty_cycle = parse_double("radio.listen_duty_cycle", v);
-       }},
-      {"battery.capacity_j",
-       [](const SimConfig& c) { return fmt(c.battery.capacity.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.battery.capacity = joules(parse_double("battery.capacity_j", v));
-       }},
-      {"battery.self_discharge_per_day",
-       [](const SimConfig& c) { return fmt(c.battery.self_discharge_per_day); },
-       [](SimConfig& c, const std::string& v) {
-         c.battery.self_discharge_per_day =
-             parse_double("battery.self_discharge_per_day", v);
-       }},
-      {"battery.threshold_fraction",
-       [](const SimConfig& c) { return fmt(c.battery.threshold_fraction); },
-       [](SimConfig& c, const std::string& v) {
-         c.battery.threshold_fraction = parse_double("battery.threshold_fraction", v);
-       }},
-      {"rv.capacity_j",
-       [](const SimConfig& c) { return fmt(c.rv.capacity.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.capacity = joules(parse_double("rv.capacity_j", v));
-       }},
-      {"rv.move_cost_j_per_m",
-       [](const SimConfig& c) { return fmt(c.rv.move_cost.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.move_cost = JoulePerMeter{parse_double("rv.move_cost_j_per_m", v)};
-       }},
-      {"rv.speed_m_per_s",
-       [](const SimConfig& c) { return fmt(c.rv.speed.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.speed = MeterPerSecond{parse_double("rv.speed_m_per_s", v)};
-       }},
-      {"rv.charge_power_w",
-       [](const SimConfig& c) { return fmt(c.rv.charge_power.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.charge_power = watts(parse_double("rv.charge_power_w", v));
-       }},
-      enum_key("rv.charge_profile", "charge profile", kChargeProfileNames,
-               [](auto& c) -> auto& { return c.rv.charge_profile; }),
-      {"rv.charge_knee_soc",
-       [](const SimConfig& c) { return fmt(c.rv.charge_knee_soc); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.charge_knee_soc = parse_double("rv.charge_knee_soc", v);
-       }},
-      {"rv.charge_trickle_fraction",
-       [](const SimConfig& c) { return fmt(c.rv.charge_trickle_fraction); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.charge_trickle_fraction =
-             parse_double("rv.charge_trickle_fraction", v);
-       }},
-      {"rv.base_recharge_power_w",
-       [](const SimConfig& c) { return fmt(c.rv.base_recharge_power.value()); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.base_recharge_power =
-             watts(parse_double("rv.base_recharge_power_w", v));
-       }},
-      {"rv.reserve_fraction",
-       [](const SimConfig& c) { return fmt(c.rv.reserve_fraction); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.reserve_fraction = parse_double("rv.reserve_fraction", v);
-       }},
-      {"rv.self_recharge_fraction",
-       [](const SimConfig& c) { return fmt(c.rv.self_recharge_fraction); },
-       [](SimConfig& c, const std::string& v) {
-         c.rv.self_recharge_fraction =
-             parse_double("rv.self_recharge_fraction", v);
-       }},
-      {"metrics_sample_min",
-       [](const SimConfig& c) { return fmt(c.metrics_sample_period.value() / 60.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.metrics_sample_period = minutes(parse_double("metrics_sample_min", v));
-       }},
-      {"fault.enabled",
-       [](const SimConfig& c) { return c.fault.enabled ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.enabled = parse_bool("fault.enabled", v);
-       }},
-      {"fault.request_loss_prob",
-       [](const SimConfig& c) { return fmt(c.fault.request_loss_prob); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_loss_prob = parse_double("fault.request_loss_prob", v);
-       }},
-      {"fault.request_delay_prob",
-       [](const SimConfig& c) { return fmt(c.fault.request_delay_prob); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_delay_prob = parse_double("fault.request_delay_prob", v);
-       }},
-      {"fault.request_delay_max_min",
-       [](const SimConfig& c) { return fmt(c.fault.request_delay_max.value() / 60.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_delay_max =
-             minutes(parse_double("fault.request_delay_max_min", v));
-       }},
-      {"fault.request_retry_timeout_min",
-       [](const SimConfig& c) {
-         return fmt(c.fault.request_retry_timeout.value() / 60.0);
-       },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_retry_timeout =
-             minutes(parse_double("fault.request_retry_timeout_min", v));
-       }},
-      {"fault.request_retry_backoff",
-       [](const SimConfig& c) { return fmt(c.fault.request_retry_backoff); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_retry_backoff =
-             parse_double("fault.request_retry_backoff", v);
-       }},
-      {"fault.request_max_retries",
-       [](const SimConfig& c) { return std::to_string(c.fault.request_max_retries); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.request_max_retries = parse_u64("fault.request_max_retries", v);
-       }},
-      {"fault.rv_mtbf_hours",
-       [](const SimConfig& c) { return fmt(c.fault.rv_mtbf_hours); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.rv_mtbf_hours = parse_double("fault.rv_mtbf_hours", v);
-       }},
-      {"fault.rv_repair_duration_h",
-       [](const SimConfig& c) { return fmt(c.fault.rv_repair_duration.value() / 3600.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.rv_repair_duration =
-             hours(parse_double("fault.rv_repair_duration_h", v));
-       }},
-      {"fault.rv_breakdown_at_h",
-       [](const SimConfig& c) { return fmt(c.fault.rv_breakdown_at.value() / 3600.0); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.rv_breakdown_at = hours(parse_double("fault.rv_breakdown_at_h", v));
-       }},
-      {"fault.rv_failover",
-       [](const SimConfig& c) { return c.fault.rv_failover ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.rv_failover = parse_bool("fault.rv_failover", v);
-       }},
-      {"fault.sensor_fault_rate_per_day",
-       [](const SimConfig& c) { return fmt(c.fault.sensor_fault_rate_per_day); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.sensor_fault_rate_per_day =
-             parse_double("fault.sensor_fault_rate_per_day", v);
-       }},
-      {"fault.sensor_fault_duration_h",
-       [](const SimConfig& c) {
-         return fmt(c.fault.sensor_fault_duration.value() / 3600.0);
-       },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.sensor_fault_duration =
-             hours(parse_double("fault.sensor_fault_duration_h", v));
-       }},
-      {"fault.battery_noise_per_day",
-       [](const SimConfig& c) { return fmt(c.fault.battery_noise_per_day); },
-       [](SimConfig& c, const std::string& v) {
-         c.fault.battery_noise_per_day =
-             parse_double("fault.battery_noise_per_day", v);
-       }},
-      {"link.enabled",
-       [](const SimConfig& c) { return c.link.enabled ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.link.enabled = parse_bool("link.enabled", v);
-       }},
-      {"link.loss_floor",
-       [](const SimConfig& c) { return fmt(c.link.loss_floor); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_floor = parse_double("link.loss_floor", v);
-       }},
-      {"link.loss_at_range",
-       [](const SimConfig& c) { return fmt(c.link.loss_at_range); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_at_range = parse_double("link.loss_at_range", v);
-       }},
-      {"link.loss_exponent",
-       [](const SimConfig& c) { return fmt(c.link.loss_exponent); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_exponent = parse_double("link.loss_exponent", v);
-       }},
-      {"link.max_retx",
-       [](const SimConfig& c) { return std::to_string(c.link.max_retx); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.max_retx = parse_u64("link.max_retx", v);
-       }},
-      {"link.rx_duty_tax",
-       [](const SimConfig& c) { return fmt(c.link.rx_duty_tax); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.rx_duty_tax = parse_double("link.rx_duty_tax", v);
-       }},
-      {"seed", [](const SimConfig& c) { return std::to_string(c.seed); },
-       [](SimConfig& c, const std::string& v) { c.seed = parse_u64("seed", v); }},
-  };
-  return kHandlers;
-}
-
-const KeyHandler& find_handler(const std::string& key) {
-  for (const KeyHandler& h : handlers()) {
-    if (h.name == key) return h;
+// A real-valued key whose member holds `scale` times the printed number
+// (seconds per day, hour or minute, else 1). A parse is the one
+// multiplication days()/hours()/minutes() are, so text round-trips exactly.
+template <class T>
+struct RealKey {
+  const char* name;
+  T& value;
+  double scale;
+  [[nodiscard]] std::string get() const { return fmt(value / scale); }
+  void set(const std::string& text) const {
+    const std::string v = trim(text);
+    const std::optional<double> x = parse_finite_double(v);
+    if (!x) reject(name, "a finite number", v);
+    value = *x * scale;
   }
-  throw InvalidArgument("unknown config key '" + key + "'");
+};
+
+template <class T>
+struct CountKey {
+  const char* name;
+  T& value;
+  [[nodiscard]] std::string get() const { return std::to_string(value); }
+  void set(const std::string& text) const {
+    const std::string v = trim(text);
+    const std::optional<std::uint64_t> x = parse_decimal_u64(v);
+    if (!x) reject(name, "a non-negative integer below 2^64", v);
+    value = *x;
+  }
+};
+
+template <class T>
+struct BoolKey {
+  const char* name;
+  T& value;
+  [[nodiscard]] std::string get() const { return value ? "true" : "false"; }
+  void set(const std::string& text) const {
+    const std::string v = trim(text);
+    if (v == "true" || v == "1" || v == "on" || v == "yes") {
+      value = true;
+    } else if (v == "false" || v == "0" || v == "off" || v == "no") {
+      value = false;
+    } else {
+      throw InvalidArgument("config key '" + std::string(name) +
+                            "': expected a boolean, got '" + v + "'");
+    }
+  }
+};
+
+// A closed enum knob read through its name table; `kind` names it in errors.
+template <class T, class Enum, std::size_t N>
+struct EnumKey {
+  const char* name;
+  const char* kind;
+  const EnumName<Enum> (&table)[N];
+  T& value;
+  [[nodiscard]] std::string get() const { return enum_name(table, value); }
+  void set(const std::string& text) const {
+    const std::string v = trim(text);
+    for (const EnumName<Enum>& e : table) {
+      if (v == e.name) {
+        value = e.value;
+        return;
+      }
+    }
+    throw unknown_name(kind, v, enum_names(table));
+  }
+};
+
+// A policy name, accepted once `registry` knows it.
+template <class T, class Registry>
+struct NameKey {
+  const char* name;
+  const Registry& registry;
+  T& value;
+  [[nodiscard]] std::string get() const { return value; }
+  void set(const std::string& text) const {
+    std::string v = trim(text);
+    registry.require(v);
+    value = std::move(v);
+  }
+};
+
+// The double inside a unit quantity, or the double itself.
+double& number(double& v) { return v; }
+const double& number(const double& v) { return v; }
+template <class Tag>
+double& number(Quantity<Tag>& q) { return q.v; }
+template <class Tag>
+const double& number(const Quantity<Tag>& q) { return q.v; }
+
+template <class Q>
+auto real(const char* name, Q& member, double scale = 1.0) {
+  return RealKey<std::remove_reference_t<decltype(number(member))>>{
+      name, number(member), scale};
+}
+template <class T>
+CountKey<T> count(const char* name, T& member) { return {name, member}; }
+template <class T>
+BoolKey<T> boolean(const char* name, T& member) { return {name, member}; }
+template <class T, class Enum, std::size_t N>
+EnumKey<T, Enum, N> enumerated(const char* name, const char* kind,
+                               const EnumName<Enum> (&table)[N], T& member) {
+  return {name, kind, table, member};
+}
+template <class T, class Registry>
+NameKey<T, Registry> registered(const char* name, const Registry& registry, T& member) {
+  return {name, registry, member};
+}
+
+constexpr double kDay = days(1.0).value();
+constexpr double kHour = hours(1.0).value();
+constexpr double kMinute = minutes(1.0).value();
+
+// The one list of config keys, in serialization order: `visit` sees one row
+// per key. `Config` is SimConfig, or const SimConfig for the read-only walks.
+template <class Config, class Visit>
+void visit_keys(Config& c, Visit&& visit) {
+  visit(count("num_sensors", c.num_sensors));
+  visit(count("num_targets", c.num_targets));
+  visit(count("num_rvs", c.num_rvs));
+  visit(real("field_side_m", c.field_side));
+  visit(real("comm_range_m", c.comm_range));
+  visit(real("sensing_range_m", c.sensing_range));
+  visit(real("sim_days", c.sim_duration, kDay));
+  visit(real("target_period_h", c.target_period, kHour));
+  visit(real("data_rate_pkt_per_min", c.data_rate_pkt_per_min));
+  visit(enumerated("target_motion", "target motion", kTargetMotionNames, c.target_motion));
+  visit(real("target_speed_m_per_s", c.target_speed));
+  visit(registered("scheduler", SchedulerRegistry::instance(), c.scheduler));
+  visit(registered("routing", RoutingRegistry::instance(), c.routing));
+  visit(count("threads", c.threads));
+  visit(enumerated("activation", "activation policy", kActivationPolicyNames,
+                   c.activation));
+  visit(boolean("two_opt_tours", c.two_opt_tours));
+  visit(boolean("energy_request_control", c.energy_request_control));
+  visit(real("energy_request_percentage", c.energy_request_percentage));
+  visit(real("activation_slot_min", c.activation_slot, kMinute));
+  visit(real("critical_fraction", c.critical_fraction));
+  visit(real("radio.listen_duty_cycle", c.radio.listen_duty_cycle));
+  visit(real("battery.capacity_j", c.battery.capacity));
+  visit(real("battery.self_discharge_per_day", c.battery.self_discharge_per_day));
+  visit(real("battery.threshold_fraction", c.battery.threshold_fraction));
+  visit(real("rv.capacity_j", c.rv.capacity));
+  visit(real("rv.move_cost_j_per_m", c.rv.move_cost));
+  visit(real("rv.speed_m_per_s", c.rv.speed));
+  visit(real("rv.charge_power_w", c.rv.charge_power));
+  visit(enumerated("rv.charge_profile", "charge profile", kChargeProfileNames,
+                   c.rv.charge_profile));
+  visit(real("rv.charge_knee_soc", c.rv.charge_knee_soc));
+  visit(real("rv.charge_trickle_fraction", c.rv.charge_trickle_fraction));
+  visit(real("rv.base_recharge_power_w", c.rv.base_recharge_power));
+  visit(real("rv.reserve_fraction", c.rv.reserve_fraction));
+  visit(real("rv.self_recharge_fraction", c.rv.self_recharge_fraction));
+  visit(real("metrics_sample_min", c.metrics_sample_period, kMinute));
+  visit(boolean("fault.enabled", c.fault.enabled));
+  visit(real("fault.request_loss_prob", c.fault.request_loss_prob));
+  visit(real("fault.request_delay_prob", c.fault.request_delay_prob));
+  visit(real("fault.request_delay_max_min", c.fault.request_delay_max, kMinute));
+  visit(real("fault.request_retry_timeout_min", c.fault.request_retry_timeout, kMinute));
+  visit(real("fault.request_retry_backoff", c.fault.request_retry_backoff));
+  visit(count("fault.request_max_retries", c.fault.request_max_retries));
+  visit(real("fault.rv_mtbf_hours", c.fault.rv_mtbf_hours));
+  visit(real("fault.rv_repair_duration_h", c.fault.rv_repair_duration, kHour));
+  visit(real("fault.rv_breakdown_at_h", c.fault.rv_breakdown_at, kHour));
+  visit(boolean("fault.rv_failover", c.fault.rv_failover));
+  visit(real("fault.sensor_fault_rate_per_day", c.fault.sensor_fault_rate_per_day));
+  visit(real("fault.sensor_fault_duration_h", c.fault.sensor_fault_duration, kHour));
+  visit(real("fault.battery_noise_per_day", c.fault.battery_noise_per_day));
+  visit(boolean("link.enabled", c.link.enabled));
+  visit(real("link.loss_floor", c.link.loss_floor));
+  visit(real("link.loss_at_range", c.link.loss_at_range));
+  visit(real("link.loss_exponent", c.link.loss_exponent));
+  visit(count("link.max_retx", c.link.max_retx));
+  visit(real("link.rx_duty_tax", c.link.rx_duty_tax));
+  visit(count("seed", c.seed));
+}
+
+// Runs `fn` on the row named `key`; an unknown key is an error.
+template <class Config, class Fn>
+void with_key(Config& config, const std::string& key, Fn&& fn) {
+  bool found = false;
+  visit_keys(config, [&](const auto& row) {
+    if (!found && key == row.name) {
+      found = true;
+      fn(row);
+    }
+  });
+  if (!found) throw InvalidArgument("unknown config key '" + key + "'");
 }
 
 }  // namespace
@@ -396,27 +243,37 @@ std::optional<std::uint64_t> parse_decimal_u64(std::string_view text) {
   return value;
 }
 
+std::optional<double> parse_finite_double(std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
 std::vector<std::string> config_keys() {
   std::vector<std::string> keys;
-  keys.reserve(handlers().size());
-  for (const KeyHandler& h : handlers()) keys.push_back(h.name);
+  const SimConfig defaults;
+  visit_keys(defaults, [&](const auto& row) { keys.emplace_back(row.name); });
   return keys;
 }
 
 std::string config_get(const SimConfig& config, const std::string& key) {
-  return find_handler(key).get(config);
+  std::string out;
+  with_key(config, key, [&](const auto& row) { out = row.get(); });
+  return out;
 }
 
 void config_set(SimConfig& config, const std::string& key, const std::string& value) {
-  find_handler(key).set(config, value);
+  with_key(config, key, [&](const auto& row) { row.set(value); });
 }
 
 std::string config_to_text(const SimConfig& config) {
   std::ostringstream os;
   os << "# wrsn simulation configuration (Table II defaults unless noted)\n";
-  for (const KeyHandler& h : handlers()) {
-    os << h.name << " = " << h.get(config) << '\n';
-  }
+  visit_keys(config, [&](const auto& row) {
+    os << row.name << " = " << row.get() << '\n';
+  });
   return os.str();
 }
 

@@ -21,6 +21,13 @@ namespace wrsn {
 // config keys and the tools' count flags parse through it.
 [[nodiscard]] std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
 
+// Exact parse of a finite decimal real: std::from_chars's general format
+// over the whole text (digits with an optional '-', fraction and exponent;
+// no '+', no hex, no surrounding spaces), nullopt for anything else — nan,
+// inf and out-of-range values included. Real-valued config keys and the
+// tools' real-valued flags parse through it.
+[[nodiscard]] std::optional<double> parse_finite_double(std::string_view text);
+
 // All recognized keys, in serialization order.
 [[nodiscard]] std::vector<std::string> config_keys();
 

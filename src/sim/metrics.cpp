@@ -1,6 +1,10 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/json.hpp"
@@ -117,153 +121,85 @@ MetricsReport MetricsIntegrator::finalize(Second duration) const {
   return out;
 }
 
-void MetricsIntegrator::serialize(BinWriter& w) const {
-  w.f64(report_.rv_travel_energy.value());
-  w.f64(report_.rv_travel_distance.value());
-  w.f64(report_.energy_recharged.value());
-  w.f64(report_.rv_base_energy_drawn.value());
-  w.size(report_.sensors_recharged);
-  w.size(report_.rv_tours);
-  w.size(report_.rv_base_recharges);
-  w.f64(report_.packets_delivered);
-  w.f64(report_.packets_offered);
-  w.size(report_.sensor_deaths);
-  w.size(report_.recharge_requests);
-  w.size(report_.requests_lost);
-  w.size(report_.requests_delayed);
-  w.size(report_.requests_retried);
-  w.size(report_.requests_expired);
-  w.size(report_.rv_breakdowns);
-  w.size(report_.rv_repairs);
-  w.size(report_.failover_reinjected);
-  w.size(report_.sensor_hw_faults);
-  w.f64(report_.rv_downtime.value());
-  w.f64(covered_time_);
-  w.f64(coverable_time_);
-  w.f64(alive_time_);
-  w.f64(dead_time_);
-  w.f64(elapsed_);
-  w.f64(latency_sum_);
-  w.f64(hop_packet_integral_);
-  w.f64(failover_recovery_sum_);
-  w.size(failover_recoveries_);
-  w.vec(latencies_);
-  w.vec(waits_);
-  w.vec(travels_);
-  w.vec(services_);
-  std::vector<std::pair<std::size_t, int>> counts(recharge_counts_.begin(),
-                                                  recharge_counts_.end());
-  std::sort(counts.begin(), counts.end());
-  w.size(counts.size());
-  for (const auto& [sensor, count] : counts) {
-    w.size(sensor);
-    w.u64(static_cast<std::uint64_t>(count));
+template <class Self, class Ar>
+void MetricsIntegrator::io(Self& m, Ar& ar) {
+  constexpr bool kLoad = std::is_same_v<Ar, BinReader>;
+  auto& r = m.report_;
+  ar.f64(r.rv_travel_energy.v);
+  ar.f64(r.rv_travel_distance.v);
+  ar.f64(r.energy_recharged.v);
+  ar.f64(r.rv_base_energy_drawn.v);
+  ar.size(r.sensors_recharged);
+  ar.size(r.rv_tours);
+  ar.size(r.rv_base_recharges);
+  ar.f64(r.packets_delivered);
+  ar.f64(r.packets_offered);
+  ar.size(r.sensor_deaths);
+  ar.size(r.recharge_requests);
+  ar.size(r.requests_lost);
+  ar.size(r.requests_delayed);
+  ar.size(r.requests_retried);
+  ar.size(r.requests_expired);
+  ar.size(r.rv_breakdowns);
+  ar.size(r.rv_repairs);
+  ar.size(r.failover_reinjected);
+  ar.size(r.sensor_hw_faults);
+  ar.f64(r.rv_downtime.v);
+  ar.f64(m.covered_time_);
+  ar.f64(m.coverable_time_);
+  ar.f64(m.alive_time_);
+  ar.f64(m.dead_time_);
+  ar.f64(m.elapsed_);
+  ar.f64(m.latency_sum_);
+  ar.f64(m.hop_packet_integral_);
+  ar.f64(m.failover_recovery_sum_);
+  ar.size(m.failover_recoveries_);
+  ar.vec(m.latencies_);
+  ar.vec(m.waits_);
+  ar.vec(m.travels_);
+  ar.vec(m.services_);
+  // recharge_counts_ as (sensor, count) pairs, ascending by sensor id.
+  std::vector<std::pair<std::size_t, std::uint64_t>> counts;
+  if constexpr (kLoad) {
+    counts.resize(ar.count(16));
+  } else {
+    counts.assign(m.recharge_counts_.begin(), m.recharge_counts_.end());
+    std::sort(counts.begin(), counts.end());
+    ar.size(counts.size());
+  }
+  for (auto& [sensor, count] : counts) {
+    ar.size(sensor);
+    ar.u64(count);
+  }
+  if constexpr (kLoad) {
+    m.recharge_counts_.clear();
+    for (const auto& [sensor, count] : counts) {
+      m.recharge_counts_[sensor] = static_cast<int>(count);
+    }
   }
 }
 
-void MetricsIntegrator::deserialize(BinReader& r) {
-  auto f64 = [&r] {
-    double v = 0.0;
-    r.f64(v);
-    return v;
-  };
-  report_.rv_travel_energy = Joule{f64()};
-  report_.rv_travel_distance = Meter{f64()};
-  report_.energy_recharged = Joule{f64()};
-  report_.rv_base_energy_drawn = Joule{f64()};
-  r.size(report_.sensors_recharged);
-  r.size(report_.rv_tours);
-  r.size(report_.rv_base_recharges);
-  r.f64(report_.packets_delivered);
-  r.f64(report_.packets_offered);
-  r.size(report_.sensor_deaths);
-  r.size(report_.recharge_requests);
-  r.size(report_.requests_lost);
-  r.size(report_.requests_delayed);
-  r.size(report_.requests_retried);
-  r.size(report_.requests_expired);
-  r.size(report_.rv_breakdowns);
-  r.size(report_.rv_repairs);
-  r.size(report_.failover_reinjected);
-  r.size(report_.sensor_hw_faults);
-  report_.rv_downtime = Second{f64()};
-  r.f64(covered_time_);
-  r.f64(coverable_time_);
-  r.f64(alive_time_);
-  r.f64(dead_time_);
-  r.f64(elapsed_);
-  r.f64(latency_sum_);
-  r.f64(hop_packet_integral_);
-  r.f64(failover_recovery_sum_);
-  r.size(failover_recoveries_);
-  r.vec(latencies_);
-  r.vec(waits_);
-  r.vec(travels_);
-  r.vec(services_);
-  const std::size_t n = r.count(16);
-  recharge_counts_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t sensor = 0;
-    std::uint64_t count = 0;
-    r.size(sensor);
-    r.u64(count);
-    recharge_counts_[sensor] = static_cast<int>(count);
-  }
+template void MetricsIntegrator::io(const MetricsIntegrator&, BinWriter&);
+template void MetricsIntegrator::io(MetricsIntegrator&, BinReader&);
+
+namespace {
+
+double json_number(double v) { return v; }
+std::uint64_t json_number(std::size_t v) { return v; }
+template <class Tag>
+double json_number(Quantity<Tag> q) {
+  return q.value();
 }
+
+}  // namespace
 
 std::string to_json(const MetricsReport& r) {
   JsonWriter w;
-  w.begin_object()
-      .field("duration_s", r.duration.value())
-      .field("rv_travel_energy_j", r.rv_travel_energy.value())
-      .field("rv_travel_distance_m", r.rv_travel_distance.value())
-      .field("energy_recharged_j", r.energy_recharged.value())
-      .field("rv_base_energy_drawn_j", r.rv_base_energy_drawn.value())
-      .field("objective_score_j", r.objective_score().value())
-      .field("coverage_ratio", r.coverage_ratio)
-      .field("missing_rate", r.missing_rate)
-      .field("nonfunctional_pct", r.nonfunctional_pct)
-      .field("avg_alive_sensors", r.avg_alive_sensors)
-      .field("avg_coverable_targets", r.avg_coverable_targets)
-      .field("recharging_cost_m_per_sensor", r.recharging_cost_m_per_sensor())
-      .field("packets_delivered", r.packets_delivered)
-      .field("avg_delivery_hops", r.avg_delivery_hops)
-      .field("sensor_deaths", static_cast<std::uint64_t>(r.sensor_deaths))
-      .field("recharge_requests", static_cast<std::uint64_t>(r.recharge_requests))
-      .field("sensors_recharged", static_cast<std::uint64_t>(r.sensors_recharged))
-      .field("rv_tours", static_cast<std::uint64_t>(r.rv_tours))
-      .field("rv_base_recharges", static_cast<std::uint64_t>(r.rv_base_recharges))
-      .field("avg_request_latency_s", r.avg_request_latency.value())
-      .field("p50_request_latency_s", r.p50_request_latency.value())
-      .field("p95_request_latency_s", r.p95_request_latency.value())
-      .field("p99_request_latency_s", r.p99_request_latency.value())
-      .field("max_request_latency_s", r.max_request_latency.value())
-      .field("p99_max_request_latency_s", r.p99_max_request_latency.value())
-      .field("avg_request_wait_s", r.avg_request_wait.value())
-      .field("p50_request_wait_s", r.p50_request_wait.value())
-      .field("p95_request_wait_s", r.p95_request_wait.value())
-      .field("p99_request_wait_s", r.p99_request_wait.value())
-      .field("avg_request_travel_s", r.avg_request_travel.value())
-      .field("p50_request_travel_s", r.p50_request_travel.value())
-      .field("p95_request_travel_s", r.p95_request_travel.value())
-      .field("p99_request_travel_s", r.p99_request_travel.value())
-      .field("avg_request_service_s", r.avg_request_service.value())
-      .field("p50_request_service_s", r.p50_request_service.value())
-      .field("p95_request_service_s", r.p95_request_service.value())
-      .field("p99_request_service_s", r.p99_request_service.value())
-      .field("recharge_fairness_jain", r.recharge_fairness_jain)
-      .field("requests_lost", static_cast<std::uint64_t>(r.requests_lost))
-      .field("requests_delayed", static_cast<std::uint64_t>(r.requests_delayed))
-      .field("requests_retried", static_cast<std::uint64_t>(r.requests_retried))
-      .field("requests_expired", static_cast<std::uint64_t>(r.requests_expired))
-      .field("rv_breakdowns", static_cast<std::uint64_t>(r.rv_breakdowns))
-      .field("rv_repairs", static_cast<std::uint64_t>(r.rv_repairs))
-      .field("failover_reinjected",
-             static_cast<std::uint64_t>(r.failover_reinjected))
-      .field("sensor_hw_faults", static_cast<std::uint64_t>(r.sensor_hw_faults))
-      .field("rv_downtime_s", r.rv_downtime.value())
-      .field("avg_failover_recovery_s", r.avg_failover_recovery.value())
-      .end_object();
+  w.begin_object();
+  visit_report_fields([&](const char* key, auto /*rule*/, auto member) {
+    if (key != nullptr) w.field(key, json_number(std::invoke(member, r)));
+  });
+  w.end_object();
   return w.str();
 }
 

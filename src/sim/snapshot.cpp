@@ -523,11 +523,7 @@ struct SnapshotAccess {
     }
 
     // --- metrics accumulators & time series -------------------------------
-    if constexpr (kLoad) {
-      w.metrics_.deserialize(ar);
-    } else {
-      w.metrics_.serialize(ar);
-    }
+    MetricsIntegrator::io(w.metrics_, ar);
     ar.boolean(w.record_series_);
     if constexpr (kLoad) {
       w.series_.assign(ar.count(kSeriesPointBytes), TimeSeriesPoint{});

@@ -108,9 +108,8 @@ World::StepRegion ReferenceWorld::step_region(Vec2 from, Vec2 to) const {
 RebalanceResult ReferenceWorld::rebalance(const std::vector<SensorId>& dirty) {
   // Candidate targets by full target scan.
   const std::vector<Vec2> target_pos = current_target_positions();
-  return rebalance_dirty(
-      clusters_, [this](SensorId id) { return soa_.pos[id]; }, target_pos,
-      config_.sensing_range.value(), dirty);
+  return rebalance_dirty(clusters_, soa_.pos, target_pos,
+                         config_.sensing_range.value(), dirty);
 }
 
 std::unique_ptr<World> make_world(const SimConfig& config, Engine engine) {

@@ -2,7 +2,6 @@
 
 #include "core/error.hpp"
 #include "energy/battery.hpp"
-#include "energy/charger.hpp"
 
 namespace wrsn {
 namespace {
@@ -83,38 +82,6 @@ TEST(Battery, DrainThenCrossingConsistency) {
   ASSERT_TRUE(t.has_value());
   b.drain(p * *t);
   EXPECT_NEAR(b.level().value(), 3240.0, 1e-9);
-}
-
-TEST(Charger, TransferTime) {
-  Charger c(Watt{5.0});
-  EXPECT_DOUBLE_EQ(c.transfer_time(Joule{50.0}).value(), 10.0);
-  EXPECT_DOUBLE_EQ(c.transfer_time(Joule{0.0}).value(), 0.0);
-  EXPECT_THROW((void)c.transfer_time(Joule{-1.0}), InvalidArgument);
-  EXPECT_THROW(Charger(Watt{0.0}), InvalidArgument);
-}
-
-TEST(Charger, DeliverBoundedByBudgetAndHeadroom) {
-  Charger c(Watt{5.0});
-  Battery sink(Joule{100.0}, Joule{80.0});
-  EXPECT_DOUBLE_EQ(c.deliver(sink, Joule{50.0}).value(), 20.0);  // headroom caps
-  EXPECT_DOUBLE_EQ(sink.fraction(), 1.0);
-
-  Battery sink2(Joule{100.0}, Joule{10.0});
-  EXPECT_DOUBLE_EQ(c.deliver(sink2, Joule{30.0}).value(), 30.0);  // budget caps
-  EXPECT_DOUBLE_EQ(sink2.level().value(), 40.0);
-}
-
-TEST(Charger, DeliverFull) {
-  Charger c(Watt{5.0});
-  Battery sink(Joule{100.0}, Joule{25.0});
-  EXPECT_DOUBLE_EQ(c.deliver_full(sink).value(), 75.0);
-  EXPECT_DOUBLE_EQ(sink.fraction(), 1.0);
-}
-
-TEST(Traction, EnergyAndTime) {
-  Traction t{JoulePerMeter{5.6}, MeterPerSecond{1.0}};
-  EXPECT_DOUBLE_EQ(t.energy(Meter{100.0}).value(), 560.0);
-  EXPECT_DOUBLE_EQ(t.time(Meter{100.0}).value(), 100.0);
 }
 
 }  // namespace

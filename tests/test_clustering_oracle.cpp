@@ -201,7 +201,6 @@ TEST_P(AdmissionOracle, SameSizeReuseMatchesFreshDenseRun) {
   std::vector<Vec2> targets = in.targets;
   std::vector<bool> eligible = in.eligible;
   if (eligible.empty()) eligible.assign(n, true);
-  const auto pos = [&](SensorId s) { return in.sensors[s]; };
   const double r2 = in.range * in.range;
 
   ClusterSet reused;
@@ -235,7 +234,7 @@ TEST_P(AdmissionOracle, SameSizeReuseMatchesFreshDenseRun) {
         dirty.push_back(s);
       }
     }
-    (void)rebalance_dirty(reused, pos, targets, in.range, dirty);
+    (void)rebalance_dirty(reused, in.sensors, targets, in.range, dirty);
   }
 }
 
@@ -285,7 +284,6 @@ void run_subset_rounds(std::uint64_t seed, SubsetRun& run) {
   std::vector<Vec2> targets = in.targets;
   std::vector<bool> eligible = in.eligible;
   if (eligible.empty()) eligible.assign(n, true);
-  const auto pos = [&](SensorId s) { return in.sensors[s]; };
   const double r2 = in.range * in.range;
   const auto covers = [&](TargetId t, SensorId s) {
     return squared_distance(in.sensors[s], targets[t]) <= r2;
@@ -307,7 +305,7 @@ void run_subset_rounds(std::uint64_t seed, SubsetRun& run) {
       for (TargetId t = 0; t < m; ++t) refreshed[t] = refreshed[t] || covers(t, s);
       if (eligible[s]) {
         // A revival re-joins at once; a death leaves its member in place.
-        (void)rebalance_dirty(reused, pos, targets, in.range, {s});
+        (void)rebalance_dirty(reused, in.sensors, targets, in.range, {s});
       }
     }
     const auto fresh_lists =

@@ -275,6 +275,64 @@ TEST(ConfigIo, IntegerKeysParseExactly) {
   }
 }
 
+// Real-valued keys parse exactly what the shortest round-trip printer can
+// write, plus the other plain decimal spellings: an optional '-', digits, a
+// fraction and an exponent. Hex floats, a leading '+', nan, inf, values out
+// of double's range and trailing junk are rejected with one line naming the
+// key, and the member keeps its value.
+TEST(ConfigIo, RealKeysParseExactly) {
+  struct Case {
+    const char* text;
+    bool ok;
+    double value;
+  };
+  const Case cases[] = {
+      {"0", true, 0.0},
+      {"150.5", true, 150.5},
+      {"  42  ", true, 42.0},
+      {"-2.5", true, -2.5},
+      {".5", true, 0.5},
+      {"1e3", true, 1000.0},
+      {"2.5E-3", true, 0.0025},
+      {"0.1", true, 0.1},
+      {"0x1p3", false, 0},
+      {"0x10", false, 0},
+      {"+1", false, 0},
+      {"nan", false, 0},
+      {"-nan", false, 0},
+      {"inf", false, 0},
+      {"-infinity", false, 0},
+      {"1e400", false, 0},
+      {"1x", false, 0},
+      {"1.5.2", false, 0},
+      {"", false, 0},
+      {"many", false, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    SimConfig cfg;
+    if (c.ok) {
+      config_set(cfg, "field_side_m", c.text);
+      EXPECT_EQ(cfg.field_side.value(), c.value);
+    } else {
+      try {
+        config_set(cfg, "field_side_m", c.text);
+        ADD_FAILURE() << "accepted";
+      } catch (const InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("config key 'field_side_m'"), std::string::npos) << what;
+        EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+      }
+      EXPECT_EQ(cfg.field_side.value(), SimConfig{}.field_side.value());
+    }
+  }
+  // A unit key scales by one multiplication, exactly as days() does.
+  SimConfig cfg;
+  config_set(cfg, "sim_days", "0.1");
+  EXPECT_EQ(cfg.sim_duration.value(), days(0.1).value());
+  EXPECT_EQ(config_get(cfg, "sim_days"), "0.1");
+}
+
 // A seed above 2^53 survives the snapshot's embedded config text: the
 // restored world re-serializes byte-identical and keeps the exact seed.
 TEST(ConfigIo, SeedAboveTwoTo53SurvivesSnapshotRoundTrip) {

@@ -30,9 +30,16 @@ TEST(MeanReport, AveragesAndP99MaxLatency) {
     reports[i].coverage_ratio = 0.5 + 0.1 * static_cast<double>(i);
     reports[i].max_request_latency = Second{100.0 * static_cast<double>(i + 1)};
     reports[i].sensor_deaths = i;
+    reports[i].packets_offered = 100.0 * static_cast<double>(i + 1);
+    reports[i].packets_delivered = 50.0 * static_cast<double>(i + 1);
   }
   const MetricsReport mean = mean_report(reports);
   EXPECT_NEAR(mean.coverage_ratio, 0.65, 1e-12);
+  // Every field is averaged, so the derived ratios of the mean stay sound:
+  // mean{100..400} = 250 offered, mean{50..200} = 125 delivered.
+  EXPECT_DOUBLE_EQ(mean.packets_offered, 250.0);
+  EXPECT_DOUBLE_EQ(mean.packets_delivered, 125.0);
+  EXPECT_DOUBLE_EQ(mean.delivery_ratio(), 0.5);
   // Worst case across replicas...
   EXPECT_DOUBLE_EQ(mean.max_request_latency.value(), 400.0);
   // ...and its p99 via the nearest-rank convention on the sorted maxima

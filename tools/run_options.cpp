@@ -1,8 +1,6 @@
 #include "run_options.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <iomanip>
 #include <iostream>
@@ -162,16 +160,13 @@ std::size_t parse_count(const std::string& flag, const std::string& value) {
 }
 
 double parse_finite(const std::string& flag, const std::string& value, Bound bound) {
-  double v = 0.0;
-  const char* const end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  const bool in_bound = bound == Bound::kPositive ? v > 0.0 : v >= 0.0;
-  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || !in_bound) {
+  const std::optional<double> v = parse_finite_double(value);
+  if (!v || !(bound == Bound::kPositive ? *v > 0.0 : *v >= 0.0)) {
     throw InvalidArgument(flag + " expects a finite number " +
                           (bound == Bound::kPositive ? "> 0" : ">= 0") + ", got '" +
                           value + "'");
   }
-  return v;
+  return *v;
 }
 
 bool parse_run_options(const std::vector<std::string>& args, const std::string& usage,
